@@ -399,7 +399,7 @@ def run(cfg: RunConfig) -> int:
     return _COMMANDS[cfg.command](cfg)
 
 
-def _error_json(exc, code):
+def _error_json(exc):
     details = {}
     report = getattr(exc, "report", None)
     if report is not None:
@@ -435,11 +435,11 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, args.command, args.out, args.seed)
         return run(cfg)
     except HypothesisError as exc:
-        json.dump(_error_json(exc, 2), sys.stderr, sort_keys=True)
+        json.dump(_error_json(exc), sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 2
     except Exception as exc:  # config, IO, and internal faults
-        json.dump(_error_json(exc, 1), sys.stderr, sort_keys=True)
+        json.dump(_error_json(exc), sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 1
 

@@ -25,8 +25,10 @@ from .spectral import (
     evaluate_transform_at,
     forward_transform,
     l1_norm,
+    transform_on_progression,
     weighted_l1_norm,
 )
+from .errors import ShiftSpecError
 from .symbols import FredholmClass, ShiftParams, classify, symbol
 
 # see linear.RESONANT_BIN_GUARD; same machine-zero identification
@@ -120,14 +122,18 @@ def stability_constant(
     sup1 = float(q1.max())
     sup2 = float(q2.max())
 
-    # refinement around +-sqrt(a); resonant zeros excluded and covered
-    # by the caps instead
+    # refinement around +-sqrt(a): 65-point progressions leading away from
+    # each root on either side; resonant zeros excluded and covered by the
+    # caps instead
     e_min = 1e-4 * r if cls.is_resonant else 0.0
-    offsets = np.linspace(e_min, grid.dp, 65)
-    p_ref = np.concatenate([s * r + sign * offsets for s in (1.0, -1.0) for sign in (1.0, -1.0)])
-    p_ref = p_ref[np.abs(p_ref) <= grid.p_max]
+    away = np.array([1.0, -1.0, 1.0, -1.0])
+    starts = np.array([r, r, -r, -r]) + away * e_min
+    steps = away * (grid.dp - e_min) / 64
+    p_ref = (starts[:, None] + steps[:, None] * np.arange(65)).ravel()
+    gh_ref = np.abs(transform_on_progression(G, starts, steps, 65)).ravel()
+    band = np.abs(p_ref) <= grid.p_max
+    p_ref, gh_ref = p_ref[band], gh_ref[band]
     if p_ref.size:
-        gh_ref = np.abs(evaluate_transform_at(G, p_ref))
         lam_ref = np.abs(symbol(p_ref, params))
         keep = lam_ref > 0
         sup1 = max(sup1, float((gh_ref[keep] / lam_ref[keep]).max()))
@@ -141,7 +147,11 @@ def stability_constant(
 
     # consequence of p^2/lambda = 1 + a e^{-iph}/lambda; holds pointwise,
     # so a violation means the sampling above is inconsistent
-    assert sup2 <= gh_max + params.a * sup1 + 1e-9 * (1.0 + gh_max + sup1)
+    if not sup2 <= gh_max + params.a * sup1 + 1e-9 * (1.0 + gh_max + sup1):
+        raise ShiftSpecError(
+            "sampled sups violate |p^2 G_hat/lambda| <= |G_hat| + a*|G_hat/lambda|: "
+            f"sup2={sup2:.17g}, max|G_hat|={gh_max:.17g}, sup1={sup1:.17g}"
+        )
 
     return KernelReport(N=max(sup1, sup2), sup1=sup1, sup2=sup2, finite=True, **common)
 

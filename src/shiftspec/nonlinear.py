@@ -189,7 +189,7 @@ def nontriviality_check(
     thr_g = threshold if threshold is not None else 1e-12 * gh.max()
     thr_f = threshold if threshold is not None else 1e-12 * fh.max()
     overlap_bins = int(np.count_nonzero((gh > thr_g) & (fh > thr_f)))
-    return overlap_bins * grid.dp > 0.0
+    return overlap_bins > 0
 
 
 def _a_priori_iterations(q: float, first_step: float, tol: float) -> int:

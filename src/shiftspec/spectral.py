@@ -218,6 +218,54 @@ def evaluate_transform_at(u: GridFunction, p):
     return out
 
 
+def transform_on_progression(u: GridFunction, starts, step, M: int) -> np.ndarray:
+    """Transform on arithmetic progressions of frequencies, by Bluestein's
+    chirp-z transform in O((N + M) log(N + M)) time and O(N + M) memory
+    per progression.
+
+    Row b of the returned (len(starts), M) array holds the same trapezoidal
+    sum as :func:`evaluate_transform_at`,
+    (dx/sqrt(2*pi)) * sum_j u(x_j) e^{-i p_k x_j},
+    at p_k = starts[b] + k*step_b, k = 0..M-1.  ``step`` is a scalar or
+    one value per start; all steps must have the same magnitude, because
+    every row shares one chirp filter (a negative-step row is evaluated
+    from its other end with the positive step and then reversed).
+    Frequencies beyond the resolvable band are not flagged; the sum
+    aliases there.
+    """
+    grid = u.grid
+    starts = np.atleast_1d(np.asarray(starts, dtype=np.float64))
+    steps = np.broadcast_to(np.asarray(step, dtype=np.float64), starts.shape)
+    M = int(M)
+    if starts.ndim != 1 or starts.size == 0 or M < 1:
+        raise ValueError("starts must be a nonempty 1-D array and M >= 1")
+    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(steps))):
+        raise ValueError("starts and step must be finite")
+    d = abs(float(steps[0]))
+    if np.any(np.abs(steps) != d):
+        raise ValueError("all steps must have the same magnitude")
+    N = grid.N
+    neg = steps < 0
+    # centred indices x_j = m*dx, p = pc + t*d keep the chirp phases small
+    # where the data and the output live
+    c = (M - 1) // 2
+    pc = np.where(neg, starts + (M - 1) * steps, starts) + c * d
+    w = d * grid.dx
+    m = np.arange(N) - N // 2
+    t = np.arange(M) - c
+    # Bluestein: t*m = (t^2 + m^2 - (t-m)^2)/2, a convolution over the lag
+    # n = k - j with t - m = n + N/2 - c
+    nfft = 1 << (N + M - 2).bit_length()
+    a = u.values * np.exp(-1j * (np.outer(pc, grid.x) + 0.5 * w * m**2))
+    lags = np.arange(-(N - 1), M)
+    chirp = np.zeros(nfft, dtype=np.complex128)
+    chirp[lags % nfft] = np.exp(0.5j * w * (lags + N // 2 - c) ** 2)
+    y = np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(chirp))[:, :M]
+    out = (grid.dx / SQRT_2PI) * np.exp(-0.5j * w * t**2) * y
+    out[neg] = out[neg, ::-1]
+    return out
+
+
 def shift(u: GridFunction, h: float) -> GridFunction:
     """Periodic translate u(x - h), computed as the inverse transform of
     u_hat(p) e^{-iph}.  Unitary in L2; exact for band-limited data."""
@@ -289,7 +337,6 @@ def read_gridfunction_csv(path, grid: Grid | None = None) -> GridFunction:
     vals = np.array([complex(r[1], r[2]) for r in rows])
     if grid is None:
         N = len(x)
-        dx = (x[-1] - x[0]) / (N - 1) if N > 1 else 0.0
         L = -x[0]
         grid = make_grid(L, N)
     if len(x) != grid.N or not np.allclose(x, grid.x, rtol=0, atol=1e-9 * max(1.0, grid.L)):

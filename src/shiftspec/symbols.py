@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShiftSpecError
+
 
 @dataclass(frozen=True)
 class ShiftParams:
@@ -152,5 +154,9 @@ def estimate_alpha(params: ShiftParams) -> float:
         )
     # beyond the window the modulus exceeds the sampled minimum already
     # through its (p^2-a)^2 part
-    assert (P * P - a) ** 2 >= best
+    if not (P * P - a) ** 2 >= best:
+        raise ShiftSpecError(
+            f"sampled minimum {best:.17g} of |lambda|^2 exceeds (P^2-a)^2 at the "
+            f"window edge P={P:.17g}; the search window misses the minimum"
+        )
     return best

@@ -1,11 +1,21 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shiftspec
+from shiftspec import kernels
+from shiftspec.errors import ShiftSpecError
 from shiftspec.kernels import contraction_margin, kernel_orthogonality, stability_constant
 from shiftspec.linear import resonant_aligned_half_length
 from shiftspec.spectral import (
     SQRT_2PI,
     GridFunction,
+    evaluate_transform_at,
     forward_transform,
     l1_norm,
     make_grid,
@@ -14,6 +24,26 @@ from shiftspec.symbols import ShiftParams, symbol
 
 RESONANT = ShiftParams(1.0, 2 * np.pi)
 NONRESONANT = ShiftParams(1.0, 1.0)
+
+# lambda(1.15) = 1.15^2 - 1 is real and positive at h = 2*pi/1.15, so a
+# ten-fold refinement sample there breaks
+# |p^2 G_hat/lambda| <= |G_hat| + a*|G_hat/lambda| (L=10: 1.15 lies in
+# the refinement block [1, 1 + pi/10])
+INCONSISTENT_CASE = """
+import numpy as np
+from shiftspec import kernels
+from shiftspec.errors import ShiftSpecError
+from shiftspec.spectral import GridFunction, make_grid
+from shiftspec.symbols import ShiftParams
+
+original = kernels.transform_on_progression
+kernels.transform_on_progression = lambda *args: 10.0 * original(*args)
+g = make_grid(10.0, 128)
+try:
+    kernels.stability_constant(GridFunction(g, np.exp(-g.x**2 / 2)), ShiftParams(1.0, 2 * np.pi / 1.15))
+except ShiftSpecError:
+    print("ShiftSpecError")
+"""
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +103,70 @@ def test_stability_resonant_orthogonal_kernel():
     assert rep.finite
     # the singular bins are capped by the difference-quotient bound
     assert rep.sup1 >= rep.weighted_l1_G / (SQRT_2PI * 1.0) - 1e-12
+
+
+def _dense_progression(u, starts, step, M):
+    """Reference for transform_on_progression: the dense sum in band, and
+    a huge value beyond it that must never reach a sup."""
+    p = np.asarray(starts)[:, None] + np.asarray(step)[:, None] * np.arange(M)
+    out = np.full(p.shape, 1e300, dtype=complex)
+    in_band = np.abs(p) <= u.grid.p_max
+    out[in_band] = evaluate_transform_at(u, p[in_band])
+    return out
+
+
+@pytest.mark.parametrize(
+    "L,N,kernel,params",
+    [
+        # refinement samples set sup1 and sup2
+        (8.0, 64, lambda x: np.exp(-(x**2) / 2), ShiftParams(1.0, 5.9)),
+        # coarse grid: the outer block around +6 runs past p_max = 2*pi
+        (2.0, 8, lambda x: np.exp(-(x**2)), ShiftParams(36.0, 1.0)),
+        (resonant_aligned_half_length(1.0, 40.0), 4096, lambda x: x**2 * np.exp(-(x**2) / 2), RESONANT),
+        (resonant_aligned_half_length(1.0, 40.0), 4096, lambda x: np.exp(-(x**2) / 2), RESONANT),
+    ],
+    ids=["nonresonant", "coarse-masked", "resonant-orthogonal", "resonant-not-orthogonal"],
+)
+def test_stability_matches_dense_reference(monkeypatch, L, N, kernel, params):
+    g = make_grid(L, N)
+    G = GridFunction(g, kernel(g.x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fast = stability_constant(G, params)
+        monkeypatch.setattr(kernels, "transform_on_progression", _dense_progression)
+        dense = stability_constant(G, params)
+    assert fast.finite == dense.finite
+    if not dense.finite:
+        assert fast.N is None and fast.sup1 is None and fast.sup2 is None
+        return
+    for name in ("N", "sup1", "sup2"):
+        assert getattr(fast, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=0)
+
+
+def test_inconsistent_refinement_samples_raise(monkeypatch):
+    g = make_grid(10.0, 128)
+    G = GridFunction(g, np.exp(-(g.x**2) / 2))
+    params = ShiftParams(1.0, 2 * np.pi / 1.15)
+    assert stability_constant(G, params).finite
+    original = kernels.transform_on_progression
+    monkeypatch.setattr(kernels, "transform_on_progression", lambda *args: 10.0 * original(*args))
+    with pytest.raises(ShiftSpecError, match="sampled sups"):
+        stability_constant(G, params)
+
+
+def test_inconsistent_refinement_samples_raise_under_optimize():
+    # the check must survive python -O, which strips assert statements
+    src = str(Path(shiftspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INCONSISTENT_CASE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ShiftSpecError"
 
 
 def test_stability_scaling(grid):

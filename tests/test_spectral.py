@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from shiftspec.spectral import (
     second_derivative,
     shift,
     sup_abs_spectral,
+    transform_on_progression,
     weighted_l1_norm,
     write_gridfunction_csv,
 )
@@ -134,6 +136,45 @@ def test_evaluate_transform_matches_forward_on_grid():
     uh = forward_transform(u)
     direct = evaluate_transform_at(u, g.p)
     assert np.max(np.abs(direct - uh.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [8, 64, 4096])
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("e_min", [0.0, 1e-4])
+def test_transform_on_progression_matches_dense(N, complex_input, e_min):
+    # the refinement layout of stability_constant: blocks leaving +-1 on
+    # either side, from an offset e_min (resonant case) to one grid step,
+    # and a block that runs past the band edge
+    rng = np.random.default_rng(N)
+    g = make_grid(2.0 if N == 8 else 12.0, N)
+    vals = np.exp(-g.x**2 / 2) * rng.standard_normal(N)
+    if complex_input:
+        vals = vals + 1j * np.exp(-((g.x - 1) ** 2)) * rng.standard_normal(N)
+    u = GridFunction(g, vals)
+    step = (g.dp - e_min) / 64
+    starts = np.array([1 + e_min, 1 - e_min, -1 + e_min, -1 - e_min, g.p_max - 0.5 * g.dp])
+    steps = np.array([step, -step, step, -step, step])
+    fast = transform_on_progression(u, starts, steps, 65)
+    p = starts[:, None] + steps[:, None] * np.arange(65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        dense = evaluate_transform_at(u, p.ravel()).reshape(p.shape)
+    assert fast.shape == (5, 65)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * l1_norm(u) / SQRT_2PI
+
+
+def test_transform_on_progression_scalar_start_and_rejects():
+    g = make_grid(12.0, 64)
+    u = gaussian_on(g)
+    one = transform_on_progression(u, 0.3, -0.01, 7)
+    assert one.shape == (1, 7)
+    assert np.max(np.abs(one[0] - evaluate_transform_at(u, 0.3 - 0.01 * np.arange(7)))) <= 1e-14
+    with pytest.raises(ValueError):
+        transform_on_progression(u, [0.0, 1.0], [0.1, 0.2], 5)
+    with pytest.raises(ValueError):
+        transform_on_progression(u, [0.0], 0.1, 0)
+    with pytest.raises(ValueError):
+        transform_on_progression(u, [np.nan], 0.1, 5)
 
 
 def test_evaluate_transform_gaussian_values():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from shiftspec import symbols
+from shiftspec.errors import ShiftSpecError
 from shiftspec.symbols import (
     FredholmKind,
     ShiftParams,
@@ -109,6 +111,15 @@ def test_estimate_alpha_upper_bound_at_origin():
 def test_estimate_alpha_rejects_resonant():
     with pytest.raises(ValueError):
         estimate_alpha(ShiftParams(4.0, np.pi))
+
+
+def test_estimate_alpha_window_check_raises(monkeypatch):
+    # a sampled minimum above (P^2 - a)^2 means the window [0, P] missed
+    # the minimum; an internal fault, not an assert that python -O strips
+    real = symbols.symbol_modulus_sq
+    monkeypatch.setattr(symbols, "symbol_modulus_sq", lambda p, params: real(p, params) + 1e6)
+    with pytest.raises(ShiftSpecError, match="window"):
+        estimate_alpha(ShiftParams(1.0, 1.0))
 
 
 def test_alpha_is_lower_bound_on_samples():
