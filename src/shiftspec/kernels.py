@@ -29,11 +29,7 @@ from .spectral import (
     weighted_l1_norm,
 )
 from .errors import ShiftSpecError
-from .symbols import FredholmClass, ShiftParams, classify, symbol
-
-# see linear.RESONANT_BIN_GUARD; same machine-zero identification
-from .linear import RESONANT_BIN_GUARD
-from .symbols import symbol_modulus_sq
+from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol, symbol
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,9 @@ def stability_constant(
     finite resonant case the quotients inside the singular bins are
     capped by the difference-quotient bound
     ||x G||_L1 / sqrt(2*pi*a)  (and, for the p^2 quotient, by
-    max|G_hat| + a * that cap).
+    max|G_hat| + a * that cap).  The on-grid quotients use
+    :func:`inverse_symbol`, so a non-resonant grid with symbol values
+    below alpha/2 raises NearSingularGrid.
     """
     grid = G.grid
     cls = classification if classification is not None else classify(params)
@@ -109,18 +107,10 @@ def stability_constant(
     if cls.is_resonant and not orth_ok:
         return KernelReport(N=None, sup1=None, sup2=None, finite=False, **common)
 
-    lam = symbol(grid.p, params)
-    mod2 = symbol_modulus_sq(grid.p, params)
+    inv_abs = np.abs(inverse_symbol(grid.p, params, cls))
+    sup1 = float((gh_abs * inv_abs).max())
+    sup2 = float((grid.p**2 * gh_abs * inv_abs).max())
     r = params.sqrt_a
-    if cls.is_resonant:
-        singular = mod2 < RESONANT_BIN_GUARD * params.a**2
-    else:
-        singular = np.zeros(grid.N, dtype=bool)
-    safe = np.where(singular, 1.0, lam)
-    q1 = np.where(singular, 0.0, gh_abs / np.abs(safe))
-    q2 = np.where(singular, 0.0, grid.p**2 * gh_abs / np.abs(safe))
-    sup1 = float(q1.max())
-    sup2 = float(q2.max())
 
     # refinement around +-sqrt(a): 65-point progressions leading away from
     # each root on either side; resonant zeros excluded and covered by the

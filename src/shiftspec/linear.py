@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularGrid, ResonantNotSolvable
+from .errors import ResonantNotSolvable
 from .spectral import (
     SQRT_2PI,
     GridFunction,
@@ -29,12 +29,7 @@ from .spectral import (
     shift,
     weighted_l1_norm,
 )
-from .symbols import FredholmClass, ShiftParams, classify, symbol, symbol_modulus_sq
-
-# Resonant grid bins are identified by a machine-zero symbol modulus
-# relative to the natural scale |lambda(0)|^2 = a^2.  Only the bins at
-# exactly +-sqrt(a) (aligned grids) fall below this.
-RESONANT_BIN_GUARD = 1e-16
+from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol, symbol
 
 
 @dataclass(frozen=True)
@@ -101,45 +96,25 @@ def solve_linear(
     params: ShiftParams,
     tol_orth: float = 1e-8,
     classification: FredholmClass | None = None,
-    enforce_orthogonality: bool = True,
 ) -> LinearSolveResult:
     """Solve -u'' - a*u(x-h) = f by symbol division on the grid.
 
     Resonant parameters require the orthogonality report to pass (raises
-    ResonantNotSolvable otherwise); bins with machine-zero symbol values
-    are excluded from the division.  Non-resonant grids are screened
-    against symbol values below alpha/2, which would indicate a
-    misclassification (NearSingularGrid).
-
-    enforce_orthogonality=False skips the raise (not the diagnostics);
-    used by the nonlocal solver where orthogonality is guaranteed at the
-    kernel level rather than per right-hand side.
+    ResonantNotSolvable otherwise); the division follows
+    :func:`inverse_symbol`, which drops machine-zero symbol bins and
+    screens non-resonant grids (NearSingularGrid).
     """
     grid = f.grid
     cls = classification if classification is not None else classify(params)
     report = check_solvability(f, params, tol_orth, classification=cls)
-    lam = symbol(grid.p, params)
-    mod2 = symbol_modulus_sq(grid.p, params)
-    if cls.is_resonant:
-        if enforce_orthogonality and not report.solvable:
-            raise ResonantNotSolvable(
-                "orthogonality violated at +-sqrt(a): "
-                f"|f_hat(+sqrt(a))| = {abs(report.fhat_plus):.3e}, "
-                f"|f_hat(-sqrt(a))| = {abs(report.fhat_minus):.3e}, tol = {tol_orth:.3e}",
-                report=report,
-            )
-        singular = mod2 < RESONANT_BIN_GUARD * params.a**2
-        safe_lam = np.where(singular, 1.0, lam)
-        fh = forward_transform(f)
-        uh = np.where(singular, 0.0, fh.values / safe_lam)
-    else:
-        if np.any(mod2 < cls.alpha / 2.0):
-            raise NearSingularGrid(
-                "grid carries symbol values below alpha/2 for a non-resonant "
-                "classification; grid or classification is pathological"
-            )
-        fh = forward_transform(f)
-        uh = fh.values / lam
+    if cls.is_resonant and not report.solvable:
+        raise ResonantNotSolvable(
+            "orthogonality violated at +-sqrt(a): "
+            f"|f_hat(+sqrt(a))| = {abs(report.fhat_plus):.3e}, "
+            f"|f_hat(-sqrt(a))| = {abs(report.fhat_minus):.3e}, tol = {tol_orth:.3e}",
+            report=report,
+        )
+    uh = forward_transform(f).values * inverse_symbol(grid.p, params, cls)
     u = _real_like(f, inverse_transform(SpectralFunction(grid, uh)).values)
     residual = l2_norm(apply_operator(u, params) - f)
     return LinearSolveResult(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
 from .kernels import KernelReport, contraction_margin, stability_constant
-from .linear import apply_operator, solve_linear
+from .linear import apply_operator
 from .spectral import (
     SQRT_2PI,
     Grid,
@@ -28,7 +28,7 @@ from .spectral import (
     inverse_transform,
     l2_norm,
 )
-from .symbols import FredholmClass, ShiftParams, classify
+from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,14 @@ def apply_T(
     kernel_report: KernelReport | None = None,
     tol_orth: float = 1e-8,
 ) -> GridFunction:
-    """One step of the fixed-point map: solve the linear problem with
-    right-hand side G * F(v, .).
+    """One step of the fixed-point map: the solution u of the linear
+    problem with right-hand side G * F(v, .), computed as
+    u_hat = sqrt(2*pi) * G_hat * F(v)_hat * :func:`inverse_symbol`.
 
     Resonant parameters require the kernel orthogonality to hold (the
     report must be finite); the per-step right-hand side then inherits
-    orthogonality from the kernel and is not re-gated.
+    orthogonality from the kernel and is not re-gated.  u is real when G
+    is.
     """
     cls = classification if classification is not None else classify(params)
     if cls.is_resonant:
@@ -163,11 +165,12 @@ def apply_T(
                 f"|G_hat(-sqrt a)| = {abs(report.Ghat_minus):.3e})",
                 report=report,
             )
-    rhs = convolve(G, apply_nonlinearity(F, v))
-    result = solve_linear(
-        rhs, params, tol_orth=tol_orth, classification=cls, enforce_orthogonality=False
-    )
-    return result.u
+    _require_same_grid(G, v)
+    gh = forward_transform(G).values
+    wh = forward_transform(apply_nonlinearity(F, v)).values
+    uh = SQRT_2PI * gh * wh * inverse_symbol(G.grid.p, params, cls)
+    u = inverse_transform(SpectralFunction(G.grid, uh))
+    return GridFunction(G.grid, u.values.real) if G.is_real else u
 
 
 def nontriviality_check(

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShiftSpecError
+from .errors import NearSingularGrid, ShiftSpecError
+
+# Resonant grid bins are identified by a machine-zero symbol modulus
+# relative to the natural scale |lambda(0)|^2 = a^2.  Only the bins at
+# exactly +-sqrt(a) (aligned grids) fall below this.
+RESONANT_BIN_GUARD = 1e-16
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,28 @@ def symbol_modulus_sq(p, params: ShiftParams):
     p = np.asarray(p, dtype=np.float64)
     out = (p**2 - params.a) ** 2 + 2.0 * params.a * p**2 * (1.0 - np.cos(p * params.h))
     return float(out) if out.ndim == 0 else out
+
+
+def inverse_symbol(p, params: ShiftParams, classification: FredholmClass):
+    """1/lambda(p) on grid frequencies: the division rule of every solve.
+
+    Resonant classifications get 0 on the bins where
+    |lambda|^2 < RESONANT_BIN_GUARD * a^2 (the symbol zeros at +-sqrt(a)
+    on aligned grids).  Non-resonant ones raise NearSingularGrid when
+    |lambda|^2 < alpha/2 anywhere, which would indicate a
+    misclassification.
+    """
+    lam = symbol(p, params)
+    mod2 = symbol_modulus_sq(p, params)
+    if classification.is_resonant:
+        singular = mod2 < RESONANT_BIN_GUARD * params.a**2
+        return np.where(singular, 0.0, 1.0 / np.where(singular, 1.0, lam))
+    if np.any(mod2 < classification.alpha / 2.0):
+        raise NearSingularGrid(
+            "grid carries symbol values below alpha/2 for a non-resonant "
+            "classification; grid or classification is pathological"
+        )
+    return 1.0 / lam
 
 
 def default_resonance_tol(params: ShiftParams) -> float:

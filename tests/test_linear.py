@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shiftspec.errors import NearSingularGrid, ResonantNotSolvable
+from shiftspec.kernels import stability_constant
 from shiftspec.linear import (
     apply_operator,
     check_solvability,
@@ -11,6 +12,7 @@ from shiftspec.linear import (
     resonant_aligned_half_length,
     solve_linear,
 )
+from shiftspec.nonlinear import Nonlinearity, apply_T
 from shiftspec.spectral import (
     GridFunction,
     evaluate_transform_at,
@@ -181,6 +183,17 @@ def test_near_singular_grid_check(grid):
     fake = FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=1e6)
     with pytest.raises(NearSingularGrid):
         solve_linear(f, NONRESONANT, classification=fake)
+    # the kernel constant and the fixed-point step divide by the same rule
+    with pytest.raises(NearSingularGrid):
+        stability_constant(f, NONRESONANT, classification=fake)
+    F = Nonlinearity(
+        eval=lambda u, x: 0.1 * np.tanh(u),
+        k=0.1,
+        envelope=GridFunction(grid, np.zeros(grid.N)),
+        l=0.1,
+    )
+    with pytest.raises(NearSingularGrid):
+        apply_T(f, f, F, NONRESONANT, classification=fake)
 
 
 def test_derivative_bound_diagnostic(grid):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shiftspec.catalog import builtin_function
 from shiftspec.errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
 from shiftspec.kernels import stability_constant
 from shiftspec.linear import resonant_aligned_half_length, solve_linear
@@ -132,6 +133,14 @@ def test_convolve_grid_mismatch(grid):
         convolve(
             GridFunction(grid, np.zeros(grid.N)), GridFunction(other, np.zeros(other.N))
         )
+    # same N on both grids, so only the grid check can catch it
+    with pytest.raises(ValueError):
+        apply_T(
+            GridFunction(other, np.zeros(other.N)),
+            GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2)),
+            tanh_nonlinearity(grid),
+            NONRESONANT,
+        )
 
 
 def test_apply_T_zero_nonlinearity(grid):
@@ -142,8 +151,22 @@ def test_apply_T_zero_nonlinearity(grid):
     assert l2_norm(apply_T(v, G, F, NONRESONANT)) == 0
 
 
-def test_apply_T_constant_nonlinearity(grid):
+@pytest.mark.parametrize(
+    "params, L, kernel",
+    [
+        (NONRESONANT, 40.0, lambda g: GridFunction(g, 0.3 * np.exp(-g.x**2 / 2))),
+        # +-1 on the grid: the singular bins are dropped on both sides
+        (
+            RESONANT,
+            resonant_aligned_half_length(1.0, 40.0),
+            lambda g: builtin_function("hermite_gaussian", g, {"scale": 1.0}),
+        ),
+    ],
+    ids=["nonresonant", "resonant-aligned"],
+)
+def test_apply_T_constant_nonlinearity(params, L, kernel):
     # F(u, x) = r(x): one application equals the linear solve of G * r
+    grid = make_grid(L, 1024)
     r_vals = np.exp(-grid.x**2)
     F = Nonlinearity(
         eval=lambda u, x: np.broadcast_to(np.exp(-(x**2)), np.shape(u)).copy(),
@@ -151,10 +174,10 @@ def test_apply_T_constant_nonlinearity(grid):
         envelope=GridFunction(grid, r_vals),
         l=0.0,
     )
-    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    G = kernel(grid)
     v0 = GridFunction(grid, np.sin(grid.x) * np.exp(-grid.x**2 / 9))
-    out = apply_T(v0, G, F, NONRESONANT)
-    expected = solve_linear(convolve(G, GridFunction(grid, r_vals)), NONRESONANT).u
+    out = apply_T(v0, G, F, params)
+    expected = solve_linear(convolve(G, GridFunction(grid, r_vals)), params).u
     assert np.max(np.abs(out.values - expected.values)) <= 1e-12
 
 
@@ -170,6 +193,26 @@ def test_contraction_bound_random_pairs(grid):
         t1 = apply_T(v1, G, F, NONRESONANT, kernel_report=rep)
         t2 = apply_T(v2, G, F, NONRESONANT, kernel_report=rep)
         assert h2_norm(t1 - t2) <= q * h2_norm(v1 - v2) * 1.05
+
+
+@pytest.mark.parametrize("tol_h2", [1e-6, 1e-8])
+def test_fixed_point_fft_count(grid, monkeypatch, tol_h2):
+    # per iteration: G_hat, F(v)_hat and one inverse for the step, 2 for
+    # its H2 norm; once: 4 for the stability constant, 2 for the
+    # nontriviality check, 4 for the residual's operator application
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    result = fixed_point_solve(G, tanh_nonlinearity(grid), NONRESONANT, tol_h2=tol_h2)
+    assert result.iterations >= 3
+    assert len(calls) == 5 * result.iterations + 10
 
 
 def test_fixed_point_zero_nonlinearity(grid):

@@ -3,11 +3,14 @@ import pytest
 
 from shiftspec import symbols
 from shiftspec.errors import ShiftSpecError
+from shiftspec.linear import resonant_aligned_half_length
+from shiftspec.spectral import make_grid
 from shiftspec.symbols import (
     FredholmKind,
     ShiftParams,
     classify,
     estimate_alpha,
+    inverse_symbol,
     symbol,
     symbol_modulus_sq,
 )
@@ -60,6 +63,22 @@ def test_resonant_modulus_machine_zero():
         r = np.sqrt(a)
         assert symbol_modulus_sq(r, params) <= 1e-20 * max(1.0, a**2)
         assert symbol_modulus_sq(-r, params) <= 1e-20 * max(1.0, a**2)
+
+
+def test_inverse_symbol_drops_only_resonant_bins():
+    # aligned grid: +-sqrt(a) = +-2 are dual-grid points, where 1/lambda
+    # would be ~1e16 without the guard
+    params = ShiftParams(4.0, np.pi)
+    g = make_grid(resonant_aligned_half_length(4.0, 20.0), 256)
+    inv = inverse_symbol(g.p, params, classify(params))
+    zero = np.abs(np.abs(g.p) - 2.0) <= 1e-12
+    assert np.count_nonzero(zero) == 2
+    assert np.all(inv[zero] == 0)
+    np.testing.assert_allclose(inv[~zero], 1.0 / symbol(g.p[~zero], params), rtol=1e-14)
+    off = ShiftParams(4.0, 1.0)
+    np.testing.assert_allclose(
+        inverse_symbol(g.p, off, classify(off)), 1.0 / symbol(g.p, off), rtol=1e-14
+    )
 
 
 @pytest.mark.parametrize(
