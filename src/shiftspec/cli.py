@@ -235,8 +235,8 @@ def _cmd_spectrum(cfg: RunConfig):
     out = cfg.output_dir / "spectrum.csv"
     with open(out, "w") as fh:
         fh.write("p,re_lambda,im_lambda,mod_sq\n")
-        for pj, lj, mj in zip(p, lam, mod2):
-            fh.write(f"{pj:.17g},{lj.real:.17g},{lj.imag:.17g},{mj:.17g}\n")
+        row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+        fh.writelines(map(row, p.tolist(), lam.real.tolist(), lam.imag.tolist(), mod2.tolist()))
     print(f"spectrum: {o['num_points']} samples on [{o['p_min']}, {o['p_max']}] -> {out}")
     return 0
 

@@ -23,7 +23,6 @@ from .spectral import (
     SQRT_2PI,
     GridFunction,
     forward_transform,
-    h2_norm,
     l1_norm,
     l2_norm,
     second_derivative,
@@ -134,16 +133,16 @@ def run_linear_sequence(
     rows = []
     for m, fm in enumerate(members, start=1):
         um = solve_linear(fm, params, tol_orth, classification=cls).u
-        diff_f = fm - f_limit
-        diff_u = um - u_limit
+        diff_f, diff_u = fm - f_limit, um - u_limit
+        l2, d2 = l2_norm(diff_u), l2_norm(second_derivative(diff_u))
         rows.append(
             ConvergenceRow(
                 m=m,
                 input_gap=l2_norm(diff_f),
                 weighted_gap=weighted_l1_norm(diff_f),
-                solution_gap_h2=h2_norm(diff_u),
-                solution_gap_l2=l2_norm(diff_u),
-                d2_gap=l2_norm(second_derivative(diff_u)),
+                solution_gap_h2=float(np.sqrt(l2**2 + d2**2)),  # h2_norm's formula
+                solution_gap_l2=l2,
+                d2_gap=d2,
             )
         )
     checks = {}
@@ -205,7 +204,7 @@ def run_kernel_sequence(
     tri_ok = True
     orth_emerges = True
     for m, (Gm, rep) in enumerate(zip(members, member_reports), start=1):
-        um = fixed_point_solve(Gm, F, params, tol_h2=tol_h2, tol_orth=tol_orth).u
+        diff_u = fixed_point_solve(Gm, F, params, tol_h2=tol_h2, tol_orth=tol_orth).u - u_limit
         diff = Gm - G
         # the sup-norm gaps of both quotients are the stability components
         # of the difference kernel (same singular-bin handling)
@@ -215,6 +214,7 @@ def run_kernel_sequence(
         gap1, gap2 = diff_rep.sup1, diff_rep.sup2
         sup_dGh = sup_abs_spectral(forward_transform(diff))
         input_gap = l1_norm(diff)
+        l2, d2 = l2_norm(diff_u), l2_norm(second_derivative(diff_u))
         tri_ok &= gap2 <= params.a * gap1 + sup_dGh + 1e-9
         if cls.is_resonant:
             orth_emerges &= (
@@ -226,9 +226,9 @@ def run_kernel_sequence(
                 m=m,
                 input_gap=input_gap,
                 weighted_gap=weighted_l1_norm(diff),
-                solution_gap_h2=h2_norm(um - u_limit),
-                solution_gap_l2=l2_norm(um - u_limit),
-                d2_gap=l2_norm(second_derivative(um - u_limit)),
+                solution_gap_h2=float(np.sqrt(l2**2 + d2**2)),  # h2_norm's formula
+                solution_gap_l2=l2,
+                d2_gap=d2,
                 multiplier_gap=gap1,
                 multiplier_gap_p2=gap2,
                 N_m=rep.N,

@@ -313,13 +313,13 @@ _CSV_HEADER = ["x", "re", "im"]
 
 
 def write_gridfunction_csv(u: GridFunction, path) -> None:
-    """CSV with header x,re,im, one row per sample, 17 significant digits."""
+    """CSV with header x,re,im, one row per sample, 17 significant digits,
+    CRLF line ends (the csv module's default dialect)."""
+    vals = u.values.astype(np.complex128)
+    row = "{:.17g},{:.17g},{:.17g}\r\n".format
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        vals = u.values.astype(np.complex128)
-        for xj, vj in zip(u.grid.x, vals):
-            writer.writerow([f"{xj:.17g}", f"{vj.real:.17g}", f"{vj.imag:.17g}"])
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        fh.writelines(map(row, u.grid.x.tolist(), vals.real.tolist(), vals.imag.tolist()))
 
 
 def read_gridfunction_csv(path, grid: Grid | None = None) -> GridFunction:

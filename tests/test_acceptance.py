@@ -313,8 +313,7 @@ def test_c08_contraction_and_fixed_point():
     worst = 0.0
     for _ in range(20):
         v1, v2 = smooth_random(), smooth_random()
-        lhs = h2_norm(apply_T(v1, G, F, NONRESONANT, kernel_report=rep)
-                      - apply_T(v2, G, F, NONRESONANT, kernel_report=rep))
+        lhs = h2_norm(apply_T(v1, G, F, NONRESONANT) - apply_T(v2, G, F, NONRESONANT))
         bound = q * h2_norm(v1 - v2)
         worst = max(worst, lhs / bound)
         contraction_ok &= lhs <= bound * 1.05

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import shiftspec.nonlinear
 from shiftspec.errors import NearSingularGrid, ResonantNotSolvable
 from shiftspec.kernels import stability_constant
 from shiftspec.linear import (
@@ -176,7 +177,7 @@ def test_project_solvable_requires_resonant(grid):
         project_solvable(f, NONRESONANT)
 
 
-def test_near_singular_grid_check(grid):
+def test_near_singular_grid_check(grid, monkeypatch):
     # inject a classification whose alpha exceeds the true grid minimum:
     # the defensive screen must fire
     f = GridFunction(grid, np.exp(-grid.x**2 / 2))
@@ -192,8 +193,9 @@ def test_near_singular_grid_check(grid):
         envelope=GridFunction(grid, np.zeros(grid.N)),
         l=0.1,
     )
+    monkeypatch.setattr(shiftspec.nonlinear, "classify", lambda params: fake)
     with pytest.raises(NearSingularGrid):
-        apply_T(f, f, F, NONRESONANT, classification=fake)
+        apply_T(f, f, F, NONRESONANT)
 
 
 def test_derivative_bound_diagnostic(grid):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shiftspec.catalog import builtin_function
+from shiftspec.catalog import builtin_function, builtin_nonlinearity
 from shiftspec.errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
 from shiftspec.kernels import stability_constant
 from shiftspec.linear import resonant_aligned_half_length, solve_linear
@@ -141,6 +141,13 @@ def test_convolve_grid_mismatch(grid):
             tanh_nonlinearity(grid),
             NONRESONANT,
         )
+    with pytest.raises(ValueError):
+        fixed_point_solve(
+            GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2)),
+            tanh_nonlinearity(grid),
+            NONRESONANT,
+            v0=GridFunction(other, np.zeros(other.N)),
+        )
 
 
 def test_apply_T_zero_nonlinearity(grid):
@@ -190,16 +197,17 @@ def test_contraction_bound_random_pairs(grid):
     for _ in range(20):
         v1 = GridFunction(grid, rng.standard_normal(grid.N) * np.exp(-grid.x**2 / 8))
         v2 = GridFunction(grid, rng.standard_normal(grid.N) * np.exp(-grid.x**2 / 8))
-        t1 = apply_T(v1, G, F, NONRESONANT, kernel_report=rep)
-        t2 = apply_T(v2, G, F, NONRESONANT, kernel_report=rep)
+        t1 = apply_T(v1, G, F, NONRESONANT)
+        t2 = apply_T(v2, G, F, NONRESONANT)
         assert h2_norm(t1 - t2) <= q * h2_norm(v1 - v2) * 1.05
 
 
 @pytest.mark.parametrize("tol_h2", [1e-6, 1e-8])
 def test_fixed_point_fft_count(grid, monkeypatch, tol_h2):
-    # per iteration: G_hat, F(v)_hat and one inverse for the step, 2 for
-    # its H2 norm; once: 4 for the stability constant, 2 for the
-    # nontriviality check, 4 for the residual's operator application
+    # per iteration: F(v)_hat and one inverse for the step (its H2 norm
+    # is taken on the spectra); once: 4 for the stability constant, 1 for
+    # G_hat, 1 for v0_hat, 2 for the nontriviality check, 4 for the
+    # residual's operator application
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
@@ -212,7 +220,35 @@ def test_fixed_point_fft_count(grid, monkeypatch, tol_h2):
     G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
     result = fixed_point_solve(G, tanh_nonlinearity(grid), NONRESONANT, tol_h2=tol_h2)
     assert result.iterations >= 3
-    assert len(calls) == 5 * result.iterations + 10
+    assert len(calls) == 2 * result.iterations + 12
+
+
+def test_first_step_norm_matches_h2_norm(grid):
+    # the loop takes the H2 step by Parseval on the spectra; it must agree
+    # with the FFT-based H2 norm of the same step to round-off
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    F = tanh_nonlinearity(grid)
+    rng = np.random.default_rng(5)
+    v0 = GridFunction(grid, rng.standard_normal(grid.N) * np.exp(-grid.x**2 / 10))
+    result = fixed_point_solve(G, F, NONRESONANT, v0=v0, tol_h2=1e-8)
+    direct = h2_norm(apply_T(v0, G, F, NONRESONANT) - v0)
+    floor = np.finfo(float).eps * (1.0 + grid.p_max**2) * h2_norm(v0)
+    assert abs(result.step_norms[0] - direct) <= floor
+
+
+def test_fixed_point_converges_on_fine_grid():
+    # the README solve-nonlinear config at N=32768 with tol_h2=1e-10: an H2
+    # step through an FFT round trip has a floor ~eps*p_max^2*||u|| above
+    # tol_h2 there, while the spectral step reads the same at every N
+    last = {}
+    for N in (4096, 32768):
+        g = make_grid(40.0, N)
+        G = builtin_function("gaussian", g, {"amplitude": 0.3})
+        offset = {"name": "gaussian", "params": {"sigma": 0.7071067811865476}}
+        F = builtin_nonlinearity("tanh", g, {"slope": 0.1, "offset": offset})
+        last[N] = fixed_point_solve(G, F, NONRESONANT, tol_h2=1e-10).step_norms[-1]
+    assert last[32768] <= 1e-10
+    assert abs(last[32768] - last[4096]) <= 1e-3 * last[4096]
 
 
 def test_fixed_point_zero_nonlinearity(grid):

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -276,6 +277,28 @@ def test_gridfunction_csv_real_round_trip(tmp_path):
     back = read_gridfunction_csv(path, g)
     assert back.is_real
     assert np.array_equal(back.values, u.values)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_gridfunction_csv_bytes_match_csv_writer(tmp_path, kind):
+    # reference: the csv module writing one formatted row per sample
+    rng = np.random.default_rng(29)
+    g = make_grid(7.5, 64)
+    vals = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
+    if kind == "complex":
+        vals = vals + 1j * rng.standard_normal(64)
+        vals[5] = complex(-0.0, -0.0)
+    vals[3] = -0.0
+    u = GridFunction(g, vals)
+    path, ref = tmp_path / "u.csv", tmp_path / "ref.csv"
+    write_gridfunction_csv(u, path)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "re", "im"])
+        for xj, vj in zip(g.x, u.values.astype(np.complex128)):
+            writer.writerow([f"{xj:.17g}", f"{vj.real:.17g}", f"{vj.imag:.17g}"])
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().split(b"\r\n")[4].split(b",")[1] == b"-0"  # sample 3
 
 
 def test_grid_json_round_trip():
