@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,11 +141,19 @@ def _check_type(key, value, kind):
             raise ConfigError(f"field {key!r} must be {{'name', 'perturbation'?}}")
 
 
+def _finite_float(text):
+    # json.load accepts NaN, Infinity and overflowing literals such as 1e999
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
     """Load and strictly validate a command config."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno} column {exc.colno}")
     if not isinstance(raw, dict):
@@ -163,9 +172,9 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
         raise ConfigError("field 'h' must be nonzero")
     if "a" in raw and raw["a"] <= 0:
         raise ConfigError("field 'a' must be positive")
-    for tol_key in ("tol_orth", "tol_h2", "epsilon"):
-        if tol_key in raw and raw[tol_key] <= 0:
-            raise ConfigError(f"field {tol_key!r} must be positive")
+    for key in ("tol_orth", "tol_h2", "epsilon", "max_iter"):
+        if key in raw and raw[key] <= 0:
+            raise ConfigError(f"field {key!r} must be positive")
     if command == "sequence":
         if raw["kind"] == "kernel" and "epsilon" not in raw:
             raise ConfigError("kernel sequences require 'epsilon'")

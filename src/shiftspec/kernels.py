@@ -66,10 +66,7 @@ def kernel_orthogonality(G: GridFunction, a: float, tol: float = 1e-8):
 
 
 def stability_constant(
-    G: GridFunction,
-    params: ShiftParams,
-    tol_orth: float = 1e-8,
-    classification: FredholmClass | None = None,
+    G: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
 ) -> KernelReport:
     """Compute the stability constant of G for the shift parameters.
 
@@ -83,11 +80,11 @@ def stability_constant(
     below alpha/2 raises NearSingularGrid.
     """
     grid = G.grid
-    cls = classification if classification is not None else classify(params)
+    cls = classify(params)
     gp, gm, orth_ok = kernel_orthogonality(G, params.a, tol_orth)
     Gh = forward_transform(G)
     gh_abs = np.abs(Gh.values)
-    gh_max = float(gh_abs.max()) if grid.N else 0.0
+    gh_max = float(gh_abs.max())
     tail_sup = float(max(gh_abs[0], gh_abs[-1]))
     if tail_sup > 1e-14 * max(1.0, gh_max):
         warnings.warn(

@@ -9,6 +9,7 @@ quadrature noise once orthogonality holds).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,9 @@ import numpy as np
 from .errors import ResonantNotSolvable
 from .spectral import (
     SQRT_2PI,
+    Grid,
     GridFunction,
     SpectralFunction,
-    _real_like,
     evaluate_transform_at,
     forward_transform,
     h2_norm,
@@ -64,10 +65,7 @@ def apply_operator(u: GridFunction, params: ShiftParams) -> GridFunction:
 
 
 def check_solvability(
-    f: GridFunction,
-    params: ShiftParams,
-    tol: float = 1e-8,
-    classification: FredholmClass | None = None,
+    f: GridFunction, params: ShiftParams, tol: float = 1e-8
 ) -> SolvabilityReport:
     """Evaluate the transform of f at +-sqrt(a) and decide solvability.
 
@@ -76,7 +74,7 @@ def check_solvability(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cls = classification if classification is not None else classify(params)
+    cls = classify(params)
     r = params.sqrt_a
     fp = evaluate_transform_at(f, r)
     fm = evaluate_transform_at(f, -r)
@@ -92,10 +90,7 @@ def check_solvability(
 
 
 def solve_linear(
-    f: GridFunction,
-    params: ShiftParams,
-    tol_orth: float = 1e-8,
-    classification: FredholmClass | None = None,
+    f: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
 ) -> LinearSolveResult:
     """Solve -u'' - a*u(x-h) = f by symbol division on the grid.
 
@@ -105,17 +100,16 @@ def solve_linear(
     screens non-resonant grids (NearSingularGrid).
     """
     grid = f.grid
-    cls = classification if classification is not None else classify(params)
-    report = check_solvability(f, params, tol_orth, classification=cls)
-    if cls.is_resonant and not report.solvable:
+    report = check_solvability(f, params, tol_orth)
+    if not report.solvable:
         raise ResonantNotSolvable(
             "orthogonality violated at +-sqrt(a): "
             f"|f_hat(+sqrt(a))| = {abs(report.fhat_plus):.3e}, "
             f"|f_hat(-sqrt(a))| = {abs(report.fhat_minus):.3e}, tol = {tol_orth:.3e}",
             report=report,
         )
-    uh = forward_transform(f).values * inverse_symbol(grid.p, params, cls)
-    u = _real_like(f, inverse_transform(SpectralFunction(grid, uh)).values)
+    uh = forward_transform(f).values * inverse_symbol(grid.p, params, report.classification)
+    u = f.real_like(inverse_transform(SpectralFunction(grid, uh)).values)
     residual = l2_norm(apply_operator(u, params) - f)
     return LinearSolveResult(
         u=u,
@@ -125,18 +119,10 @@ def solve_linear(
     )
 
 
-def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
-    """Remove the components of f responsible for non-orthogonality.
-
-    Subtracts multiples of w(x) e^{+-i sqrt(a) x} with a fixed Gaussian
-    window w(x) = e^{-x^2/2}, chosen so the output transform vanishes at
-    +-sqrt(a) to quadrature accuracy.  Idempotent for already-orthogonal
-    inputs.  Resonant parameters only.
-    """
-    cls = classify(params)
-    if not cls.is_resonant:
-        raise ValueError("projection is defined for resonant parameters only")
-    grid = f.grid
+@functools.lru_cache(maxsize=1)
+def _projection_basis(grid: Grid, params: ShiftParams):
+    """project_solvable's windows b_+- = w(x) e^{+-i sqrt(a) x} and the
+    2x2 matrix of their transforms at +-sqrt(a), all read-only."""
     r = params.sqrt_a
     window = np.exp(-grid.x**2 / 2.0)
     b_plus = GridFunction(grid, window * np.exp(1j * r * grid.x))
@@ -148,10 +134,26 @@ def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
             evaluate_transform_at(b_minus, targets),
         ]
     ).T
+    M.setflags(write=False)
+    return b_plus, b_minus, M
+
+
+def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
+    """Remove the components of f responsible for non-orthogonality.
+
+    Subtracts multiples of w(x) e^{+-i sqrt(a) x} with a fixed Gaussian
+    window w(x) = e^{-x^2/2}, chosen so the output transform vanishes at
+    +-sqrt(a) to quadrature accuracy.  Idempotent for already-orthogonal
+    inputs.  Resonant parameters only.
+    """
+    if not classify(params).is_resonant:
+        raise ValueError("projection is defined for resonant parameters only")
+    b_plus, b_minus, M = _projection_basis(f.grid, params)
+    r = params.sqrt_a
     rhs = np.array([evaluate_transform_at(f, r), evaluate_transform_at(f, -r)])
     c = np.linalg.solve(M, rhs)
     correction = c[0] * b_plus.values + c[1] * b_minus.values
-    return _real_like(f, f.values - correction)
+    return f.real_like(f.values - correction)
 
 
 def derivative_bound_check(f: GridFunction, p: float, step: float = 1e-5):

@@ -22,7 +22,6 @@ from .spectral import (
     Grid,
     GridFunction,
     SpectralFunction,
-    _require_same_grid,
     forward_transform,
     inverse_transform,
     l2_norm,
@@ -101,7 +100,7 @@ class FixedPointResult:
 def convolve(G: GridFunction, w: GridFunction) -> GridFunction:
     """Periodic convolution int G(x-y) w(y) dy, spectral form
     sqrt(2*pi) * G_hat * w_hat."""
-    _require_same_grid(G, w)
+    G.require_same_grid(w)
     gh = forward_transform(G)
     wh = forward_transform(w)
     conv = inverse_transform(SpectralFunction(G.grid, SQRT_2PI * gh.values * wh.values))
@@ -113,7 +112,7 @@ def convolve(G: GridFunction, w: GridFunction) -> GridFunction:
 def convolve_direct(G: GridFunction, w: GridFunction) -> GridFunction:
     """Same convolution by direct O(N^2) summation with periodic wrap;
     the cross-check path, independent of the transform machinery."""
-    _require_same_grid(G, w)
+    G.require_same_grid(w)
     N = G.grid.N
     full = np.convolve(G.values, w.values)  # direct sliding sum, not FFT
     circ = full[:N].copy()
@@ -132,11 +131,10 @@ def apply_nonlinearity(F: Nonlinearity, v: GridFunction) -> GridFunction:
     return GridFunction(v.grid, vals)
 
 
-def _step(mult: np.ndarray, F: Nonlinearity, v: GridFunction, real: bool):
-    """u_hat = mult * F(v)_hat and its inverse transform u (real if ``real``)."""
+def _step(mult: np.ndarray, F: Nonlinearity, v: GridFunction, G: GridFunction):
+    """u_hat = mult * F(v)_hat and its inverse transform u (real if G is)."""
     uh = mult * forward_transform(apply_nonlinearity(F, v)).values
-    u = inverse_transform(SpectralFunction(v.grid, uh))
-    return uh, (GridFunction(v.grid, u.values.real) if real else u)
+    return uh, G.real_like(inverse_transform(SpectralFunction(v.grid, uh)).values)
 
 
 def apply_T(
@@ -151,7 +149,7 @@ def apply_T(
     """
     cls = classify(params)
     if cls.is_resonant:
-        report = stability_constant(G, params, classification=cls)
+        report = stability_constant(G, params)
         if not report.finite:
             raise NotFinite(
                 "kernel transform does not vanish at +-sqrt(a); the auxiliary "
@@ -159,9 +157,9 @@ def apply_T(
                 f"|G_hat(-sqrt a)| = {abs(report.Ghat_minus):.3e})",
                 report=report,
             )
-    _require_same_grid(G, v)
+    G.require_same_grid(v)
     mult = SQRT_2PI * forward_transform(G).values * inverse_symbol(G.grid.p, params, cls)
-    return _step(mult, F, v, G.is_real)[1]
+    return _step(mult, F, v, G)[1]
 
 
 def nontriviality_check(
@@ -217,7 +215,7 @@ def fixed_point_solve(
     """
     grid = G.grid
     cls = classify(params)
-    report = stability_constant(G, params, tol_orth, classification=cls)
+    report = stability_constant(G, params, tol_orth)
     if not report.finite:
         raise NotFinite(
             "stability constant is infinite: kernel orthogonality fails at +-sqrt(a)",
@@ -229,7 +227,7 @@ def fixed_point_solve(
             f"2*sqrt(pi)*N*l = {q:.6g} >= 1; the fixed-point map does not contract"
         )
     v = v0 if v0 is not None else GridFunction(grid, np.zeros(grid.N))
-    _require_same_grid(G, v)
+    G.require_same_grid(v)
     # the map's multiplier sqrt(2*pi) * G_hat / lambda, built once
     mult = SQRT_2PI * forward_transform(G).values * inverse_symbol(grid.p, params, cls)
     # H2 step norm by Parseval on the spectra uh, before the real projection
@@ -241,7 +239,7 @@ def fixed_point_solve(
     step_norms: list[float] = []
     cap = bound = None
     while True:
-        uh, u = _step(mult, F, v, G.is_real)
+        uh, u = _step(mult, F, v, G)
         step = float(np.sqrt(np.sum(h2_weight * np.abs(uh - vh) ** 2)))
         step_norms.append(step)
         if bound is None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractionHypothesisFailed, NotFinite, ResonantNotSolvable
 from .kernels import stability_constant
-from .linear import check_solvability, project_solvable, solve_linear
+from .linear import project_solvable, solve_linear
 from .nonlinear import Nonlinearity, fixed_point_solve
 from .spectral import (
     SQRT_2PI,
@@ -100,6 +100,12 @@ def _trend_checks(rows):
     return net, ratio_ok
 
 
+def _solution_gaps(diff_u: GridFunction) -> dict:
+    """H2 (h2_norm's formula), L2 and second-derivative norms of a gap."""
+    l2, d2 = l2_norm(diff_u), l2_norm(second_derivative(diff_u))
+    return dict(solution_gap_h2=float(np.sqrt(l2**2 + d2**2)), solution_gap_l2=l2, d2_gap=d2)
+
+
 def run_linear_sequence(
     spec: SequenceSpec,
     params: ShiftParams,
@@ -107,8 +113,10 @@ def run_linear_sequence(
 ) -> ConvergenceTable:
     """Solve the family -u_m'' - a u_m(x-h) = f_m and its limit problem.
 
-    Resonant runs verify the orthogonality conditions for the limit and
-    every member before solving; a violation aborts naming the member.
+    The limit is solved first, then each member once.  A resonant run
+    aborts at the first right-hand side violating the orthogonality
+    conditions (ResonantNotSolvable naming the limit or member m, with
+    its report), after the members before it have been solved.
     Non-resonant rows are checked against the stability bound
     ||u_m - u||_L2 <= ||f_m - f||_L2 / sqrt(alpha) and every row against
     the second-derivative bound
@@ -116,35 +124,29 @@ def run_linear_sequence(
     """
     if spec.kind is not SequenceKind.RHS:
         raise ValueError("run_linear_sequence expects a right-hand-side sequence")
-    cls = classify(params)
+
+    def solve(f, label):
+        try:
+            return solve_linear(f, params, tol_orth).u
+        except ResonantNotSolvable as exc:
+            raise ResonantNotSolvable(label, exc.report) from exc
+
     f_limit = spec.limit
-    members = [spec.generator(m) for m in range(1, spec.M + 1)]
-    if cls.is_resonant:
-        rep = check_solvability(f_limit, params, tol_orth, classification=cls)
-        if not rep.solvable:
-            raise ResonantNotSolvable("limit right-hand side violates orthogonality", rep)
-        for m, fm in enumerate(members, start=1):
-            rep = check_solvability(fm, params, tol_orth, classification=cls)
-            if not rep.solvable:
-                raise ResonantNotSolvable(
-                    f"member m={m} violates the orthogonality conditions", rep
-                )
-    u_limit = solve_linear(f_limit, params, tol_orth, classification=cls).u
+    u_limit = solve(f_limit, "limit right-hand side violates orthogonality")
     rows = []
-    for m, fm in enumerate(members, start=1):
-        um = solve_linear(fm, params, tol_orth, classification=cls).u
-        diff_f, diff_u = fm - f_limit, um - u_limit
-        l2, d2 = l2_norm(diff_u), l2_norm(second_derivative(diff_u))
+    for m in range(1, spec.M + 1):
+        fm = spec.generator(m)
+        um = solve(fm, f"member m={m} violates the orthogonality conditions")
+        diff_f = fm - f_limit
         rows.append(
             ConvergenceRow(
                 m=m,
                 input_gap=l2_norm(diff_f),
                 weighted_gap=weighted_l1_norm(diff_f),
-                solution_gap_h2=float(np.sqrt(l2**2 + d2**2)),  # h2_norm's formula
-                solution_gap_l2=l2,
-                d2_gap=d2,
+                **_solution_gaps(um - u_limit),
             )
         )
+    cls = classify(params)
     checks = {}
     if not cls.is_resonant:
         checks["stability_bound"] = all(
@@ -169,52 +171,53 @@ def run_kernel_sequence(
     tol_orth: float = 1e-8,
     tol_h2: float = 1e-10,
 ) -> ConvergenceTable:
-    """Solve the nonlocal problem for every kernel G_m and the limit G.
+    """Solve the nonlocal problem for the limit G, then for every kernel G_m.
 
-    Every member must satisfy the uniform margin
-    2*sqrt(pi)*N_m*l <= 1 - epsilon (abort naming the member otherwise);
-    the run records whether the limit inherits it, the sup-norm gaps of
-    both symbol quotients, and the bounds tying them to ||G_m - G||_L1.
+    Each kernel is solved once; its solve's stability report gives N_m
+    (N_limit for G).  The run aborts at the first failing kernel, after
+    the members before it have been solved: NotFinite (with the report)
+    or ContractionHypothesisFailed from the solve, labelled "limit
+    kernel" or "member m=...", or a member missing the uniform margin
+    2*sqrt(pi)*N_m*l <= 1 - epsilon.  The run records whether the limit
+    inherits the margin, the sup-norm gaps of both symbol quotients, and
+    the bounds tying them to ||G_m - G||_L1.
     """
     if spec.kind is not SequenceKind.KERNEL:
         raise ValueError("run_kernel_sequence expects a kernel sequence")
     eps = spec.epsilon
-    cls = classify(params)
     G = spec.limit
-    members = [spec.generator(m) for m in range(1, spec.M + 1)]
     two_sqrt_pi_l = 2.0 * np.sqrt(np.pi) * F.l
 
-    report_limit = stability_constant(G, params, tol_orth, classification=cls)
-    if not report_limit.finite:
-        raise NotFinite("limit kernel violates the orthogonality conditions", report_limit)
-    member_reports = []
-    for m, Gm in enumerate(members, start=1):
-        rep = stability_constant(Gm, params, tol_orth, classification=cls)
-        if not rep.finite:
-            raise NotFinite(f"member m={m} violates the orthogonality conditions", rep)
-        if two_sqrt_pi_l * rep.N > 1.0 - eps:
-            raise ContractionHypothesisFailed(
-                f"member m={m}: 2*sqrt(pi)*N_m*l = {two_sqrt_pi_l * rep.N:.6g} "
-                f"> 1 - epsilon = {1.0 - eps:.6g}"
-            )
-        member_reports.append(rep)
+    def solve(kernel, label):
+        try:
+            return fixed_point_solve(kernel, F, params, tol_h2=tol_h2, tol_orth=tol_orth)
+        except NotFinite as exc:
+            raise NotFinite(f"{label} violates the orthogonality conditions", exc.report) from exc
+        except ContractionHypothesisFailed as exc:
+            raise ContractionHypothesisFailed(f"{label}: {exc}") from exc
 
-    u_limit = fixed_point_solve(G, F, params, tol_h2=tol_h2, tol_orth=tol_orth).u
+    limit = solve(G, "limit kernel")
+    report_limit = limit.stability
+    cls = report_limit.classification
     rows = []
     tri_ok = True
     orth_emerges = True
-    for m, (Gm, rep) in enumerate(zip(members, member_reports), start=1):
-        diff_u = fixed_point_solve(Gm, F, params, tol_h2=tol_h2, tol_orth=tol_orth).u - u_limit
+    for m in range(1, spec.M + 1):
+        Gm = spec.generator(m)
+        member = solve(Gm, f"member m={m}")
+        N_m = member.stability.N
+        if two_sqrt_pi_l * N_m > 1.0 - eps:
+            raise ContractionHypothesisFailed(
+                f"member m={m}: 2*sqrt(pi)*N_m*l = {two_sqrt_pi_l * N_m:.6g} "
+                f"> 1 - epsilon = {1.0 - eps:.6g}"
+            )
         diff = Gm - G
         # the sup-norm gaps of both quotients are the stability components
         # of the difference kernel (same singular-bin handling)
-        diff_rep = stability_constant(
-            diff, params, tol_orth=2.0 * tol_orth + 1e-15, classification=cls
-        )
+        diff_rep = stability_constant(diff, params, tol_orth=2.0 * tol_orth + 1e-15)
         gap1, gap2 = diff_rep.sup1, diff_rep.sup2
         sup_dGh = sup_abs_spectral(forward_transform(diff))
         input_gap = l1_norm(diff)
-        l2, d2 = l2_norm(diff_u), l2_norm(second_derivative(diff_u))
         tri_ok &= gap2 <= params.a * gap1 + sup_dGh + 1e-9
         if cls.is_resonant:
             orth_emerges &= (
@@ -226,12 +229,10 @@ def run_kernel_sequence(
                 m=m,
                 input_gap=input_gap,
                 weighted_gap=weighted_l1_norm(diff),
-                solution_gap_h2=float(np.sqrt(l2**2 + d2**2)),  # h2_norm's formula
-                solution_gap_l2=l2,
-                d2_gap=d2,
+                **_solution_gaps(member.u - limit.u),
                 multiplier_gap=gap1,
                 multiplier_gap_p2=gap2,
-                N_m=rep.N,
+                N_m=N_m,
             )
         )
     checks = {

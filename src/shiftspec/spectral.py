@@ -44,6 +44,9 @@ class Grid:
     p : ndarray
         Frequencies pi*j/L, j = -N/2..N/2-1, strictly increasing.  The
         single unpaired endpoint is -N*pi/(2L).
+    sign : ndarray
+        (-1)^j for the same j: pairs the fftshift reordering with the
+        phase e^{i*pi*j} coming from the box offset x_0 = -L.
     """
 
     L: float
@@ -59,12 +62,15 @@ class Grid:
         object.__setattr__(self, "N", int(self.N))
         dx = 2.0 * self.L / self.N
         x = -self.L + dx * np.arange(self.N)
-        p = (np.pi / self.L) * np.arange(-self.N // 2, self.N // 2)
-        x.setflags(write=False)
-        p.setflags(write=False)
+        j = np.arange(-self.N // 2, self.N // 2)
+        p = (np.pi / self.L) * j
+        sign = np.where(j % 2 == 0, 1.0, -1.0)
+        for arr in (x, p, sign):
+            arr.setflags(write=False)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def dp(self) -> float:
@@ -75,12 +81,6 @@ class Grid:
     def p_max(self) -> float:
         """Resolvable band edge pi/dx = N*pi/(2L)."""
         return np.pi / self.dx
-
-    def __eq__(self, other):
-        return isinstance(other, Grid) and self.L == other.L and self.N == other.N
-
-    def __hash__(self):
-        return hash((self.L, self.N))
 
     def to_json(self) -> str:
         return json.dumps({"L": self.L, "N": self.N})
@@ -125,12 +125,21 @@ class GridFunction:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
 
+    def require_same_grid(self, other) -> None:
+        """Raise ValueError unless ``other`` lives on this grid."""
+        if self.grid != other.grid:
+            raise ValueError("grid mismatch between operands")
+
+    def real_like(self, values) -> "GridFunction":
+        """``values`` on this grid, real part only if this function is real."""
+        return GridFunction(self.grid, values.real if self.is_real else values)
+
     def __add__(self, other):
-        _require_same_grid(self, other)
+        self.require_same_grid(other)
         return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other):
-        _require_same_grid(self, other)
+        self.require_same_grid(other)
         return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, c):
@@ -154,18 +163,6 @@ class SpectralFunction:
         object.__setattr__(self, "values", _canonical_values(vals, self.grid.N))
 
 
-def _require_same_grid(f, g):
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch between operands")
-
-
-def _alternating_sign(N):
-    # (-1)^j for j = -N/2..N/2-1; pairs the fftshift reordering with the
-    # phase e^{i*pi*j} coming from the box offset x_0 = -L.
-    k = np.arange(-N // 2, N // 2)
-    return np.where(k % 2 == 0, 1.0, -1.0)
-
-
 def forward_transform(u: GridFunction) -> SpectralFunction:
     """Transform to the dual grid: (dx/sqrt(2*pi)) * sum u(x_j) e^{-i p x_j}.
 
@@ -174,24 +171,15 @@ def forward_transform(u: GridFunction) -> SpectralFunction:
     at every on-grid frequency.
     """
     grid = u.grid
-    sign = _alternating_sign(grid.N)
-    vals = (grid.dx / SQRT_2PI) * sign * np.fft.fftshift(np.fft.fft(u.values))
+    vals = (grid.dx / SQRT_2PI) * grid.sign * np.fft.fftshift(np.fft.fft(u.values))
     return SpectralFunction(grid, vals)
 
 
 def inverse_transform(uh: SpectralFunction) -> GridFunction:
     """Inverse of :func:`forward_transform`; returns complex samples."""
     grid = uh.grid
-    sign = _alternating_sign(grid.N)
-    vals = (grid.dp * grid.N / SQRT_2PI) * np.fft.ifft(np.fft.ifftshift(sign * uh.values))
+    vals = (grid.dp * grid.N / SQRT_2PI) * np.fft.ifft(np.fft.ifftshift(grid.sign * uh.values))
     return GridFunction(grid, vals)
-
-
-def _real_like(reference: GridFunction, values: np.ndarray) -> GridFunction:
-    """Drop the round-off imaginary part when the source data was real."""
-    if reference.is_real:
-        return GridFunction(reference.grid, values.real)
-    return GridFunction(reference.grid, values)
 
 
 def evaluate_transform_at(u: GridFunction, p):
@@ -271,14 +259,14 @@ def shift(u: GridFunction, h: float) -> GridFunction:
     u_hat(p) e^{-iph}.  Unitary in L2; exact for band-limited data."""
     uh = forward_transform(u)
     shifted = SpectralFunction(u.grid, uh.values * np.exp(-1j * u.grid.p * h))
-    return _real_like(u, inverse_transform(shifted).values)
+    return u.real_like(inverse_transform(shifted).values)
 
 
 def second_derivative(u: GridFunction) -> GridFunction:
     """Spectral second derivative: inverse transform of -p^2 u_hat(p)."""
     uh = forward_transform(u)
     d2 = SpectralFunction(u.grid, -(u.grid.p**2) * uh.values)
-    return _real_like(u, inverse_transform(d2).values)
+    return u.real_like(inverse_transform(d2).values)
 
 
 def l2_norm(u: GridFunction) -> float:

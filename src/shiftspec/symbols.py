@@ -10,6 +10,7 @@ alpha, estimated here by dense sampling with local refinement.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +122,13 @@ def nearest_resonance(params: ShiftParams):
     return n_star, dist
 
 
+@functools.lru_cache
 def classify(params: ShiftParams, tol: float | None = None) -> FredholmClass:
     """Classify (a, h) as Resonant (with index n) or NonResonant (with a
     sampled alpha).  tol is the absolute tolerance on |h - 2*pi*n/sqrt(a)|
     and must stay below pi/sqrt(a) so at most one index is a candidate.
+
+    Memoized (128 entries): ShiftParams and FredholmClass are frozen.
     """
     if tol is None:
         tol = default_resonance_tol(params)

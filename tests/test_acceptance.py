@@ -247,7 +247,7 @@ def test_c06_stability_bound():
             -((grid.x - mu) ** 2) / (2 * sigma**2)
         )
         f = GridFunction(grid, vals)
-        u = solve_linear(f, params, classification=classes[params]).u
+        u = solve_linear(f, params).u
         ratio = l2_norm(u) * np.sqrt(classes[params].alpha) / l2_norm(f)
         worst = max(worst, ratio)
     report(6, worst <= 1.1, f"max ||u|| sqrt(alpha)/||f|| = {worst:.4f} over 100 solves")

@@ -334,3 +334,39 @@ def test_kernel_sequence_missing_epsilon(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "epsilon" in err["error"]["message"]
+
+
+
+NONLINEAR_CFG = {
+    "a": 1.0,
+    "h": 1.0,
+    "L": 40.0,
+    "N": 1024,
+    "G": {"name": "gaussian", "params": {"amplitude": 0.3}},
+    "F": {"name": "tanh", "params": {"slope": 0.1, "offset": "gaussian"}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, base, field, value",
+    [
+        ("spectrum", {"a": 1.0, "h": 1.0, "p_max": 4.0, "num_points": 9}, "p_min", np.nan),
+        # resonant and orthogonal: a NaN tolerance used to read as a violation
+        ("solve-linear", dict(LINEAR_CFG, h=2 * np.pi, f={"name": "hermite_gaussian"}),
+         "tol_orth", np.nan),
+        ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}},
+         "tol_orth", np.inf),
+        ("solve-nonlinear", NONLINEAR_CFG, "tol_h2", np.nan),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "params": {"slope": np.nan}}),
+        ("solve-nonlinear", NONLINEAR_CFG, "max_iter", 0),
+    ],
+)
+def test_config_number_not_finite_or_out_of_range_exit_1(
+    tmp_path, capsys, command, base, field, value
+):
+    cfg = write_cfg(tmp_path, dict(base, **{field: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert not out.exists()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import shiftspec.kernels
+import shiftspec.linear
 import shiftspec.nonlinear
 from shiftspec.errors import NearSingularGrid, ResonantNotSolvable
 from shiftspec.kernels import stability_constant
@@ -182,18 +184,19 @@ def test_near_singular_grid_check(grid, monkeypatch):
     # the defensive screen must fire
     f = GridFunction(grid, np.exp(-grid.x**2 / 2))
     fake = FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=1e6)
+    for module in (shiftspec.linear, shiftspec.kernels, shiftspec.nonlinear):
+        monkeypatch.setattr(module, "classify", lambda params: fake)
     with pytest.raises(NearSingularGrid):
-        solve_linear(f, NONRESONANT, classification=fake)
+        solve_linear(f, NONRESONANT)
     # the kernel constant and the fixed-point step divide by the same rule
     with pytest.raises(NearSingularGrid):
-        stability_constant(f, NONRESONANT, classification=fake)
+        stability_constant(f, NONRESONANT)
     F = Nonlinearity(
         eval=lambda u, x: 0.1 * np.tanh(u),
         k=0.1,
         envelope=GridFunction(grid, np.zeros(grid.N)),
         l=0.1,
     )
-    monkeypatch.setattr(shiftspec.nonlinear, "classify", lambda params: fake)
     with pytest.raises(NearSingularGrid):
         apply_T(f, f, F, NONRESONANT)
 

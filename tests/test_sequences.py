@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from shiftspec.errors import ContractionHypothesisFailed, ResonantNotSolvable
+from shiftspec import kernels, linear, spectral, symbols
+from shiftspec.errors import ContractionHypothesisFailed, NotFinite, ResonantNotSolvable
 from shiftspec.linear import project_solvable, resonant_aligned_half_length
 from shiftspec.nonlinear import Nonlinearity
 from shiftspec.sequences import (
@@ -211,6 +213,69 @@ def test_kernel_sequence_margin_violation_names_member(grid):
     )
     with pytest.raises(ContractionHypothesisFailed, match="m=4"):
         run_kernel_sequence(spec, F, NONRESONANT)
+
+
+@pytest.mark.parametrize("label, bad_limit", [("member m=3", False), ("limit kernel", True)])
+def test_kernel_sequence_not_finite_names_kernel(aligned_grid, label, bad_limit):
+    # members m >= 3 and (optionally) the limit have G_hat(+-sqrt a) != 0;
+    # the limit is solved first, then members 1 and 2
+    G = GridFunction(aligned_grid, 0.05 * aligned_grid.x**2 * np.exp(-aligned_grid.x**2 / 2))
+    bad = GridFunction(aligned_grid, 0.05 * np.exp(-aligned_grid.x**2 / 2))
+    spec = SequenceSpec(
+        kind=SequenceKind.KERNEL,
+        generator=lambda m: G if m < 3 else bad,
+        limit=bad if bad_limit else G,
+        M=5,
+        epsilon=0.5,
+    )
+    with pytest.raises(NotFinite, match=f"^{label} violates") as info:
+        run_kernel_sequence(spec, tanh_F(aligned_grid), RESONANT)
+    assert info.value.report.finite is False
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls to ``module.name`` made through any shiftspec module."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("shiftspec") and (
+            getattr(mod, name, None) is original
+        ):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
+    # one stability report per solve (limit and M members) and one per
+    # difference kernel; one classification for the whole run
+    symbols.classify.cache_clear()
+    reports = count_calls(monkeypatch, kernels, "stability_constant")
+    alphas = count_calls(monkeypatch, symbols, "estimate_alpha")
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    spec = builtin_sequences("scale", kind=SequenceKind.KERNEL, base=G, M=12, epsilon=0.1)
+    run_kernel_sequence(spec, tanh_F(grid), ShiftParams(1.0, 0.9))
+    assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)
+
+
+def test_resonant_rhs_sequence_checks_each_member_once(aligned_grid, monkeypatch):
+    # one solvability check (2 off-grid values) per solve; the truncate
+    # builtin projects the limit and every member (2 each) against one
+    # window basis (2 more, once)
+    symbols.classify.cache_clear()
+    linear._projection_basis.cache_clear()
+    checks = count_calls(monkeypatch, linear, "check_solvability")
+    offgrid = count_calls(monkeypatch, spectral, "evaluate_transform_at")
+    base = GridFunction(aligned_grid, np.exp(-aligned_grid.x**2 / 2))
+    spec = builtin_sequences(
+        "truncate", kind=SequenceKind.RHS, base=base, M=12, shift_params=RESONANT
+    )
+    run_linear_sequence(spec, RESONANT)
+    assert (len(checks), len(offgrid)) == (13, 2 * 13 + 2 * 13 + 2)
 
 
 def test_write_table_csv(tmp_path, grid):
