@@ -319,6 +319,7 @@ def _cmd_solve_nonlinear(cfg: RunConfig):
         "observed_ratio": result.observed_ratio,
         "q_bound": result.q_bound,
         "residual_l2": result.residual_l2,
+        "residual_tail_bound": result.residual_tail_bound,
         "nontrivial": result.nontrivial,
         "h2_norm": h2_norm(result.u),
         "stability": _kernel_report_json(result.stability),

@@ -48,8 +48,9 @@ class Nonlinearity:
     l: float
 
     def __post_init__(self):
-        if self.k < 0 or self.l < 0:
-            raise ValueError("growth and Lipschitz constants must be nonnegative")
+        for c in (self.k, self.l):
+            if not (c >= 0) or not math.isfinite(c):
+                raise ValueError("growth and Lipschitz constants must be finite and nonnegative")
         if not self.envelope.is_real or np.any(self.envelope.values < 0):
             raise ValueError("envelope must be real and nonnegative")
         self._spot_check()
@@ -92,6 +93,7 @@ class FixedPointResult:
     observed_ratio: float
     q_bound: float
     residual_l2: float
+    residual_tail_bound: float
     nontrivial: bool
     stability: KernelReport
     iteration_bound: int
@@ -109,15 +111,48 @@ def convolve(G: GridFunction, w: GridFunction) -> GridFunction:
     return conv
 
 
+def _direct_sum_window(G: GridFunction):
+    """The circular window of kernel samples the direct sum runs over:
+    (start index, length K, L1 mass of the dropped tail).
+
+    The window is centred on argmax|G| and drops the smallest outer
+    samples, one end at a time, for as long as their total dx*sum|G_j|
+    stays at or below eps*||G||_L1: below the round-off of the full sum.
+    Dropping in order of each arm's running maximum from the outside in
+    is the same greedy order, without a Python loop.  A kernel with no
+    negligible samples keeps all N; the all-zero kernel keeps one.
+    """
+    N = G.grid.N
+    mag = np.abs(G.values)
+    c = int(np.argmax(mag))
+    ring = np.roll(mag, -c)
+    right = ring[N // 2 : 0 : -1]  # offsets N/2 .. 1 from c, outside in
+    left = ring[N // 2 + 1 :]  # offsets -(N/2 - 1) .. -1
+    keys = np.concatenate([np.maximum.accumulate(right), np.maximum.accumulate(left)])
+    order = np.argsort(keys, kind="stable")
+    dropped = np.cumsum(np.concatenate([right, left])[order])
+    n = int(np.searchsorted(dropped, np.finfo(np.float64).eps * mag.sum(), side="right"))
+    n_left = n - int(np.count_nonzero(order[:n] < N // 2))
+    tail_l1 = G.grid.dx * float(dropped[n - 1]) if n else 0.0
+    return (c - (N // 2 - 1 - n_left)) % N, N - n, tail_l1
+
+
 def convolve_direct(G: GridFunction, w: GridFunction) -> GridFunction:
-    """Same convolution by direct O(N^2) summation with periodic wrap;
-    the cross-check path, independent of the transform machinery."""
+    """Same convolution by direct summation with periodic wrap; the
+    cross-check path, independent of the transform machinery.
+
+    The sum runs over the kernel's numerical support only (see
+    :func:`_direct_sum_window`), in O(N*K) time for K kept samples; by
+    Young's inequality the dropped tail moves the result by at most
+    ||G_tail||_L1 * ||w||_L2 in L2.
+    """
     G.require_same_grid(w)
     N = G.grid.N
-    full = np.convolve(G.values, w.values)  # direct sliding sum, not FFT
+    start, K, _ = _direct_sum_window(G)
+    full = np.convolve(np.roll(G.values, -start)[:K], w.values)  # direct sliding sum, not FFT
     circ = full[:N].copy()
-    circ[: N - 1] += full[N:]
-    vals = G.grid.dx * np.roll(circ, -(N // 2))
+    circ[: K - 1] += full[N:]
+    vals = G.grid.dx * np.roll(circ, start - N // 2)
     if G.is_real and w.is_real:
         vals = vals.real
     return GridFunction(G.grid, vals)
@@ -211,7 +246,9 @@ def fixed_point_solve(
     ContractionHypothesisFailed otherwise, including the boundary).  The
     residual of the full nonlocal equation is recomputed independently:
     operator application on one side, direct-sum convolution on the
-    other.
+    other.  The direct sum skips a kernel tail below round-off;
+    residual_tail_bound = ||G_tail||_L1 * ||F(u)||_L2 bounds, by Young's
+    inequality, how far that moves the convolution in L2.
     """
     grid = G.grid
     cls = classify(params)
@@ -258,7 +295,8 @@ def fixed_point_solve(
         for i in range(1, len(step_norms) - 1)
         if step_norms[i] > 0.0
     ]
-    residual = l2_norm(apply_operator(u, params) - convolve_direct(G, apply_nonlinearity(F, u)))
+    Fu = apply_nonlinearity(F, u)
+    residual = l2_norm(apply_operator(u, params) - convolve_direct(G, Fu))
     return FixedPointResult(
         u=u,
         iterations=len(step_norms),
@@ -266,6 +304,7 @@ def fixed_point_solve(
         observed_ratio=max(ratios) if ratios else 0.0,
         q_bound=q,
         residual_l2=residual,
+        residual_tail_bound=_direct_sum_window(G)[2] * l2_norm(Fu),
         nontrivial=nontriviality_check(G, F, grid),
         stability=report,
         iteration_bound=bound,

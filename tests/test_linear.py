@@ -107,6 +107,38 @@ def test_solve_resonant_round_trip_aligned(aligned_grid):
     assert h2_norm(result.u - star) / h2_norm(star) <= 1e-8
 
 
+def test_solve_linear_fft_count(grid, monkeypatch):
+    # 1 forward and 1 inverse for the solve, 4 for the residual's operator
+    # application; the H2 norm comes from the spectra by Parseval
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    solve_linear(GridFunction(grid, np.exp(-grid.x**2 / 2)), NONRESONANT)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("resonant", [False, True])
+def test_solve_linear_h2_norm_parseval(grid, aligned_grid, resonant):
+    g, params = (aligned_grid, RESONANT) if resonant else (grid, NONRESONANT)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        sigma, center = rng.uniform(0.7, 1.5), rng.uniform(-3.0, 3.0)
+        star = GridFunction(g, np.exp(-((g.x - center) ** 2) / (2 * sigma**2)))
+        f = apply_operator(star, params)
+        if resonant:
+            f = project_solvable(f, params)
+        result = solve_linear(f, params)
+        direct = h2_norm(result.u)
+        floor = np.finfo(float).eps * (1.0 + g.p_max**2) * direct
+        assert abs(result.h2_norm_u - direct) <= floor
+
+
 def test_apply_operator_zero(grid):
     z = GridFunction(grid, np.zeros(grid.N))
     assert l2_norm(apply_operator(z, NONRESONANT)) == 0

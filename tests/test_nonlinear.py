@@ -7,6 +7,7 @@ from shiftspec.kernels import stability_constant
 from shiftspec.linear import resonant_aligned_half_length, solve_linear
 from shiftspec.nonlinear import (
     Nonlinearity,
+    _direct_sum_window,
     apply_T,
     apply_nonlinearity,
     convolve,
@@ -19,6 +20,7 @@ from shiftspec.spectral import (
     SpectralFunction,
     h2_norm,
     inverse_transform,
+    l1_norm,
     l2_norm,
     make_grid,
 )
@@ -26,6 +28,7 @@ from shiftspec.symbols import ShiftParams
 
 NONRESONANT = ShiftParams(1.0, 1.0)
 RESONANT = ShiftParams(1.0, 2 * np.pi)
+EPS = np.finfo(np.float64).eps
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,18 @@ def test_nonlinearity_lipschitz_check_fires(grid):
             k=3.0,
             envelope=GridFunction(grid, np.zeros(grid.N)),
             l=0.5,  # declared too small
+        )
+
+
+@pytest.mark.parametrize("field", ["k", "l"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_nonlinearity_constants_must_be_finite_nonnegative(grid, field, bad):
+    constants = {"k": 0.1, "l": 0.1, field: bad}
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Nonlinearity(
+            eval=lambda u, x: 0.1 * np.tanh(u),
+            envelope=GridFunction(grid, np.zeros(grid.N)),
+            **constants,
         )
 
 
@@ -125,6 +140,96 @@ def test_convolve_direct_matches_brute_force():
             brute[j] += G.values[(j - k + 8) % 16] * w.values[k]
     brute *= g.dx
     assert np.max(np.abs(convolve_direct(G, w).values - brute)) <= 1e-13
+
+
+def _full_direct_sum(G, w):
+    """The direct sum over all N x N pairs, as convolve_direct ran it
+    before it learned to skip the kernel's negligible tail."""
+    N = G.grid.N
+    full = np.convolve(G.values, w.values)
+    circ = full[:N].copy()
+    circ[: N - 1] += full[N:]
+    vals = G.grid.dx * np.roll(circ, -(N // 2))
+    return GridFunction(G.grid, vals.real if G.is_real and w.is_real else vals)
+
+
+WINDOW_GRID = make_grid(40.0, 4096)
+WINDOW_KERNELS = {
+    "readme": 0.3 * np.exp(-WINDOW_GRID.x**2 / 2),
+    "wraps-right": np.exp(-((WINDOW_GRID.x - 39.5) ** 2) / 2),
+    "wraps-left": np.exp(-((WINDOW_GRID.x + 39.7) ** 2) / 2),
+    "complex": np.exp(-WINDOW_GRID.x**2 / 3 + 2j * WINDOW_GRID.x),
+    "full-support": 1.0 / (1.0 + WINDOW_GRID.x**2),
+    "zero": np.zeros(WINDOW_GRID.N),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_KERNELS))
+def test_convolve_direct_window_matches_full_sum(name):
+    # dropping at most eps*||G||_L1 of kernel mass moves the result by at
+    # most eps*||G||_L1*||w||_L2 (Young); the two summation orders add up
+    # to one more such unit of round-off
+    g = WINDOW_GRID
+    G = GridFunction(g, WINDOW_KERNELS[name])
+    w = GridFunction(g, 0.1 * np.tanh(np.exp(-g.x**2 / 8)) + np.exp(-g.x**2))
+    _, K, tail_l1 = _direct_sum_window(G)
+    got = convolve_direct(G, w)
+    ref = _full_direct_sum(G, w)
+    unit = EPS * l1_norm(G) * l2_norm(w)
+    err = l2_norm(got - ref)
+    assert tail_l1 <= EPS * l1_norm(G)
+    assert err <= 2.0 * unit
+    assert err <= tail_l1 * l2_norm(w) + unit
+    if name == "full-support":
+        assert (K, tail_l1) == (g.N, 0.0)
+    elif name == "zero":
+        assert (K, tail_l1) == (1, 0.0)
+        assert np.all(got.values == 0.0)
+    else:
+        assert K < g.N // 2
+
+
+def test_direct_sum_window_is_greedy():
+    # the window drops the smaller of its two outer samples, one at a
+    # time, while the dropped total stays within eps*sum|G|
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        N = int(rng.choice([8, 16, 64]))
+        mag = np.abs(rng.standard_normal(N)) * 10.0 ** rng.uniform(-20.0, 0.0, N)
+        mag[rng.random(N) < 0.2] = 0.0
+        G = GridFunction(make_grid(3.0, N), mag)
+        c = int(np.argmax(mag))
+        lo, hi, dropped = c - (N // 2 - 1), c + N // 2, 0.0
+        while lo < hi:
+            end = hi if mag[hi % N] <= mag[lo % N] else lo
+            if dropped + mag[end % N] > EPS * mag.sum():
+                break
+            dropped += mag[end % N]
+            lo, hi = (lo, hi - 1) if end == hi else (lo + 1, hi)
+        start, K, tail_l1 = _direct_sum_window(G)
+        assert (start, K) == (lo % N, hi - lo + 1)
+        assert tail_l1 == pytest.approx(G.grid.dx * dropped, rel=1e-12, abs=0.0)
+
+
+def test_convolve_direct_uses_no_fft(grid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("convolve_direct must not use an FFT")
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    w = GridFunction(grid, np.exp(-grid.x**2))
+    out = convolve_direct(G, w)
+    assert l2_norm(out - _full_direct_sum(G, w)) <= 2.0 * EPS * l1_norm(G) * l2_norm(w)
+
+
+def test_fixed_point_residual_tail_bound(grid):
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    F = tanh_nonlinearity(grid)
+    result = fixed_point_solve(G, F, NONRESONANT, tol_h2=1e-8)
+    Fu = apply_nonlinearity(F, result.u)
+    assert result.residual_tail_bound == _direct_sum_window(G)[2] * l2_norm(Fu)
+    assert 0.0 < result.residual_tail_bound <= EPS * l1_norm(G) * l2_norm(Fu)
 
 
 def test_convolve_grid_mismatch(grid):
