@@ -22,9 +22,9 @@ import numpy as np
 from .spectral import (
     SQRT_2PI,
     GridFunction,
-    evaluate_transform_at,
     forward_transform,
     l1_norm,
+    transform_at_pm,
     transform_on_progression,
     weighted_l1_norm,
 )
@@ -60,8 +60,7 @@ def kernel_orthogonality(G: GridFunction, a: float, tol: float = 1e-8):
     if a <= 0:
         raise ValueError("a must be positive")
     r = float(np.sqrt(a))
-    gp = evaluate_transform_at(G, r)
-    gm = evaluate_transform_at(G, -r)
+    gp, gm = transform_at_pm(G, r)
     return gp, gm, (abs(gp) <= tol and abs(gm) <= tol)
 
 

@@ -25,8 +25,7 @@ from .spectral import (
     inverse_transform,
     l2_norm,
     make_grid,
-    second_derivative,
-    shift,
+    transform_at_pm,
     weighted_l1_norm,
 )
 from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol, symbol
@@ -59,8 +58,11 @@ class LinearSolveResult:
 
 
 def apply_operator(u: GridFunction, params: ShiftParams) -> GridFunction:
-    """-u'' - a*u(x - h), both terms spectral."""
-    return second_derivative(u) * (-1.0) - params.a * shift(u, params.h)
+    """-u'' - a*u(x - h), applied spectrally as multiplication of u_hat by
+    the symbol lambda(p) = p^2 - a*e^{-iph}: one forward and one inverse
+    transform.  Real when u is real."""
+    uh = forward_transform(u).values * symbol(u.grid.p, params)
+    return u.real_like(inverse_transform(SpectralFunction(u.grid, uh)).values)
 
 
 def check_solvability(
@@ -75,8 +77,7 @@ def check_solvability(
         raise ValueError("tol must be positive")
     cls = classify(params)
     r = params.sqrt_a
-    fp = evaluate_transform_at(f, r)
-    fm = evaluate_transform_at(f, -r)
+    fp, fm = transform_at_pm(f, r)
     solvable = (not cls.is_resonant) or (abs(fp) <= tol and abs(fm) <= tol)
     return SolvabilityReport(
         classification=cls,
@@ -128,13 +129,7 @@ def _projection_basis(grid: Grid, params: ShiftParams):
     window = np.exp(-grid.x**2 / 2.0)
     b_plus = GridFunction(grid, window * np.exp(1j * r * grid.x))
     b_minus = GridFunction(grid, window * np.exp(-1j * r * grid.x))
-    targets = np.array([r, -r])
-    M = np.array(
-        [
-            evaluate_transform_at(b_plus, targets),
-            evaluate_transform_at(b_minus, targets),
-        ]
-    ).T
+    M = np.array([transform_at_pm(b_plus, r), transform_at_pm(b_minus, r)]).T
     M.setflags(write=False)
     return b_plus, b_minus, M
 
@@ -151,7 +146,7 @@ def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
         raise ValueError("projection is defined for resonant parameters only")
     b_plus, b_minus, M = _projection_basis(f.grid, params)
     r = params.sqrt_a
-    rhs = np.array([evaluate_transform_at(f, r), evaluate_transform_at(f, -r)])
+    rhs = np.array(transform_at_pm(f, r))
     c = np.linalg.solve(M, rhs)
     correction = c[0] * b_plus.values + c[1] * b_minus.values
     return f.real_like(f.values - correction)

@@ -271,7 +271,7 @@ def fixed_point_solve(
     # of u: that projection drops only round-off and the unpaired -N/2 bin,
     # which the kernel's tail certificate bounds.  An FFT round trip would
     # add a floor ~eps*p_max^2*||u|| that exceeds tol_h2 on fine grids.
-    h2_weight = grid.dp * (1.0 + grid.p**4)
+    h2_weight = grid.dp * (1.0 + (grid.p * grid.p) ** 2)
     vh = forward_transform(v).values
     step_norms: list[float] = []
     cap = bound = None

@@ -25,7 +25,7 @@ from .spectral import (
     forward_transform,
     l1_norm,
     l2_norm,
-    second_derivative,
+    second_derivative_norm,
     sup_abs_spectral,
     weighted_l1_norm,
 )
@@ -102,7 +102,7 @@ def _trend_checks(rows):
 
 def _solution_gaps(diff_u: GridFunction) -> dict:
     """H2 (h2_norm's formula), L2 and second-derivative norms of a gap."""
-    l2, d2 = l2_norm(diff_u), l2_norm(second_derivative(diff_u))
+    l2, d2 = l2_norm(diff_u), second_derivative_norm(diff_u)
     return dict(solution_gap_h2=float(np.sqrt(l2**2 + d2**2)), solution_gap_l2=l2, d2_gap=d2)
 
 

@@ -17,7 +17,6 @@ approximate non-decaying data.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -100,13 +99,13 @@ def _canonical_values(values, N):
     arr = np.asarray(values)
     if arr.shape != (N,):
         raise ValueError(f"values must have shape ({N},), got {arr.shape}")
+    # astype copies, so the caller's array is never aliased
     if np.iscomplexobj(arr):
         arr = arr.astype(np.complex128)
     else:
         arr = arr.astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("values contain NaN or Inf")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -182,6 +181,17 @@ def inverse_transform(uh: SpectralFunction) -> GridFunction:
     return GridFunction(grid, vals)
 
 
+def _warn_beyond_band(grid: Grid, p_abs) -> None:
+    band = grid.p_max
+    if np.any(p_abs > band * (1.0 + 1e-12)):
+        warnings.warn(
+            f"frequency beyond the resolvable band |p| <= {band:.6g}; "
+            "quadrature values there alias",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def evaluate_transform_at(u: GridFunction, p):
     """Transform evaluated at arbitrary (generally off-grid) frequencies.
 
@@ -191,19 +201,23 @@ def evaluate_transform_at(u: GridFunction, p):
     Accepts a scalar or an array of frequencies.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    band = u.grid.p_max
-    if np.any(np.abs(p_arr) > band * (1.0 + 1e-12)):
-        warnings.warn(
-            f"frequency beyond the resolvable band |p| <= {band:.6g}; "
-            "quadrature values there alias",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_beyond_band(u.grid, np.abs(p_arr))
     phases = np.exp(-1j * np.outer(p_arr, u.grid.x))
     out = (u.grid.dx / SQRT_2PI) * (phases @ u.values)
     if np.isscalar(p) or np.asarray(p).ndim == 0:
         return complex(out[0])
     return out
+
+
+def transform_at_pm(u: GridFunction, r: float) -> tuple[complex, complex]:
+    """The pair (u_hat(r), u_hat(-r)) of :func:`evaluate_transform_at`
+    values, from one phase vector e^{-irx} and its conjugate.  Warns when
+    |r| exceeds the resolvable band."""
+    r = float(r)
+    _warn_beyond_band(u.grid, abs(r))
+    phase = np.exp(-1j * r * u.grid.x)
+    w = u.grid.dx / SQRT_2PI
+    return complex(w * (phase @ u.values)), complex(w * (phase.conj() @ u.values))
 
 
 def transform_on_progression(u: GridFunction, starts, step, M: int) -> np.ndarray:
@@ -282,9 +296,20 @@ def weighted_l1_norm(u: GridFunction) -> float:
     return float(u.grid.dx * np.sum(np.abs(u.grid.x * u.values)))
 
 
+def second_derivative_norm(u: GridFunction) -> float:
+    """||u''||_L2 of the spectral second derivative, by Parseval on one
+    forward transform: sqrt(dp * sum p^4 |u_hat|^2)."""
+    uh = forward_transform(u).values
+    p2 = u.grid.p * u.grid.p
+    # squares, not p**4 and np.abs: numpy's general power and complex abs
+    # are an order of magnitude slower
+    return float(np.sqrt(u.grid.dp * np.sum(p2 * p2 * (uh.real**2 + uh.imag**2))))
+
+
 def h2_norm(u: GridFunction) -> float:
-    """Sobolev norm sqrt(||u||_L2^2 + ||u''||_L2^2), u'' spectral."""
-    return float(np.sqrt(l2_norm(u) ** 2 + l2_norm(second_derivative(u)) ** 2))
+    """Sobolev norm sqrt(||u||_L2^2 + ||u''||_L2^2), with ||u''|| from
+    :func:`second_derivative_norm` (1 FFT)."""
+    return float(np.sqrt(l2_norm(u) ** 2 + second_derivative_norm(u) ** 2))
 
 
 def l2_norm_spectral(uh: SpectralFunction) -> float:
@@ -311,24 +336,28 @@ def write_gridfunction_csv(u: GridFunction, path) -> None:
 
 
 def read_gridfunction_csv(path, grid: Grid | None = None) -> GridFunction:
-    """Read the x,re,im format; reconstructs the grid from the x column
-    unless one is supplied (then the x column must match it)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header] != _CSV_HEADER:
+    """Read the x,re,im format (CRLF or LF line ends); reconstructs the
+    grid from the x column unless one is supplied (then the x column must
+    match it).  Every row must hold exactly 3 fields."""
+    with open(path) as fh:
+        header = [c.strip() for c in fh.readline().split(",")]
+        if header != _CSV_HEADER:
             raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader]
-    if not rows:
-        raise ValueError("empty CSV")
-    x = np.array([r[0] for r in rows])
-    vals = np.array([complex(r[1], r[2]) for r in rows])
+        if not any(line.strip() for line in fh):
+            raise ValueError("empty CSV")
+        fh.seek(0)
+        # numpy's C parser; it raises ValueError on a row whose field count
+        # differs from the first row's
+        data = np.loadtxt(fh, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError(f"expected 3 fields per row, got {data.shape[1]}")
+    x, real, imag = data.T
     if grid is None:
-        N = len(x)
-        L = -x[0]
-        grid = make_grid(L, N)
+        grid = make_grid(-x[0], len(x))
     if len(x) != grid.N or not np.allclose(x, grid.x, rtol=0, atol=1e-9 * max(1.0, grid.L)):
         raise ValueError("x column does not match the expected uniform grid")
-    if np.all(vals.imag == 0.0):
-        return GridFunction(grid, vals.real)
+    if np.all(imag == 0.0):
+        return GridFunction(grid, real)
+    vals = real.astype(np.complex128)
+    vals.imag = imag
     return GridFunction(grid, vals)

@@ -22,6 +22,8 @@ from shiftspec.spectral import (
     h2_norm,
     l2_norm,
     make_grid,
+    second_derivative,
+    shift,
 )
 from shiftspec.symbols import FredholmClass, FredholmKind, ShiftParams, symbol
 
@@ -107,8 +109,50 @@ def test_solve_resonant_round_trip_aligned(aligned_grid):
     assert h2_norm(result.u - star) / h2_norm(star) <= 1e-8
 
 
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("resonant", [False, True])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_apply_operator_matches_two_pass_form(grid, aligned_grid, resonant, complex_input):
+    # one symbol multiplication against -u'' - a*u(x-h) from the separate
+    # spectral passes, to the eps*(p_max^2 + a) round-off floor
+    g, params = (aligned_grid, RESONANT) if resonant else (grid, NONRESONANT)
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        vals = rng.standard_normal(g.N) * np.exp(-g.x**2 / 8)
+        if complex_input:
+            vals = vals + 1j * rng.standard_normal(g.N) * np.exp(-g.x**2 / 8)
+        u = GridFunction(g, vals)
+        Lu = apply_operator(u, params)
+        assert Lu.is_real is u.is_real
+        two_pass = second_derivative(u) * (-1.0) - params.a * shift(u, params.h)
+        floor = 4 * EPS * (g.p_max**2 + params.a) * l2_norm(u)
+        assert l2_norm(Lu - two_pass) <= floor
+
+
+def test_apply_operator_inverts_solve_linear_off_resonance():
+    # random non-resonant (a, h) at N = 512 and 4096; real right-hand
+    # sides are smooth (the real projection of u drops part of the
+    # unpaired -N/2 bin), complex ones are windowed noise
+    rng = np.random.default_rng(43)
+    for L, N in [(15.0, 512), (40.0, 4096)]:
+        g = make_grid(L, N)
+        for _ in range(3):
+            params = ShiftParams(rng.uniform(0.5, 2.0), rng.uniform(0.2, 3.0))
+            c, s, amp = rng.uniform(-5, 5, 3), rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)
+            smooth = sum(
+                A * np.exp(-((g.x - ci) ** 2) / (2 * si**2)) for A, ci, si in zip(amp, c, s)
+            )
+            noise = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * np.exp(-g.x**2 / 8)
+            for f in (GridFunction(g, smooth), GridFunction(g, noise)):
+                result = solve_linear(f, params)
+                floor = 4 * EPS * (1.0 + g.p_max**2) * result.h2_norm_u
+                assert l2_norm(apply_operator(result.u, params) - f) <= floor
+
+
 def test_solve_linear_fft_count(grid, monkeypatch):
-    # 1 forward and 1 inverse for the solve, 4 for the residual's operator
+    # 1 forward and 1 inverse for the solve, 2 for the residual's operator
     # application; the H2 norm comes from the spectra by Parseval
     calls = []
     for name in ("fft", "ifft"):
@@ -120,7 +164,7 @@ def test_solve_linear_fft_count(grid, monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     solve_linear(GridFunction(grid, np.exp(-grid.x**2 / 2)), NONRESONANT)
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("resonant", [False, True])

@@ -311,7 +311,7 @@ def test_contraction_bound_random_pairs(grid):
 def test_fixed_point_fft_count(grid, monkeypatch, tol_h2):
     # per iteration: F(v)_hat and one inverse for the step (its H2 norm
     # is taken on the spectra); once: 4 for the stability constant, 1 for
-    # G_hat, 1 for v0_hat, 2 for the nontriviality check, 4 for the
+    # G_hat, 1 for v0_hat, 2 for the nontriviality check, 2 for the
     # residual's operator application
     calls = []
     for name in ("fft", "ifft"):
@@ -325,7 +325,7 @@ def test_fixed_point_fft_count(grid, monkeypatch, tol_h2):
     G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
     result = fixed_point_solve(G, tanh_nonlinearity(grid), NONRESONANT, tol_h2=tol_h2)
     assert result.iterations >= 3
-    assert len(calls) == 2 * result.iterations + 12
+    assert len(calls) == 2 * result.iterations + 10
 
 
 def test_first_step_norm_matches_h2_norm(grid):

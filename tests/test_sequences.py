@@ -263,19 +263,21 @@ def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
 
 
 def test_resonant_rhs_sequence_checks_each_member_once(aligned_grid, monkeypatch):
-    # one solvability check (2 off-grid values) per solve; the truncate
-    # builtin projects the limit and every member (2 each) against one
-    # window basis (2 more, once)
+    # one solvability check per solve, one phase vector e^{-i sqrt(a) x}
+    # for each (its +-sqrt(a) pair); the truncate builtin projects the
+    # limit and every member (one phase vector each) against one window
+    # basis (one per window, once)
     symbols.classify.cache_clear()
     linear._projection_basis.cache_clear()
     checks = count_calls(monkeypatch, linear, "check_solvability")
+    pairs = count_calls(monkeypatch, spectral, "transform_at_pm")
     offgrid = count_calls(monkeypatch, spectral, "evaluate_transform_at")
     base = GridFunction(aligned_grid, np.exp(-aligned_grid.x**2 / 2))
     spec = builtin_sequences(
         "truncate", kind=SequenceKind.RHS, base=base, M=12, shift_params=RESONANT
     )
     run_linear_sequence(spec, RESONANT)
-    assert (len(checks), len(offgrid)) == (13, 2 * 13 + 2 * 13 + 2)
+    assert (len(checks), len(pairs), len(offgrid)) == (13, 13 + 13 + 2, 0)
 
 
 def test_write_table_csv(tmp_path, grid):

@@ -22,6 +22,7 @@ from shiftspec.spectral import (
     second_derivative,
     shift,
     sup_abs_spectral,
+    transform_at_pm,
     transform_on_progression,
     weighted_l1_norm,
     write_gridfunction_csv,
@@ -195,6 +196,29 @@ def test_evaluate_transform_warns_beyond_band():
         evaluate_transform_at(u, 2 * g.p_max)
 
 
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_transform_at_pm_matches_evaluate_transform_at(complex_input):
+    rng = np.random.default_rng(31)
+    g = make_grid(15.0, 512)
+    vals = rng.standard_normal(g.N) * np.exp(-g.x**2 / 8)
+    if complex_input:
+        vals = vals + 1j * rng.standard_normal(g.N) * np.exp(-g.x**2 / 8)
+    u = GridFunction(g, vals)
+    floor = 1e-14 * l1_norm(u) / SQRT_2PI
+    for r in rng.uniform(0.0, g.p_max, 5):
+        plus, minus = transform_at_pm(u, r)
+        assert abs(plus - evaluate_transform_at(u, r)) <= floor
+        assert abs(minus - evaluate_transform_at(u, -r)) <= floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transform_at_pm(u, g.p_max)
+    with pytest.warns(RuntimeWarning, match="resolvable band"):
+        pair = transform_at_pm(u, 2 * g.p_max)
+    with pytest.warns(RuntimeWarning, match="resolvable band"):
+        ref = evaluate_transform_at(u, np.array([2 * g.p_max, -2 * g.p_max]))
+    assert np.max(np.abs(np.array(pair) - ref)) <= floor
+
+
 def test_shift_sine_exact():
     g = make_grid(np.pi, 32)
     u = GridFunction(g, np.sin(g.x))
@@ -241,6 +265,22 @@ def test_h2_norm_gaussian():
     assert h2_norm(gaussian_on(g)) ** 2 == pytest.approx(H2_SQ_GAUSSIAN, rel=1e-12)
 
 
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_h2_norm_matches_fft_formula(complex_input):
+    # Parseval on one forward transform against the L2 norm of the
+    # FFT-based second derivative, to the eps*(1+p_max^2) round-off floor
+    rng = np.random.default_rng(37)
+    for L, N in [(15.0, 512), (40.0, 4096)]:
+        g = make_grid(L, N)
+        vals = rng.standard_normal(N) * np.exp(-g.x**2 / 8)
+        if complex_input:
+            vals = vals + 1j * rng.standard_normal(N) * np.exp(-g.x**2 / 8)
+        u = GridFunction(g, vals)
+        direct = np.sqrt(l2_norm(u) ** 2 + l2_norm(second_derivative(u)) ** 2)
+        h2 = h2_norm(u)
+        assert abs(h2 - direct) <= np.finfo(float).eps * (1.0 + g.p_max**2) * h2
+
+
 def test_weighted_l1_gaussian():
     # symbolic oracle: int |x| e^{-x^2/2} dx = 2; the |x| kink limits the
     # trapezoid rule to O(dx^2) accuracy
@@ -259,12 +299,15 @@ def test_transform_sup_bounded_by_l1():
 def test_gridfunction_csv_round_trip(tmp_path):
     rng = np.random.default_rng(23)
     g = make_grid(7.5, 64)
-    u = GridFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    vals[3] = complex(-0.0, 1.5)
+    u = GridFunction(g, vals)
     path = tmp_path / "u.csv"
     write_gridfunction_csv(u, path)
     back = read_gridfunction_csv(path)
     assert back.grid == g
     assert np.array_equal(back.values, u.values)  # 17 digits round-trips exactly
+    assert np.signbit(back.values[3].real)
     header = path.read_text().splitlines()[0]
     assert header == "x,re,im"
 
@@ -277,6 +320,57 @@ def test_gridfunction_csv_real_round_trip(tmp_path):
     back = read_gridfunction_csv(path, g)
     assert back.is_real
     assert np.array_equal(back.values, u.values)
+
+
+def test_gridfunction_csv_reads_lf_repr_rows(tmp_path):
+    g = make_grid(7.5, 64)
+    u = gaussian_on(g)
+    path = tmp_path / "u.csv"
+    rows = [f"{xj!r},{vj!r},0.0" for xj, vj in zip(g.x.tolist(), u.values.tolist())]
+    path.write_text("\n".join(["x, re, im"] + rows) + "\n", newline="")
+    back = read_gridfunction_csv(path)
+    assert back.grid == g and back.is_real
+    assert np.array_equal(back.values, u.values)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda f: f[:2], lambda f: f + [b"0"], lambda f: f[:2] + [b""]],
+    ids=["2-fields", "4-fields", "empty-field"],
+)
+@pytest.mark.parametrize("where", [0, 5])
+def test_gridfunction_csv_rejects_malformed_rows(tmp_path, edit, where):
+    # 2 fields, 4 fields, an empty field; the x column stays on the grid
+    g = make_grid(7.5, 64)
+    path = tmp_path / "u.csv"
+    write_gridfunction_csv(gaussian_on(g), path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1 + where] = b",".join(edit(lines[1 + where].split(b",")))
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError):
+        read_gridfunction_csv(path)
+
+
+@pytest.mark.parametrize("fields", [2, 4])
+def test_gridfunction_csv_rejects_wrong_field_count_on_every_row(tmp_path, fields):
+    g = make_grid(7.5, 64)
+    path = tmp_path / "u.csv"
+    rows = [",".join([repr(xj)] + ["0.5"] * (fields - 1)) for xj in g.x.tolist()]
+    path.write_text("\n".join(["x,re,im"] + rows) + "\n")
+    with pytest.raises(ValueError, match=f"expected 3 fields per row, got {fields}"):
+        read_gridfunction_csv(path)
+
+
+def test_gridfunction_csv_rejects_bad_header_and_empty_body(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("x,re,imag\r\n0.0,1.0,0.0\r\n", newline="")
+    with pytest.raises(ValueError, match="expected header"):
+        read_gridfunction_csv(path)
+    path.write_text("x,re,im\r\n", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty CSV"):
+            read_gridfunction_csv(path)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -306,6 +400,16 @@ def test_grid_json_round_trip():
     meta = json.loads(g.to_json())
     assert meta == {"L": 40.0, "N": 4096}
     assert Grid.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("cls", [GridFunction, SpectralFunction])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_values_do_not_alias_the_callers_array(cls, dtype):
+    g = make_grid(5.0, 16)
+    caller = np.arange(16, dtype=dtype)
+    u = cls(g, caller)
+    caller[:] = -1.0
+    assert np.array_equal(u.values, np.arange(16))
 
 
 def test_values_are_immutable():
