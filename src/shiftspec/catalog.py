@@ -102,7 +102,10 @@ def _nl_tanh(grid, slope=0.1, offset=None):
 
 def _sample_on(vals, grid, x):
     # nonlinearity eval receives grid points (possibly a subsample or a
-    # meshgrid built from them); map x back to stored sample values
+    # meshgrid built from them); map x back to stored sample values.  The
+    # fixed-point loop passes the grid's own x, which needs no lookup.
+    if x is grid.x:
+        return vals
     x = np.asarray(x)
     idx = np.rint((x - grid.x[0]) / grid.dx).astype(int) % grid.N
     if not np.allclose(grid.x[idx], x, rtol=0.0, atol=1e-9 * max(1.0, grid.L)):

@@ -92,11 +92,12 @@ def stability_constant(
             RuntimeWarning,
             stacklevel=2,
         )
+    weighted_l1_G = weighted_l1_norm(G)
     common = dict(
         Ghat_plus=gp,
         Ghat_minus=gm,
         l1_norm_G=l1_norm(G),
-        weighted_l1_G=weighted_l1_norm(G),
+        weighted_l1_G=weighted_l1_G,
         tail_sup=tail_sup,
         classification=cls,
     )
@@ -126,7 +127,7 @@ def stability_constant(
         sup2 = max(sup2, float((p_ref[keep] ** 2 * gh_ref[keep] / lam_ref[keep]).max()))
 
     if cls.is_resonant:
-        cap1 = weighted_l1_norm(G) / (SQRT_2PI * r)
+        cap1 = weighted_l1_G / (SQRT_2PI * r)
         cap2 = gh_max + params.a * cap1
         sup1 = max(sup1, cap1)
         sup2 = max(sup2, cap2)

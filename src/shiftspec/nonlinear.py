@@ -147,8 +147,13 @@ def convolve_direct(G: GridFunction, w: GridFunction) -> GridFunction:
     ||G_tail||_L1 * ||w||_L2 in L2.
     """
     G.require_same_grid(w)
+    return _convolve_on_window(G, w, _direct_sum_window(G))
+
+
+def _convolve_on_window(G: GridFunction, w: GridFunction, window) -> GridFunction:
+    """:func:`convolve_direct` over a window from :func:`_direct_sum_window`."""
     N = G.grid.N
-    start, K, _ = _direct_sum_window(G)
+    start, K, _ = window
     full = np.convolve(np.roll(G.values, -start)[:K], w.values)  # direct sliding sum, not FFT
     circ = full[:N].copy()
     circ[: K - 1] += full[N:]
@@ -296,7 +301,8 @@ def fixed_point_solve(
         if step_norms[i] > 0.0
     ]
     Fu = apply_nonlinearity(F, u)
-    residual = l2_norm(apply_operator(u, params) - convolve_direct(G, Fu))
+    window = _direct_sum_window(G)
+    residual = l2_norm(apply_operator(u, params) - _convolve_on_window(G, Fu, window))
     return FixedPointResult(
         u=u,
         iterations=len(step_norms),
@@ -304,7 +310,7 @@ def fixed_point_solve(
         observed_ratio=max(ratios) if ratios else 0.0,
         q_bound=q,
         residual_l2=residual,
-        residual_tail_bound=_direct_sum_window(G)[2] * l2_norm(Fu),
+        residual_tail_bound=window[2] * l2_norm(Fu),
         nontrivial=nontriviality_check(G, F, grid),
         stability=report,
         iteration_bound=bound,

@@ -323,16 +323,26 @@ def sup_abs_spectral(uh: SpectralFunction) -> float:
 # --- serialization -----------------------------------------------------
 
 _CSV_HEADER = ["x", "re", "im"]
+_CSV_BLOCK_ROWS = 8192  # rows formatted per % operation
 
 
 def write_gridfunction_csv(u: GridFunction, path) -> None:
     """CSV with header x,re,im, one row per sample, 17 significant digits,
-    CRLF line ends (the csv module's default dialect)."""
-    vals = u.values.astype(np.complex128)
-    row = "{:.17g},{:.17g},{:.17g}\r\n".format
+    CRLF line ends (the csv module's default dialect).
+
+    One % operation formats a block of rows from one tolist() of the
+    block's interleaved (x, re[, im]) values; a real u writes its im
+    field as 0, which is what %.17g gives for +0.0.
+    """
+    N = u.grid.N
+    cols = u.values.view(np.float64).reshape(N, -1)  # (re,) or (re, im)
+    row = "%.17g,%.17g," + ("%.17g" if cols.shape[1] == 2 else "0") + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + "\r\n")
-        fh.writelines(map(row, u.grid.x.tolist(), vals.real.tolist(), vals.imag.tolist()))
+        for start in range(0, N, _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            block = np.column_stack((u.grid.x[rows], cols[rows]))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_gridfunction_csv(path, grid: Grid | None = None) -> GridFunction:

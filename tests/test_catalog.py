@@ -78,6 +78,20 @@ def test_constant_nonlinearity(grid):
     assert np.allclose(out, np.exp(-grid.x[:4] ** 2 / 2))
 
 
+@pytest.mark.parametrize("name", ["tanh", "constant"])
+def test_offset_on_own_grid_matches_lookup(grid, name):
+    # the grid's own x skips the index lookup; a copy of it takes the
+    # general path, which must give the same bits
+    offset = {"name": "gaussian", "params": {"center": 0.3}}
+    F = builtin_nonlinearity(name, grid, {"offset": offset})
+    u = np.random.default_rng(41).standard_normal(grid.N)
+    fast, general = F.eval(u, grid.x), F.eval(u, grid.x.copy())
+    assert fast.shape == general.shape == (grid.N,)
+    assert np.array_equal(fast.view(np.uint64), general.view(np.uint64))
+    with pytest.raises(ValueError, match="off its grid"):
+        F.eval(u, grid.x + 0.5 * grid.dx)
+
+
 def test_zero_nonlinearity(grid):
     F = builtin_nonlinearity("zero", grid)
     assert np.all(F.eval(np.ones(5), grid.x[:5]) == 0)

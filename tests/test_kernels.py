@@ -105,6 +105,17 @@ def test_stability_resonant_orthogonal_kernel():
     assert rep.sup1 >= rep.weighted_l1_G / (SQRT_2PI * 1.0) - 1e-12
 
 
+def test_stability_resonant_weighted_l1_once(monkeypatch):
+    g = make_grid(resonant_aligned_half_length(1.0, 40.0), 4096)
+    G = GridFunction(g, g.x**2 * np.exp(-g.x**2 / 2))
+    calls = []
+    original = kernels.weighted_l1_norm
+    monkeypatch.setattr(kernels, "weighted_l1_norm", lambda u: calls.append(1) or original(u))
+    rep = stability_constant(G, RESONANT)
+    assert rep.finite and len(calls) == 1
+    assert rep.weighted_l1_G == original(G)
+
+
 def _dense_progression(u, starts, step, M):
     """Reference for transform_on_progression: the dense sum in band, and
     a huge value beyond it that must never reach a sup."""

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from shiftspec import nonlinear
 from shiftspec.catalog import builtin_function, builtin_nonlinearity
 from shiftspec.errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
 from shiftspec.kernels import stability_constant
-from shiftspec.linear import resonant_aligned_half_length, solve_linear
+from shiftspec.linear import apply_operator, resonant_aligned_half_length, solve_linear
 from shiftspec.nonlinear import (
     Nonlinearity,
     _direct_sum_window,
@@ -230,6 +231,20 @@ def test_fixed_point_residual_tail_bound(grid):
     Fu = apply_nonlinearity(F, result.u)
     assert result.residual_tail_bound == _direct_sum_window(G)[2] * l2_norm(Fu)
     assert 0.0 < result.residual_tail_bound <= EPS * l1_norm(G) * l2_norm(Fu)
+
+
+def test_fixed_point_residual_finds_the_window_once(grid, monkeypatch):
+    calls = []
+    original = nonlinear._direct_sum_window
+    monkeypatch.setattr(nonlinear, "_direct_sum_window", lambda G: calls.append(1) or original(G))
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    F = tanh_nonlinearity(grid)
+    result = fixed_point_solve(G, F, NONRESONANT, tol_h2=1e-8)
+    assert len(calls) == 1
+    # the same residual as the public direct sum gives
+    Fu = apply_nonlinearity(F, result.u)
+    residual = apply_operator(result.u, NONRESONANT) - convolve_direct(G, Fu)
+    assert result.residual_l2 == l2_norm(residual)
 
 
 def test_convolve_grid_mismatch(grid):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shiftspec import spectral
 from shiftspec.spectral import (
     SQRT_2PI,
     Grid,
@@ -373,16 +374,32 @@ def test_gridfunction_csv_rejects_bad_header_and_empty_body(tmp_path):
             read_gridfunction_csv(path)
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_gridfunction_csv_bytes_match_csv_writer(tmp_path, kind):
+# N=64 fits one block; the other N spans more than two blocks and ends
+# in a partial one
+_MULTI_BLOCK_N = 2 * spectral._CSV_BLOCK_ROWS + spectral._CSV_BLOCK_ROWS // 2 + 6
+
+
+@pytest.mark.parametrize(
+    "N, kind",
+    [
+        pytest.param(64, "real", id="real"),
+        pytest.param(64, "complex", id="complex"),
+        pytest.param(_MULTI_BLOCK_N, "real", id="real-multiblock"),
+        pytest.param(_MULTI_BLOCK_N, "complex", id="complex-multiblock"),
+    ],
+)
+def test_gridfunction_csv_bytes_match_csv_writer(tmp_path, N, kind):
     # reference: the csv module writing one formatted row per sample
     rng = np.random.default_rng(29)
-    g = make_grid(7.5, 64)
-    vals = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
+    g = make_grid(7.5, N)
+    vals = rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N)
     if kind == "complex":
-        vals = vals + 1j * rng.standard_normal(64)
+        vals = vals + 1j * rng.standard_normal(N)
         vals[5] = complex(-0.0, -0.0)
     vals[3] = -0.0
+    # signed zeros on both sides of every block boundary
+    vals[spectral._CSV_BLOCK_ROWS - 1 :: spectral._CSV_BLOCK_ROWS] = -0.0
+    vals[spectral._CSV_BLOCK_ROWS :: spectral._CSV_BLOCK_ROWS] = -0.0
     u = GridFunction(g, vals)
     path, ref = tmp_path / "u.csv", tmp_path / "ref.csv"
     write_gridfunction_csv(u, path)
@@ -392,7 +409,14 @@ def test_gridfunction_csv_bytes_match_csv_writer(tmp_path, kind):
         for xj, vj in zip(g.x, u.values.astype(np.complex128)):
             writer.writerow([f"{xj:.17g}", f"{vj.real:.17g}", f"{vj.imag:.17g}"])
     assert path.read_bytes() == ref.read_bytes()
-    assert path.read_bytes().split(b"\r\n")[4].split(b",")[1] == b"-0"  # sample 3
+    rows = path.read_bytes().split(b"\r\n")
+    assert rows[4].split(b",")[1] == b"-0"  # sample 3
+    if kind == "complex":
+        assert rows[6].split(b",")[1:] == [b"-0", b"-0"]  # sample 5
+    back = read_gridfunction_csv(path)
+    assert back.grid == g
+    assert back.values.dtype == u.values.dtype
+    assert np.array_equal(back.values.view(np.uint64), u.values.view(np.uint64))
 
 
 def test_grid_json_round_trip():
