@@ -28,6 +28,7 @@ from .spectral import (
     h2_norm,
     make_grid,
     read_gridfunction_csv,
+    write_float_rows,
     write_gridfunction_csv,
 )
 from .symbols import ShiftParams, symbol, symbol_modulus_sq
@@ -242,10 +243,9 @@ def _cmd_spectrum(cfg: RunConfig):
     lam = symbol(p, params)
     mod2 = symbol_modulus_sq(p, params)
     out = cfg.output_dir / "spectrum.csv"
-    with open(out, "w") as fh:
-        fh.write("p,re_lambda,im_lambda,mod_sq\n")
-        row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
-        fh.writelines(map(row, p.tolist(), lam.real.tolist(), lam.imag.tolist(), mod2.tolist()))
+    with open(out, "wb") as fh:
+        fh.write(b"p,re_lambda,im_lambda,mod_sq\n")
+        write_float_rows(fh, (p, lam.real, lam.imag, mod2), b"\n")
     print(f"spectrum: {o['num_points']} samples on [{o['p_min']}, {o['p_max']}] -> {out}")
     return 0
 

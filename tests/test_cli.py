@@ -5,8 +5,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from shiftspec import cli
 from shiftspec.cli import ConfigError, main, parse_config
-from shiftspec.spectral import make_grid, read_gridfunction_csv, write_gridfunction_csv
+from shiftspec.linear import resonant_aligned_half_length
+from shiftspec.spectral import GridFunction, make_grid, read_gridfunction_csv, write_gridfunction_csv
+from shiftspec.symbols import ShiftParams, symbol, symbol_modulus_sq
 from shiftspec.catalog import builtin_function
 
 
@@ -73,6 +76,33 @@ def test_spectrum_run(tmp_path, capsys):
     at_one = [r for r in rows[1:] if float(r.split(",")[0]) == 1.0]
     assert len(at_one) == 1
     assert float(at_one[0].split(",")[3]) == pytest.approx(4.0, abs=1e-12)
+
+
+def _spectrum_reference(config):
+    p = np.linspace(config["p_min"], config["p_max"], config["num_points"])
+    params = ShiftParams(config["a"], config["h"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, mod2 = symbol(p, params), symbol_modulus_sq(p, params)
+    rows = zip(p.tolist(), lam.real.tolist(), lam.imag.tolist(), mod2.tolist())
+    return b"p,re_lambda,im_lambda,mod_sq\n" + b"".join(b"%.17g,%.17g,%.17g,%.17g\n" % r for r in rows)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"a": 1.0, "h": np.pi, "p_min": -4.0, "p_max": 4.0, "num_points": 801},
+        # p**2 overflows to inf, so inf fields take the exact path
+        {"a": 1.0, "h": 1.0, "p_min": -4.0, "p_max": 1e200, "num_points": 9},
+    ],
+    ids=["band", "overflow"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_spectrum_csv_bytes_match_percent_g17(tmp_path, config):
+    cfg = write_cfg(tmp_path, config)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "spectrum.csv").read_bytes()
+    assert got == _spectrum_reference(config)
+    assert (b",inf," in got) == (config["p_max"] > 1e154)
 
 
 def test_solve_linear_run_and_schema(tmp_path):
@@ -345,6 +375,44 @@ NONLINEAR_CFG = {
     "G": {"name": "gaussian", "params": {"amplitude": 0.3}},
     "F": {"name": "tanh", "params": {"slope": 0.1, "offset": "gaussian"}},
 }
+
+
+def _percent_g17_csv(u):
+    # reference solution.csv: '%.17g' per value, a real u's im field the literal 0
+    x, v = u.grid.x.tolist(), u.values.tolist()
+    if u.is_real:
+        rows = (b"%.17g,%.17g,0\r\n" % r for r in zip(x, v))
+    else:
+        rows = (b"%.17g,%.17g,%.17g\r\n" % (xj, vj.real, vj.imag) for xj, vj in zip(x, v))
+    return b"x,re,im\r\n" + b"".join(rows)
+
+
+@pytest.mark.parametrize("case", ["real", "resonant", "complex-csv", "nonlinear"])
+def test_solution_csv_bytes_match_percent_g17(tmp_path, monkeypatch, case):
+    written = []
+
+    def capture(u, path):
+        written.append(u)
+        write_gridfunction_csv(u, path)
+
+    monkeypatch.setattr(cli, "write_gridfunction_csv", capture)
+    command, config = "solve-linear", dict(LINEAR_CFG)
+    if case == "resonant":
+        L = resonant_aligned_half_length(1.0, 40.0)
+        f = {"name": "hermite_gaussian", "params": {"scale": 1.0}}
+        config.update(h=2 * np.pi, L=L, f=f)
+    elif case == "complex-csv":
+        grid = make_grid(40.0, 1024)
+        f = builtin_function("gaussian", grid)
+        config["f"] = str(tmp_path / "f.csv")
+        write_gridfunction_csv(GridFunction(grid, f.values * np.exp(1j * grid.x)), config["f"])
+    elif case == "nonlinear":
+        command, config = "solve-nonlinear", NONLINEAR_CFG
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 0
+    [u] = written
+    assert u.is_real == (case != "complex-csv")
+    assert (out / "solution.csv").read_bytes() == _percent_g17_csv(u)
 
 
 @pytest.mark.parametrize(

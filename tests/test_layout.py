@@ -1,6 +1,7 @@
 """Module boundaries of the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "shiftspec"
@@ -20,4 +21,24 @@ def test_no_private_imports_across_modules():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert found == []
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # runtime dependencies stay numpy only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "shiftspec"}
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
     assert found == []
