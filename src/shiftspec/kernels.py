@@ -29,7 +29,7 @@ from .spectral import (
     weighted_l1_norm,
 )
 from .errors import ShiftSpecError
-from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol, symbol
+from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol_on_grid, symbol
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class KernelReport:
     with orthogonality violated); the +inf sentinel is this explicit
     flag, never a float('inf') in arithmetic.  tail_sup certifies the
     band truncation: the kernel transform magnitude at the outermost
-    resolvable frequencies.
+    resolvable frequencies.  ghat_sup is max|G_hat| over the grid.
     """
 
     N: float | None
@@ -53,6 +53,7 @@ class KernelReport:
     weighted_l1_G: float
     tail_sup: float
     classification: FredholmClass
+    ghat_sup: float
 
 
 def kernel_orthogonality(G: GridFunction, a: float, tol: float = 1e-8):
@@ -100,11 +101,12 @@ def stability_constant(
         weighted_l1_G=weighted_l1_G,
         tail_sup=tail_sup,
         classification=cls,
+        ghat_sup=gh_max,
     )
     if cls.is_resonant and not orth_ok:
         return KernelReport(N=None, sup1=None, sup2=None, finite=False, **common)
 
-    inv_abs = np.abs(inverse_symbol(grid.p, params, cls))
+    inv_abs = np.abs(inverse_symbol_on_grid(grid, params, cls))
     sup1 = float((gh_abs * inv_abs).max())
     sup2 = float((grid.p**2 * gh_abs * inv_abs).max())
     r = params.sqrt_a

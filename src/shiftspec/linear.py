@@ -9,7 +9,6 @@ quadrature noise once orthogonality holds).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,14 @@ from .spectral import (
     transform_at_pm,
     weighted_l1_norm,
 )
-from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol, symbol
+from .symbols import (
+    FredholmClass,
+    ShiftParams,
+    classify,
+    inverse_symbol_on_grid,
+    symbol,
+    symbol_on_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ def apply_operator(u: GridFunction, params: ShiftParams) -> GridFunction:
     """-u'' - a*u(x - h), applied spectrally as multiplication of u_hat by
     the symbol lambda(p) = p^2 - a*e^{-iph}: one forward and one inverse
     transform.  Real when u is real."""
-    uh = forward_transform(u).values * symbol(u.grid.p, params)
+    uh = symbol_on_grid(u.grid, params) * forward_transform(u).values
     return u.real_like(inverse_transform(SpectralFunction(u.grid, uh)).values)
 
 
@@ -108,7 +114,7 @@ def solve_linear(
             f"|f_hat(-sqrt(a))| = {abs(report.fhat_minus):.3e}, tol = {tol_orth:.3e}",
             report=report,
         )
-    uh = forward_transform(f).values * inverse_symbol(grid.p, params, report.classification)
+    uh = inverse_symbol_on_grid(grid, params, report.classification) * forward_transform(f).values
     u = f.real_like(inverse_transform(SpectralFunction(grid, uh)).values)
     residual = l2_norm(apply_operator(u, params) - f)
     # H2 norm by Parseval on uh, as fixed_point_solve takes its step norm:
@@ -121,17 +127,20 @@ def solve_linear(
     return LinearSolveResult(u=u, residual_l2=residual, solvability=report, h2_norm_u=h2)
 
 
-@functools.lru_cache(maxsize=1)
 def _projection_basis(grid: Grid, params: ShiftParams):
     """project_solvable's windows b_+- = w(x) e^{+-i sqrt(a) x} and the
-    2x2 matrix of their transforms at +-sqrt(a), all read-only."""
-    r = params.sqrt_a
-    window = np.exp(-grid.x**2 / 2.0)
-    b_plus = GridFunction(grid, window * np.exp(1j * r * grid.x))
-    b_minus = GridFunction(grid, window * np.exp(-1j * r * grid.x))
-    M = np.array([transform_at_pm(b_plus, r), transform_at_pm(b_minus, r)]).T
-    M.setflags(write=False)
-    return b_plus, b_minus, M
+    2x2 matrix of their transforms at +-sqrt(a), all read-only and
+    memoized on the grid."""
+
+    def build():
+        r = params.sqrt_a
+        window = np.exp(-grid.x**2 / 2.0)
+        b_plus = window * np.exp(1j * r * grid.x)
+        b_minus = window * np.exp(-1j * r * grid.x)
+        pairs = [transform_at_pm(GridFunction(grid, b), r) for b in (b_plus, b_minus)]
+        return b_plus, b_minus, np.array(pairs).T
+
+    return grid.memo("projection_basis", params, build)
 
 
 def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
@@ -148,7 +157,7 @@ def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
     r = params.sqrt_a
     rhs = np.array(transform_at_pm(f, r))
     c = np.linalg.solve(M, rhs)
-    correction = c[0] * b_plus.values + c[1] * b_minus.values
+    correction = c[0] * b_plus + c[1] * b_minus
     return f.real_like(f.values - correction)
 
 

@@ -26,7 +26,7 @@ from .spectral import (
     inverse_transform,
     l2_norm,
 )
-from .symbols import ShiftParams, classify, inverse_symbol
+from .symbols import ShiftParams, classify, inverse_symbol_on_grid
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def apply_T(
                 report=report,
             )
     G.require_same_grid(v)
-    mult = SQRT_2PI * forward_transform(G).values * inverse_symbol(G.grid.p, params, cls)
+    mult = SQRT_2PI * forward_transform(G).values * inverse_symbol_on_grid(G.grid, params, cls)
     return _step(mult, F, v, G)[1]
 
 
@@ -254,7 +254,14 @@ def fixed_point_solve(
     other.  The direct sum skips a kernel tail below round-off;
     residual_tail_bound = ||G_tail||_L1 * ||F(u)||_L2 bounds, by Young's
     inequality, how far that moves the convolution in L2.
+
+    Raises ValueError, before any work, unless tol_h2 is positive and
+    finite and max_iter (when given) is at least 1.
     """
+    if not (math.isfinite(tol_h2) and tol_h2 > 0.0):
+        raise ValueError(f"tol_h2 must be positive and finite, got {tol_h2}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = G.grid
     cls = classify(params)
     report = stability_constant(G, params, tol_orth)
@@ -271,7 +278,7 @@ def fixed_point_solve(
     v = v0 if v0 is not None else GridFunction(grid, np.zeros(grid.N))
     G.require_same_grid(v)
     # the map's multiplier sqrt(2*pi) * G_hat / lambda, built once
-    mult = SQRT_2PI * forward_transform(G).values * inverse_symbol(grid.p, params, cls)
+    mult = SQRT_2PI * forward_transform(G).values * inverse_symbol_on_grid(grid, params, cls)
     # H2 step norm by Parseval on the spectra uh, before the real projection
     # of u: that projection drops only round-off and the unpaired -N/2 bin,
     # which the kernel's tail certificate bounds.  An FFT round trip would

@@ -22,11 +22,9 @@ from .nonlinear import Nonlinearity, fixed_point_solve
 from .spectral import (
     SQRT_2PI,
     GridFunction,
-    forward_transform,
     l1_norm,
     l2_norm,
     second_derivative_norm,
-    sup_abs_spectral,
     weighted_l1_norm,
 )
 from .symbols import ShiftParams, classify
@@ -216,7 +214,7 @@ def run_kernel_sequence(
         # of the difference kernel (same singular-bin handling)
         diff_rep = stability_constant(diff, params, tol_orth=2.0 * tol_orth + 1e-15)
         gap1, gap2 = diff_rep.sup1, diff_rep.sup2
-        sup_dGh = sup_abs_spectral(forward_transform(diff))
+        sup_dGh = diff_rep.ghat_sup
         input_gap = l1_norm(diff)
         tri_ok &= gap2 <= params.a * gap1 + sup_dGh + 1e-9
         if cls.is_resonant:

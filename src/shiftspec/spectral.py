@@ -47,6 +47,18 @@ class Grid:
     sign : ndarray
         (-1)^j for the same j: pairs the fftshift reordering with the
         phase e^{i*pi*j} coming from the box offset x_0 = -L.
+
+    Each grid also memoizes, through :meth:`memo`, the read-only arrays
+    that the solve paths derive from it and the shift parameters: the
+    symbol lambda(p) and its inverse, the phase vector e^{-i r x} of
+    :func:`transform_at_pm`, the data-independent factors of
+    :func:`transform_on_progression` and the window basis of
+    ``linear.project_solvable``.  The memo keeps one entry per kind, for
+    the most recent parameters only, so it holds at most five entries
+    of O(N) arrays (four pre-chirp rows for the progression factors).
+    It holds plain arrays that do not refer back to the grid, so it is
+    freed with the grid by reference counting; it takes no part in
+    equality, hashing or repr.
     """
 
     L: float
@@ -71,6 +83,25 @@ class Grid:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "_memo", {})
+
+    def memo(self, kind: str, key, build):
+        """The value of ``build()`` for (this grid, kind, key), computed once.
+
+        The grid keeps one entry per kind: a call with another key
+        rebuilds and replaces it.  ``build`` returns an array or a tuple;
+        every array in it is made read-only.  The value must not refer
+        to the grid, or the grid could not be freed by reference counting.
+        """
+        entry = self._memo.get(kind)
+        if entry is None or entry[0] != key:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            entry = (key, value)
+            self._memo[kind] = entry
+        return entry[1]
 
     @property
     def dp(self) -> float:
@@ -210,14 +241,21 @@ def evaluate_transform_at(u: GridFunction, p):
     return out
 
 
+def _bits(values) -> bytes:
+    """Exact memo key for float data: its float64 bit patterns."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def transform_at_pm(u: GridFunction, r: float) -> tuple[complex, complex]:
     """The pair (u_hat(r), u_hat(-r)) of :func:`evaluate_transform_at`
-    values, from one phase vector e^{-irx} and its conjugate.  Warns when
-    |r| exceeds the resolvable band."""
+    values, from one phase vector e^{-irx} and its conjugate; the grid
+    memoizes the phase vector for the most recent r.  Warns when |r|
+    exceeds the resolvable band."""
     r = float(r)
-    _warn_beyond_band(u.grid, abs(r))
-    phase = np.exp(-1j * r * u.grid.x)
-    w = u.grid.dx / SQRT_2PI
+    grid = u.grid
+    _warn_beyond_band(grid, abs(r))
+    phase = grid.memo("phase_pm", _bits(r), lambda: np.exp(-1j * r * grid.x))
+    w = grid.dx / SQRT_2PI
     return complex(w * (phase @ u.values)), complex(w * (phase.conj() @ u.values))
 
 
@@ -234,7 +272,9 @@ def transform_on_progression(u: GridFunction, starts, step, M: int) -> np.ndarra
     every row shares one chirp filter (a negative-step row is evaluated
     from its other end with the positive step and then reversed).
     Frequencies beyond the resolvable band are not flagged; the sum
-    aliases there.
+    aliases there.  The data-independent factors (the pre-chirp rows
+    and the chirp filter's spectrum) are memoized on the grid for the
+    most recent (starts, step, M).
     """
     grid = u.grid
     starts = np.atleast_1d(np.asarray(starts, dtype=np.float64))
@@ -247,24 +287,31 @@ def transform_on_progression(u: GridFunction, starts, step, M: int) -> np.ndarra
     d = abs(float(steps[0]))
     if np.any(np.abs(steps) != d):
         raise ValueError("all steps must have the same magnitude")
-    N = grid.N
     neg = steps < 0
-    # centred indices x_j = m*dx, p = pc + t*d keep the chirp phases small
-    # where the data and the output live
-    c = (M - 1) // 2
-    pc = np.where(neg, starts + (M - 1) * steps, starts) + c * d
-    w = d * grid.dx
-    m = np.arange(N) - N // 2
-    t = np.arange(M) - c
-    # Bluestein: t*m = (t^2 + m^2 - (t-m)^2)/2, a convolution over the lag
-    # n = k - j with t - m = n + N/2 - c
-    nfft = 1 << (N + M - 2).bit_length()
-    a = u.values * np.exp(-1j * (np.outer(pc, grid.x) + 0.5 * w * m**2))
-    lags = np.arange(-(N - 1), M)
-    chirp = np.zeros(nfft, dtype=np.complex128)
-    chirp[lags % nfft] = np.exp(0.5j * w * (lags + N // 2 - c) ** 2)
-    y = np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(chirp))[:, :M]
-    out = (grid.dx / SQRT_2PI) * np.exp(-0.5j * w * t**2) * y
+
+    def build():
+        N = grid.N
+        # centred indices x_j = m*dx, p = pc + t*d keep the chirp phases
+        # small where the data and the output live
+        c = (M - 1) // 2
+        pc = np.where(neg, starts + (M - 1) * steps, starts) + c * d
+        w = d * grid.dx
+        m = np.arange(N) - N // 2
+        t = np.arange(M) - c
+        # Bluestein: t*m = (t^2 + m^2 - (t-m)^2)/2, a convolution over the
+        # lag n = k - j with t - m = n + N/2 - c
+        nfft = 1 << (N + M - 2).bit_length()
+        pre = np.exp(-1j * (np.outer(pc, grid.x) + 0.5 * w * m**2))
+        lags = np.arange(-(N - 1), M)
+        chirp = np.zeros(nfft, dtype=np.complex128)
+        chirp[lags % nfft] = np.exp(0.5j * w * (lags + N // 2 - c) ** 2)
+        post = (grid.dx / SQRT_2PI) * np.exp(-0.5j * w * t**2)
+        return pre, np.fft.fft(chirp), post
+
+    pre, chirp_hat, post = grid.memo("progression", (_bits(starts), _bits(steps), M), build)
+    nfft = chirp_hat.size
+    y = np.fft.ifft(np.fft.fft(pre * u.values, nfft) * chirp_hat)[:, :M]
+    out = post * y
     out[neg] = out[neg, ::-1]
     return out
 

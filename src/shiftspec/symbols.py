@@ -97,17 +97,47 @@ def inverse_symbol(p, params: ShiftParams, classification: FredholmClass):
     |lambda|^2 < alpha/2 anywhere, which would indicate a
     misclassification.
     """
-    lam = symbol(p, params)
+    return _checked(_inverse(symbol(p, params), p, params, classification))
+
+
+def symbol_on_grid(grid, params: ShiftParams):
+    """symbol(grid.p, params), memoized on the grid (see ``Grid.memo``)
+    and read-only."""
+    return grid.memo("symbol", params, lambda: symbol(grid.p, params))
+
+
+def inverse_symbol_on_grid(grid, params: ShiftParams, classification: FredholmClass):
+    """inverse_symbol(grid.p, params, classification), memoized on the
+    grid (see ``Grid.memo``) and read-only.  Raises NearSingularGrid on
+    every call where inverse_symbol does."""
+    lam = symbol_on_grid(grid, params)
+    return _checked(
+        grid.memo(
+            "inverse_symbol",
+            (params, classification),
+            lambda: _inverse(lam, grid.p, params, classification),
+        )
+    )
+
+
+def _inverse(lam, p, params: ShiftParams, classification: FredholmClass):
+    """inverse_symbol from lambda(p); None for a near-singular grid."""
     mod2 = symbol_modulus_sq(p, params)
     if classification.is_resonant:
         singular = mod2 < RESONANT_BIN_GUARD * params.a**2
         return np.where(singular, 0.0, 1.0 / np.where(singular, 1.0, lam))
     if np.any(mod2 < classification.alpha / 2.0):
+        return None
+    return 1.0 / lam
+
+
+def _checked(inv):
+    if inv is None:
         raise NearSingularGrid(
             "grid carries symbol values below alpha/2 for a non-resonant "
             "classification; grid or classification is pathological"
         )
-    return 1.0 / lam
+    return inv
 
 
 def default_resonance_tol(params: ShiftParams) -> float:

@@ -19,6 +19,7 @@ from shiftspec.spectral import (
     forward_transform,
     l1_norm,
     make_grid,
+    sup_abs_spectral,
 )
 from shiftspec.symbols import ShiftParams, symbol
 
@@ -244,3 +245,13 @@ def test_tail_certificate_warning():
     G = GridFunction(g, np.exp(-g.x**2 * 400))
     with pytest.warns(RuntimeWarning):
         stability_constant(G, NONRESONANT)
+
+
+@pytest.mark.parametrize("params", [NONRESONANT, RESONANT])
+def test_ghat_sup_is_the_transform_sup(params):
+    # finite and not finite reports both carry max|G_hat| over the grid,
+    # bit for bit what sup_abs_spectral reads from a separate transform
+    g = make_grid(resonant_aligned_half_length(1.0, 20.0), 512)
+    G = GridFunction(g, 0.3 * np.exp(-((g.x - 0.5) ** 2)))
+    report = stability_constant(G, params)
+    assert report.ghat_sup == sup_abs_spectral(forward_transform(G))

@@ -42,3 +42,14 @@ def test_runtime_imports_are_stdlib_or_numpy():
                 if name.split(".")[0] not in allowed
             ]
     assert found == []
+
+
+def test_no_assert_statements():
+    # runtime invariants must hold under python -O, which strips asserts
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,0 +1,253 @@
+"""The per-grid memo of symbol, phase, chirp and window-basis arrays."""
+
+import gc
+import sys
+import threading
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from shiftspec.errors import NearSingularGrid
+from shiftspec.kernels import stability_constant
+from shiftspec.linear import project_solvable, resonant_aligned_half_length, solve_linear
+from shiftspec.nonlinear import Nonlinearity, fixed_point_solve
+from shiftspec.spectral import (
+    SQRT_2PI,
+    GridFunction,
+    make_grid,
+    transform_at_pm,
+    transform_on_progression,
+)
+from shiftspec.symbols import (
+    FredholmClass,
+    FredholmKind,
+    ShiftParams,
+    classify,
+    inverse_symbol,
+    inverse_symbol_on_grid,
+    symbol,
+    symbol_on_grid,
+)
+
+
+def random_cases(seed, count=6):
+    """(L, N, params) over random (a, h, N): half of them resonant shifts
+    on grids aligned so that +-sqrt(a) are grid frequencies."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        a = float(rng.uniform(0.3, 2.5))
+        N = int(rng.choice([64, 256, 1024, 4096]))
+        if i % 2:
+            n = int(rng.choice([-2, -1, 1, 2]))
+            params = ShiftParams(a, 2 * np.pi * n / np.sqrt(a))
+            L = resonant_aligned_half_length(a, float(rng.uniform(10.0, 40.0)))
+        else:
+            params = ShiftParams(a, float(rng.uniform(0.2, 3.0)) * rng.choice([-1.0, 1.0]))
+            L = float(rng.uniform(10.0, 40.0))
+        cases.append((L, N, params))
+    return cases
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def progression_args(grid, params):
+    # the four refinement progressions stability_constant evaluates
+    r = params.sqrt_a
+    away = np.array([1.0, -1.0, 1.0, -1.0])
+    return np.array([r, r, -r, -r]) + 1e-4 * r * away, away * grid.dp / 64, 65
+
+
+def memo_arrays(grid):
+    out = []
+    for _, value in grid._memo.values():
+        out += [v for v in (value if isinstance(value, tuple) else (value,)) if v is not None]
+    return out
+
+
+def touch_every_entry(grid, params):
+    """Run the solve paths that fill the memo for (grid, params)."""
+    f = GridFunction(grid, np.exp(-grid.x**2 / 2))
+    if classify(params).is_resonant:
+        f = project_solvable(f, params)
+    stability_constant(f, params)
+    solve_linear(f, params)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cached_arrays_equal_uncached_bitwise(seed):
+    rng = np.random.default_rng(100 + seed)
+    for L, N, params in random_cases(seed):
+        cls = classify(params)
+        grid = make_grid(L, N)
+        u = GridFunction(grid, rng.standard_normal(N) * np.exp(-grid.x**2 / 8))
+        # first call builds (cold), second reads the memo (warm)
+        for _ in range(2):
+            assert same_bits(symbol_on_grid(grid, params), symbol(grid.p, params))
+            assert same_bits(
+                inverse_symbol_on_grid(grid, params, cls), inverse_symbol(grid.p, params, cls)
+            )
+            phase = np.exp(-1j * params.sqrt_a * grid.x)
+            w = grid.dx / SQRT_2PI
+            uncached = (complex(w * (phase @ u.values)), complex(w * (phase.conj() @ u.values)))
+            assert transform_at_pm(u, params.sqrt_a) == uncached
+        assert symbol_on_grid(grid, params) is symbol_on_grid(grid, params)
+        # the progression rows on a warm grid against an equal, fresh one
+        args = progression_args(grid, params)
+        warm = transform_on_progression(u, *args)
+        assert same_bits(transform_on_progression(u, *args), warm)
+        fresh = make_grid(L, N)
+        assert same_bits(transform_on_progression(GridFunction(fresh, u.values), *args), warm)
+
+
+def test_params_do_not_share_entries():
+    grid = make_grid(resonant_aligned_half_length(1.0, 20.0), 512)
+    u = GridFunction(grid, np.exp(-grid.x**2 / 2))
+    # different a: different progression starts under the same step
+    first, second = ShiftParams(1.0, 1.0), ShiftParams(2.0, 2 * np.pi / np.sqrt(2.0))
+    for params in (first, second, first, second):
+        fresh = make_grid(grid.L, grid.N)
+        ref = GridFunction(fresh, u.values)
+        cls = classify(params)
+        assert same_bits(symbol_on_grid(grid, params), symbol(grid.p, params))
+        assert same_bits(
+            inverse_symbol_on_grid(grid, params, cls), inverse_symbol(grid.p, params, cls)
+        )
+        args = progression_args(grid, params)
+        assert same_bits(
+            transform_on_progression(u, *args), transform_on_progression(ref, *args)
+        )
+        assert stability_constant(u, params) == stability_constant(ref, params)
+    resonant = second
+    for _ in range(2):
+        projected = project_solvable(u, resonant)
+        ref = project_solvable(GridFunction(make_grid(grid.L, grid.N), u.values), resonant)
+        assert same_bits(projected.values, ref.values)
+        # a different a means a different window basis
+        other = ShiftParams(4.0, np.pi)
+        assert not same_bits(project_solvable(u, other).values, projected.values)
+
+
+def test_memo_is_bounded_across_params():
+    grid = make_grid(resonant_aligned_half_length(1.0, 20.0), 1024)
+    touch_every_entry(grid, ShiftParams(1.0, 2 * np.pi))
+    kinds = len(grid._memo)
+    assert kinds == 5
+    tracemalloc.start()
+    try:
+        held = []
+        for i in range(50):
+            a = 0.5 + 0.04 * i
+            touch_every_entry(grid, ShiftParams(a, 2 * np.pi / np.sqrt(a) if i % 2 else 1.0 + i))
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert len(grid._memo) == kinds
+    # one set of entries: the symbol, its inverse, the phase vector and the
+    # two window functions are N complex values each, the progression
+    # factors four rows of N, a chirp filter spectrum of 2N and M = 65
+    # output phases
+    one_set = sum(arr.nbytes for arr in memo_arrays(grid))
+    assert one_set <= 16 * (11 * grid.N + 2 * 65)
+    assert max(held) - held[0] <= one_set + 64 * 1024
+
+
+def test_cached_arrays_are_read_only():
+    for L, N, params in random_cases(4, count=4):
+        grid = make_grid(L, N)
+        touch_every_entry(grid, params)
+        arrays = memo_arrays(grid)
+        assert arrays
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        for arr in (
+            symbol_on_grid(grid, params),
+            inverse_symbol_on_grid(grid, params, classify(params)),
+        ):
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
+
+
+def test_memo_stays_out_of_eq_hash_repr():
+    warm = make_grid(30.0, 256)
+    touch_every_entry(warm, ShiftParams(1.0, 1.0))
+    cold = make_grid(30.0, 256)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert repr(warm) == "Grid(L=30.0, N=256)"
+
+
+def test_near_singular_grid_raises_on_every_call():
+    grid = make_grid(40.0, 512)
+    params = ShiftParams(1.0, 1.0)
+    fake = FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=1e6)
+    for _ in range(2):
+        with pytest.raises(NearSingularGrid):
+            inverse_symbol_on_grid(grid, params, fake)
+    good = inverse_symbol_on_grid(grid, params, classify(params))
+    assert same_bits(good, inverse_symbol(grid.p, params, classify(params)))
+    with pytest.raises(NearSingularGrid):
+        inverse_symbol_on_grid(grid, params, fake)
+
+
+def test_memo_is_freed_with_its_grid_without_gc():
+    # no reference cycle: the grid goes as soon as its last reference does,
+    # with the cycle collector off
+    gc.collect()
+    gc.disable()
+    try:
+        for params in (ShiftParams(1.0, 2 * np.pi), ShiftParams(1.0, 1.0)):
+            grid = make_grid(resonant_aligned_half_length(1.0, 20.0), 512)
+            touch_every_entry(grid, params)
+            G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+            F = Nonlinearity(
+                eval=lambda u, x: 0.1 * np.tanh(u) + np.exp(-(x**2)),
+                k=0.1,
+                envelope=GridFunction(grid, np.exp(-grid.x**2)),
+                l=0.1,
+            )
+            if not classify(params).is_resonant:
+                fixed_point_solve(G, F, params, tol_h2=1e-8)
+            assert len(grid._memo) == (5 if classify(params).is_resonant else 4)
+            ref = weakref.ref(grid)
+            del grid, G, F
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_a_grid_get_their_own_params():
+    # each call returns the entry for its own key, even while other threads
+    # replace the grid's entry with theirs
+    grid = make_grid(30.0, 256)
+    params = [ShiftParams(1.0 + 0.25 * i, 1.0) for i in range(6)]
+    want = {q: symbol(grid.p, q) for q in params}
+    errors = []
+
+    def work(offset):
+        for k in range(300):
+            q = params[(offset + k) % len(params)]
+            cls = classify(q)
+            if not same_bits(symbol_on_grid(grid, q), want[q]) or not same_bits(
+                inverse_symbol_on_grid(grid, q, cls), inverse_symbol(grid.p, q, cls)
+            ):
+                errors.append(q)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []

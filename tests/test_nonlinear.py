@@ -323,11 +323,13 @@ def test_contraction_bound_random_pairs(grid):
 
 
 @pytest.mark.parametrize("tol_h2", [1e-6, 1e-8])
-def test_fixed_point_fft_count(grid, monkeypatch, tol_h2):
+def test_fixed_point_fft_count(monkeypatch, tol_h2):
     # per iteration: F(v)_hat and one inverse for the step (its H2 norm
     # is taken on the spectra); once: 4 for the stability constant, 1 for
     # G_hat, 1 for v0_hat, 2 for the nontriviality check, 2 for the
-    # residual's operator application
+    # residual's operator application.  The stability constant's chirp
+    # filter spectrum is memoized on the grid, so a second solve on the
+    # same grid and params does 3 there
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
@@ -337,10 +339,16 @@ def test_fixed_point_fft_count(grid, monkeypatch, tol_h2):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
-    result = fixed_point_solve(G, tanh_nonlinearity(grid), NONRESONANT, tol_h2=tol_h2)
+    cold = make_grid(40.0, 1024)  # fresh: nothing memoized yet
+    G = GridFunction(cold, 0.3 * np.exp(-cold.x**2 / 2))
+    F = tanh_nonlinearity(cold)
+    result = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
     assert result.iterations >= 3
     assert len(calls) == 2 * result.iterations + 10
+    calls.clear()  # same grid, now warm for NONRESONANT
+    again = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
+    assert again.iterations == result.iterations
+    assert len(calls) == 2 * again.iterations + 9
 
 
 def test_first_step_norm_matches_h2_norm(grid):
@@ -437,6 +445,38 @@ def test_fixed_point_max_iter(grid):
     F = tanh_nonlinearity(grid)
     with pytest.raises(MaxIterExceeded):
         fixed_point_solve(G, F, NONRESONANT, tol_h2=1e-10, max_iter=2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(tol_h2=0.0), "tol_h2 must be positive and finite, got 0.0"),
+        (dict(tol_h2=-1.0), "tol_h2 must be positive and finite, got -1.0"),
+        (dict(tol_h2=float("nan")), "tol_h2 must be positive and finite, got nan"),
+        (dict(tol_h2=float("inf")), "tol_h2 must be positive and finite, got inf"),
+        (dict(max_iter=0), "max_iter must be at least 1, got 0"),
+        (dict(max_iter=-3), "max_iter must be at least 1, got -3"),
+    ],
+)
+def test_fixed_point_rejects_bad_tolerance_and_cap(grid, monkeypatch, kwargs, message):
+    # rejected with the reason, before any transform runs
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    F = tanh_nonlinearity(grid)
+    calls = []
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append(1))
+    monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1))
+    with pytest.raises(ValueError) as info:
+        fixed_point_solve(G, F, NONRESONANT, **kwargs)
+    assert str(info.value) == message
+    assert calls == []
+
+
+def test_fixed_point_single_iteration_cap(grid):
+    # max_iter=1 is a valid cap: it stops after one step
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    F = tanh_nonlinearity(grid)
+    with pytest.raises(MaxIterExceeded, match="within 1 iterations"):
+        fixed_point_solve(G, F, NONRESONANT, tol_h2=1e-10, max_iter=1)
 
 
 def test_nontriviality_gaussians(grid):

@@ -262,17 +262,18 @@ def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
     assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)
 
 
-def test_resonant_rhs_sequence_checks_each_member_once(aligned_grid, monkeypatch):
+def test_resonant_rhs_sequence_checks_each_member_once(monkeypatch):
     # one solvability check per solve, one phase vector e^{-i sqrt(a) x}
     # for each (its +-sqrt(a) pair); the truncate builtin projects the
     # limit and every member (one phase vector each) against one window
-    # basis (one per window, once)
+    # basis (one per window, once).  The basis is memoized on the grid,
+    # so the grid is a fresh one
     symbols.classify.cache_clear()
-    linear._projection_basis.cache_clear()
     checks = count_calls(monkeypatch, linear, "check_solvability")
     pairs = count_calls(monkeypatch, spectral, "transform_at_pm")
     offgrid = count_calls(monkeypatch, spectral, "evaluate_transform_at")
-    base = GridFunction(aligned_grid, np.exp(-aligned_grid.x**2 / 2))
+    fresh = make_grid(resonant_aligned_half_length(1.0, 40.0), 1024)
+    base = GridFunction(fresh, np.exp(-fresh.x**2 / 2))
     spec = builtin_sequences(
         "truncate", kind=SequenceKind.RHS, base=base, M=12, shift_params=RESONANT
     )
