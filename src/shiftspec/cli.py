@@ -10,10 +10,11 @@ JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .spectral import (
 from .symbols import ShiftParams, symbol, symbol_modulus_sq
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     options: dict
@@ -46,17 +47,18 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (type check, required)
 _NUMBER = (int, float)
 
-
-def _is_function_spec(v):
-    if isinstance(v, str):
-        return v.endswith(".csv")
-    if isinstance(v, dict):
-        return set(v) <= {"name", "params"} and "name" in v
-    return False
-
+# spec kind -> (optional keys beside the required string 'name' and their
+# kinds, the shape named in errors)
+_SPECS = {
+    "function": ({"params": "object"}, "a builtin spec {'name', 'params'?} or a .csv path"),
+    "nonlinearity": (
+        {"params": "object", "l": "constant", "k": "constant"},
+        "{'name', 'params'?, 'l'?, 'k'?}",
+    ),
+    "generator": ({"perturbation": "function"}, "{'name', 'perturbation'?}"),
+}
 
 _COMMON_GRID = {
     "a": ("number", True),
@@ -113,33 +115,33 @@ def _check_type(key, value, kind):
     elif kind == "integer":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
-    elif kind == "function":
-        if not _is_function_spec(value):
-            raise ConfigError(
-                f"field {key!r} must be a builtin spec {{'name', 'params'?}} or a .csv path"
-            )
-    elif kind == "nonlinearity":
-        if not isinstance(value, dict) or "name" not in value or not set(value) <= {
-            "name",
-            "params",
-            "l",
-            "k",
-        }:
-            raise ConfigError(
-                f"field {key!r} must be {{'name', 'params'?, 'l'?, 'k'?}}, got {value!r}"
-            )
+    elif kind == "constant":
+        _check_type(key, value, "number")
+        # compared, not math.isfinite'd: a JSON int may exceed the float range
+        if not 0 <= value <= sys.float_info.max:
+            raise ConfigError(f"field {key!r} must be finite and non-negative, got {value!r}")
+    elif kind == "string":
+        if not isinstance(value, str):
+            raise ConfigError(f"field {key!r} must be a string, got {value!r}")
+    elif kind == "object":
+        if not isinstance(value, dict):
+            raise ConfigError(f"field {key!r} must be an object, got {value!r}")
+    elif kind == "function" and isinstance(value, str):
+        if not value.endswith(".csv"):
+            raise ConfigError(f"field {key!r} must be {_SPECS[kind][1]}, got {value!r}")
+    elif kind in _SPECS:
+        fields, shape = _SPECS[kind]
+        if not (isinstance(value, dict) and "name" in value and set(value) <= {"name", *fields}):
+            raise ConfigError(f"field {key!r} must be {shape}, got {value!r}")
+        for sub, sub_kind in {"name": "string", **fields}.items():
+            if sub in value:
+                _check_type(f"{key}.{sub}", value[sub], sub_kind)
     elif kind == "v0":
         if value != "zero" and not (isinstance(value, str) and value.endswith(".csv")):
             raise ConfigError(f"field {key!r} must be 'zero' or a .csv path")
     elif kind == "kind":
         if value not in ("rhs", "kernel"):
             raise ConfigError(f"field {key!r} must be 'rhs' or 'kernel'")
-    elif kind == "generator":
-        if not isinstance(value, dict) or "name" not in value or not set(value) <= {
-            "name",
-            "perturbation",
-        }:
-            raise ConfigError(f"field {key!r} must be {{'name', 'perturbation'?}}")
 
 
 def _finite_float(text):
@@ -173,9 +175,11 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
         raise ConfigError("field 'h' must be nonzero")
     if "a" in raw and raw["a"] <= 0:
         raise ConfigError("field 'a' must be positive")
-    for key in ("tol_orth", "tol_h2", "epsilon", "max_iter"):
+    for key in ("tol_orth", "tol_h2", "epsilon", "max_iter", "M"):
         if key in raw and raw[key] <= 0:
             raise ConfigError(f"field {key!r} must be positive")
+    if raw.get("num_points", 2) < 2:
+        raise ConfigError("num_points must be at least 2")
     if command == "sequence":
         if raw["kind"] == "kernel" and "epsilon" not in raw:
             raise ConfigError("kernel sequences require 'epsilon'")
@@ -205,47 +209,64 @@ def _load_nonlinearity(spec, grid) -> Nonlinearity:
     return F
 
 
-def _complex_pair(z) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+# Result fields the JSON reports leave out: u is written to its own CSV,
+# and ghat_sup (max|G_hat|) only serves the kernel sequences' multiplier gaps.
+_NOT_REPORTED = ("u", "ghat_sup")
+
+# Report fields that an orthogonality failure shows on stderr
+_ERROR_DETAILS = ("fhat_plus", "fhat_minus", "Ghat_plus", "Ghat_minus", "tolerance_used")
 
 
-def _classification_json(cls):
-    return {"kind": cls.kind.value, "n": cls.n, "alpha": cls.alpha}
+def _to_json(obj):
+    """JSON data of a result object: dataclass fields by name (bar
+    _NOT_REPORTED), enums by value, complex numbers as [re, im], lists
+    and dicts item by item."""
+    if dataclasses.is_dataclass(obj):
+        return {
+            f.name: _to_json(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.name not in _NOT_REPORTED
+        }
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, dict):
+        return {k: _to_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_to_json(v) for v in obj]
+    return obj
 
 
-def _write_json(payload, path):
-    with open(path, "w") as fh:
+def _output(cfg: RunConfig, name):
+    """Path of output file name; the output directory is made on the first
+    write, so a rejected run leaves none behind."""
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.output_dir / name
+
+
+def _write_report(cfg: RunConfig, name, result, **extra):
+    payload = {"command": cfg.command, "seed": cfg.seed, **_to_json(result), **extra}
+    with open(_output(cfg, name), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _kernel_report_json(rep):
-    return {
-        "finite": rep.finite,
-        "N": rep.N,
-        "sup1": rep.sup1,
-        "sup2": rep.sup2,
-        "Ghat_plus": _complex_pair(rep.Ghat_plus),
-        "Ghat_minus": _complex_pair(rep.Ghat_minus),
-        "l1_norm_G": rep.l1_norm_G,
-        "weighted_l1_G": rep.weighted_l1_G,
-        "tail_sup": rep.tail_sup,
-        "classification": _classification_json(rep.classification),
-    }
 
 
 def _cmd_spectrum(cfg: RunConfig):
     o = cfg.options
     params = ShiftParams(float(o["a"]), float(o["h"]))
-    if o["num_points"] < 2:
-        raise ConfigError("num_points must be at least 2")
-    p = np.linspace(float(o["p_min"]), float(o["p_max"]), o["num_points"])
-    lam = symbol(p, params)
-    mod2 = symbol_modulus_sq(p, params)
-    out = cfg.output_dir / "spectrum.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.linspace(float(o["p_min"]), float(o["p_max"]), o["num_points"])
+        lam = symbol(p, params)
+        columns = (p, lam.real, lam.imag, symbol_modulus_sq(p, params))
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ConfigError(
+            f"lambda(p) or |lambda(p)|^2 overflows float64 on [{o['p_min']}, {o['p_max']}]"
+        )
+    out = _output(cfg, "spectrum.csv")
     with open(out, "wb") as fh:
         fh.write(b"p,re_lambda,im_lambda,mod_sq\n")
-        write_float_rows(fh, (p, lam.real, lam.imag, mod2), b"\n")
+        write_float_rows(fh, columns, b"\n")
     print(f"spectrum: {o['num_points']} samples on [{o['p_min']}, {o['p_max']}] -> {out}")
     return 0
 
@@ -257,21 +278,9 @@ def _cmd_solve_linear(cfg: RunConfig):
     f = _load_function(o["f"], grid)
     tol = float(o.get("tol_orth", 1e-8))
     result = solve_linear(f, params, tol_orth=tol)
-    write_gridfunction_csv(result.u, cfg.output_dir / "solution.csv")
+    write_gridfunction_csv(result.u, _output(cfg, "solution.csv"))
     rep = result.solvability
-    payload = {
-        "command": "solve-linear",
-        "seed": cfg.seed,
-        "solvable": rep.solvable,
-        "fhat_plus": _complex_pair(rep.fhat_plus),
-        "fhat_minus": _complex_pair(rep.fhat_minus),
-        "residual_l2": result.residual_l2,
-        "h2_norm": result.h2_norm_u,
-        "weighted_l1": rep.weighted_l1,
-        "tolerance_used": rep.tolerance_used,
-        "classification": _classification_json(rep.classification),
-    }
-    _write_json(payload, cfg.output_dir / "report.json")
+    _write_report(cfg, "report.json", rep, residual_l2=result.residual_l2, h2_norm=result.h2_norm_u)
     print(
         f"solve-linear: solvable={rep.solvable} residual_l2={result.residual_l2:.3e} "
         f"-> {cfg.output_dir / 'solution.csv'}"
@@ -285,8 +294,7 @@ def _cmd_constants(cfg: RunConfig):
     grid = make_grid(float(o["L"]), int(o["N"]))
     G = _load_function(o["G"], grid)
     rep = stability_constant(G, params, tol_orth=float(o.get("tol_orth", 1e-8)))
-    payload = {"command": "constants", "seed": cfg.seed, **_kernel_report_json(rep)}
-    _write_json(payload, cfg.output_dir / "kernel_report.json")
+    _write_report(cfg, "kernel_report.json", rep)
     n_str = "infinite" if not rep.finite else f"{rep.N:.6g}"
     print(f"constants: finite={rep.finite} N={n_str} -> {cfg.output_dir / 'kernel_report.json'}")
     return 0
@@ -309,22 +317,8 @@ def _cmd_solve_nonlinear(cfg: RunConfig):
         max_iter=o.get("max_iter"),
         tol_orth=float(o.get("tol_orth", 1e-8)),
     )
-    write_gridfunction_csv(result.u, cfg.output_dir / "solution.csv")
-    payload = {
-        "command": "solve-nonlinear",
-        "seed": cfg.seed,
-        "iterations": result.iterations,
-        "iteration_bound": result.iteration_bound,
-        "step_norms": result.step_norms,
-        "observed_ratio": result.observed_ratio,
-        "q_bound": result.q_bound,
-        "residual_l2": result.residual_l2,
-        "residual_tail_bound": result.residual_tail_bound,
-        "nontrivial": result.nontrivial,
-        "h2_norm": h2_norm(result.u),
-        "stability": _kernel_report_json(result.stability),
-    }
-    _write_json(payload, cfg.output_dir / "fixed_point.json")
+    write_gridfunction_csv(result.u, _output(cfg, "solution.csv"))
+    _write_report(cfg, "fixed_point.json", result, h2_norm=h2_norm(result.u))
     print(
         f"solve-nonlinear: converged in {result.iterations} iterations "
         f"residual_l2={result.residual_l2:.3e} -> {cfg.output_dir / 'solution.csv'}"
@@ -359,33 +353,8 @@ def _cmd_sequence(cfg: RunConfig):
         table = run_kernel_sequence(
             spec, F, params, tol_orth=tol_orth, tol_h2=float(o.get("tol_h2", 1e-10))
         )
-    sequences.write_table_csv(table, cfg.output_dir / "table.csv")
-    payload = {
-        "command": "sequence",
-        "seed": cfg.seed,
-        "kind": table.kind.value,
-        "M": spec.M,
-        "epsilon": table.epsilon,
-        "alpha": table.alpha,
-        "N_limit": table.N_limit,
-        "q_limit": table.q_limit,
-        "checks": table.checks,
-        "rows": [
-            {
-                "m": r.m,
-                "input_gap": r.input_gap,
-                "weighted_gap": r.weighted_gap,
-                "solution_gap_h2": r.solution_gap_h2,
-                "solution_gap_l2": r.solution_gap_l2,
-                "d2_gap": r.d2_gap,
-                "multiplier_gap": r.multiplier_gap,
-                "multiplier_gap_p2": r.multiplier_gap_p2,
-                "N_m": r.N_m,
-            }
-            for r in table.rows
-        ],
-    }
-    _write_json(payload, cfg.output_dir / "summary.json")
+    sequences.write_table_csv(table, _output(cfg, "table.csv"))
+    _write_report(cfg, "summary.json", table, M=spec.M)
     all_ok = all(table.checks.values())
     print(
         f"sequence: M={spec.M} checks={'all pass' if all_ok else 'FAILURES'} "
@@ -405,24 +374,12 @@ _COMMANDS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[cfg.command](cfg)
 
 
 def _error_json(exc):
-    details = {}
-    report = getattr(exc, "report", None)
-    if report is not None:
-        for attr, key in (
-            ("fhat_plus", "fhat_plus"),
-            ("fhat_minus", "fhat_minus"),
-            ("Ghat_plus", "Ghat_plus"),
-            ("Ghat_minus", "Ghat_minus"),
-        ):
-            if hasattr(report, attr):
-                details[key] = _complex_pair(getattr(report, attr))
-        if hasattr(report, "tolerance_used"):
-            details["tolerance_used"] = report.tolerance_used
+    report = _to_json(exc.report) if isinstance(exc, HypothesisError) else None
+    details = {k: v for k, v in (report or {}).items() if k in _ERROR_DETAILS}
     return {"error": {"type": type(exc).__name__, "message": str(exc), "details": details}}
 
 

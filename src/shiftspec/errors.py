@@ -9,26 +9,23 @@ class HypothesisError(ShiftSpecError):
     """A solvability/contraction hypothesis is violated by the inputs.
 
     These are not internal faults: the requested problem is outside the
-    regime in which the solvers are defined.
+    regime in which the solvers are defined.  report, when given, is the
+    solvability or kernel report that shows the violation.
     """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ResonantNotSolvable(HypothesisError):
     """Resonant shift with a right-hand side violating the orthogonality
     conditions at the singular frequencies +-sqrt(a)."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class NotFinite(HypothesisError):
     """Stability constant is infinite: resonant shift with a kernel whose
     transform does not vanish at +-sqrt(a)."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class ContractionHypothesisFailed(HypothesisError):

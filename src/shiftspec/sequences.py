@@ -325,14 +325,5 @@ def write_table_csv(table: ConvergenceTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for r in table.rows:
-            writer.writerow(
-                [
-                    r.m,
-                    f"{r.input_gap:.17g}",
-                    f"{r.weighted_gap:.17g}",
-                    f"{r.solution_gap_h2:.17g}",
-                    "" if r.multiplier_gap is None else f"{r.multiplier_gap:.17g}",
-                    "" if r.N_m is None else f"{r.N_m:.17g}",
-                ]
-            )
+        for row in zip(*map(table.column, _CSV_COLUMNS)):
+            writer.writerow(["" if v is None else f"{v:.17g}" for v in row])

@@ -89,20 +89,14 @@ def _spectrum_reference(config):
 
 @pytest.mark.parametrize(
     "config",
-    [
-        {"a": 1.0, "h": np.pi, "p_min": -4.0, "p_max": 4.0, "num_points": 801},
-        # p**2 overflows to inf, so inf fields take the exact path
-        {"a": 1.0, "h": 1.0, "p_min": -4.0, "p_max": 1e200, "num_points": 9},
-    ],
-    ids=["band", "overflow"],
+    [{"a": 1.0, "h": np.pi, "p_min": -4.0, "p_max": 4.0, "num_points": 801}],
+    ids=["band"],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_spectrum_csv_bytes_match_percent_g17(tmp_path, config):
     cfg = write_cfg(tmp_path, config)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
     got = (tmp_path / "spectrum.csv").read_bytes()
     assert got == _spectrum_reference(config)
-    assert (b",inf," in got) == (config["p_max"] > 1e154)
 
 
 def test_solve_linear_run_and_schema(tmp_path):
@@ -367,6 +361,16 @@ def test_kernel_sequence_missing_epsilon(tmp_path, capsys):
 
 
 
+SEQUENCE_CFG = {
+    "a": 1.0,
+    "h": 1.0,
+    "L": 40.0,
+    "N": 1024,
+    "kind": "rhs",
+    "base": {"name": "gaussian"},
+    "generator": {"name": "scale"},
+}
+
 NONLINEAR_CFG = {
     "a": 1.0,
     "h": 1.0,
@@ -427,8 +431,24 @@ def test_solution_csv_bytes_match_percent_g17(tmp_path, monkeypatch, case):
         ("solve-nonlinear", NONLINEAR_CFG, "tol_h2", np.nan),
         ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "params": {"slope": np.nan}}),
         ("solve-nonlinear", NONLINEAR_CFG, "max_iter", 0),
+        # p**2 overflows float64: rejected with no numpy warning, nothing written
+        ("spectrum", {"a": 1.0, "h": 1.0, "p_min": -4.0, "num_points": 9}, "p_max", 1e200),
+        ("spectrum", {"a": 1.0, "h": 1.0, "p_min": -4.0, "p_max": 4.0}, "num_points", 1),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "l": True}),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "l": "0.1"}),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "l": None}),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "k": -1.0}),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "k": 10**400}),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "params": [0.1]}),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": ["tanh"]}),
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": [1]}),
+        ("solve-linear", LINEAR_CFG, "f", {"name": 5}),
+        ("sequence", SEQUENCE_CFG, "generator", {"name": "add", "perturbation": 5}),
+        ("sequence", SEQUENCE_CFG, "generator", {"name": 1}),
+        ("sequence", SEQUENCE_CFG, "M", 0),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_number_not_finite_or_out_of_range_exit_1(
     tmp_path, capsys, command, base, field, value
 ):
@@ -437,4 +457,26 @@ def test_config_number_not_finite_or_out_of_range_exit_1(
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, rc, error",
+    [
+        ("solve-linear", dict(LINEAR_CFG, N=1023), 1, "ValueError"),
+        ("solve-linear", dict(LINEAR_CFG, f="absent.csv"), 1, "ConfigError"),
+        ("solve-linear", dict(LINEAR_CFG, h=2 * np.pi, f={"name": "gaussian"}), 2,
+         "ResonantNotSolvable"),
+        ("solve-nonlinear", dict(NONLINEAR_CFG, F={"name": "tanh", "params": {"slope": 20.0}}), 2,
+         "ContractionHypothesisFailed"),
+    ],
+    ids=["odd-N", "missing-csv", "resonant", "contraction"],
+)
+def test_run_rejected_after_parsing_leaves_no_output_dir(
+    tmp_path, monkeypatch, capsys, command, config, rc, error
+):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == rc
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == error
     assert not out.exists()
