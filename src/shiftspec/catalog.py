@@ -6,6 +6,8 @@ convention) where one exists, so tests can assert against closed forms.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .nonlinear import Nonlinearity
@@ -129,6 +131,12 @@ def builtin_nonlinearity(name: str, grid: Grid, params: dict | None = None) -> N
             f"unknown builtin nonlinearity {name!r}; available: {sorted(_NONLINEARITIES)}"
         ) from None
     return factory(grid, **(params or {}))
+
+
+def builtin_parameters(kind: str) -> dict[str, tuple[str, ...]]:
+    """The keyword parameters of each builtin "function" or "nonlinearity"."""
+    factories = _FUNCTIONS if kind == "function" else _NONLINEARITIES
+    return {name: tuple(inspect.signature(f).parameters)[1:] for name, f in factories.items()}
 
 
 def _function_spec(spec, default):

@@ -112,13 +112,18 @@ def _check_type(key, value, kind):
     if kind == "number":
         if not isinstance(value, _NUMBER) or isinstance(value, bool):
             raise ConfigError(f"field {key!r} must be a number, got {value!r}")
+        # compared, not math.isfinite'd: a JSON int may exceed the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(
+                f"field {key!r} must be within the float range, got a "
+                f"{len(str(abs(value)))}-digit integer"
+            )
     elif kind == "integer":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
     elif kind == "constant":
         _check_type(key, value, "number")
-        # compared, not math.isfinite'd: a JSON int may exceed the float range
-        if not 0 <= value <= sys.float_info.max:
+        if value < 0:
             raise ConfigError(f"field {key!r} must be finite and non-negative, got {value!r}")
     elif kind == "string":
         if not isinstance(value, str):
@@ -136,12 +141,33 @@ def _check_type(key, value, kind):
         for sub, sub_kind in {"name": "string", **fields}.items():
             if sub in value:
                 _check_type(f"{key}.{sub}", value[sub], sub_kind)
+        if kind != "generator":
+            _check_builtin(key, value, kind)
+    elif kind == "offset":
+        # the catalog reads a bare name as {'name': name}
+        _check_type(key, {"name": value} if isinstance(value, str) else value, "function")
     elif kind == "v0":
         if value != "zero" and not (isinstance(value, str) and value.endswith(".csv")):
             raise ConfigError(f"field {key!r} must be 'zero' or a .csv path")
     elif kind == "kind":
         if value not in ("rhs", "kernel"):
             raise ConfigError(f"field {key!r} must be 'rhs' or 'kernel'")
+
+
+def _check_builtin(key, spec, kind):
+    # a catalog builtin's name and params: numbers, but a nonlinearity's
+    # offset is a function spec
+    known = catalog.builtin_parameters(kind)
+    name = spec["name"]
+    if name not in known:
+        raise ConfigError(f"field '{key}.name' must be one of {sorted(known)}, got {name!r}")
+    for param, value in spec.get("params", {}).items():
+        if param not in known[name]:
+            raise ConfigError(
+                f"field '{key}.params' has unknown key {param!r}; "
+                f"{name} takes {sorted(known[name])}"
+            )
+        _check_type(f"{key}.params.{param}", value, "offset" if param == "offset" else "number")
 
 
 def _finite_float(text):
@@ -185,6 +211,8 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
             raise ConfigError("kernel sequences require 'epsilon'")
         if raw["kind"] == "kernel" and "F" not in raw:
             raise ConfigError("kernel sequences require 'F'")
+        if raw["kind"] == "kernel" and raw["epsilon"] >= 1:
+            raise ConfigError("field 'epsilon' must be below 1 for kernel sequences")
     return RunConfig(command=command, options=raw, output_dir=Path(output_dir), seed=seed)
 
 

@@ -22,10 +22,10 @@ import numpy as np
 from .spectral import (
     SQRT_2PI,
     GridFunction,
+    evaluate_transform_at,
     forward_transform,
     l1_norm,
     transform_at_pm,
-    transform_on_progression,
     weighted_l1_norm,
 )
 from .errors import ShiftSpecError
@@ -81,7 +81,19 @@ def stability_constant(
     """
     grid = G.grid
     cls = classify(params)
-    gp, gm, orth_ok = kernel_orthogonality(G, params.a, tol_orth)
+    r = params.sqrt_a
+
+    # refinement around +-sqrt(a): 65 in-band frequencies leading away
+    # from each root on either side, over one grid step; resonant zeros
+    # excluded and covered by the caps instead.  One evaluation gives
+    # G_hat(+-sqrt(a)) and the refinement samples
+    e_min = 1e-4 * r if cls.is_resonant else 0.0
+    away = e_min + (grid.dp - e_min) / 64 * np.arange(65)
+    p_ref = np.concatenate([r + away, r - away, -r + away, -r - away])
+    p_ref = p_ref[np.abs(p_ref) <= grid.p_max]
+    values = evaluate_transform_at(G, np.concatenate([[r, -r], p_ref]))
+    gp, gm = complex(values[0]), complex(values[1])
+    orth_ok = abs(gp) <= tol_orth and abs(gm) <= tol_orth
     Gh = forward_transform(G)
     gh_abs = np.abs(Gh.values)
     gh_max = float(gh_abs.max())
@@ -109,20 +121,9 @@ def stability_constant(
     inv_abs = np.abs(inverse_symbol_on_grid(grid, params, cls))
     sup1 = float((gh_abs * inv_abs).max())
     sup2 = float((grid.p**2 * gh_abs * inv_abs).max())
-    r = params.sqrt_a
 
-    # refinement around +-sqrt(a): 65-point progressions leading away from
-    # each root on either side; resonant zeros excluded and covered by the
-    # caps instead
-    e_min = 1e-4 * r if cls.is_resonant else 0.0
-    away = np.array([1.0, -1.0, 1.0, -1.0])
-    starts = np.array([r, r, -r, -r]) + away * e_min
-    steps = away * (grid.dp - e_min) / 64
-    p_ref = (starts[:, None] + steps[:, None] * np.arange(65)).ravel()
-    gh_ref = np.abs(transform_on_progression(G, starts, steps, 65)).ravel()
-    band = np.abs(p_ref) <= grid.p_max
-    p_ref, gh_ref = p_ref[band], gh_ref[band]
     if p_ref.size:
+        gh_ref = np.abs(values[2:])
         lam_ref = np.abs(symbol(p_ref, params))
         keep = lam_ref > 0
         sup1 = max(sup1, float((gh_ref[keep] / lam_ref[keep]).max()))

@@ -50,15 +50,15 @@ class Grid:
 
     Each grid also memoizes, through :meth:`memo`, the read-only arrays
     that the solve paths derive from it and the shift parameters: the
-    symbol lambda(p) and its inverse, the phase vector e^{-i r x} of
-    :func:`transform_at_pm`, the data-independent factors of
-    :func:`transform_on_progression` and the window basis of
-    ``linear.project_solvable``.  The memo keeps one entry per kind, for
-    the most recent parameters only, so it holds at most five entries
-    of O(N) arrays (four pre-chirp rows for the progression factors).
-    It holds plain arrays that do not refer back to the grid, so it is
-    freed with the grid by reference counting; it takes no part in
-    equality, hashing or repr.
+    symbol lambda(p) and its inverse, the window basis of
+    ``linear.project_solvable`` and the phase tables of
+    :func:`evaluate_transform_at` (kind ``offgrid``).  The memo keeps one
+    entry per kind, for the most recent key only, so it holds at most
+    four entries: three of O(N) arrays and the off-grid tables,
+    2*(B + Q)*P floats for P frequencies with B*Q ~ N.  It holds plain
+    arrays that do not refer back to the grid, so it is freed with the
+    grid by reference counting; it takes no part in equality, hashing
+    or repr.
     """
 
     L: float
@@ -213,107 +213,68 @@ def inverse_transform(uh: SpectralFunction) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-def _warn_beyond_band(grid: Grid, p_abs) -> None:
-    band = grid.p_max
-    if np.any(p_abs > band * (1.0 + 1e-12)):
-        warnings.warn(
-            f"frequency beyond the resolvable band |p| <= {band:.6g}; "
-            "quadrature values there alias",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def _offgrid_tables(grid: Grid, p: np.ndarray):
+    """Phase tables of :func:`evaluate_transform_at` at the frequencies p.
+
+    With j = q*B + b (B a power of two near sqrt(N), Q = ceil(N/B) rows),
+    e^{-i p x_j} = e^{-i p b dx} e^{-i p (q*B - N/2) dx}.  Returns the
+    (B, 2P) table of the first factor as interleaved cos and -sin
+    columns and the complex (P, Q) table of the second."""
+    B = 1 << (grid.N.bit_length() // 2)
+    pdx = p * grid.dx
+    inner = np.outer(np.arange(B), pdx)
+    outer = np.outer(pdx, np.arange(0, grid.N, B) - grid.N // 2)
+    inner = np.stack([np.cos(inner), -np.sin(inner)], axis=-1).reshape(B, -1)
+    return inner, np.cos(outer) - 1j * np.sin(outer)
 
 
 def evaluate_transform_at(u: GridFunction, p):
-    """Transform evaluated at arbitrary (generally off-grid) frequencies.
+    """Transform at arbitrary (generally off-grid) frequencies: the
+    trapezoidal sum (dx/sqrt(2*pi)) * sum_j u(x_j) e^{-i p x_j} of
+    (1/sqrt(2*pi)) int u(x) e^{-ipx} dx over the periodic box.
 
-    Trapezoidal quadrature of (1/sqrt(2*pi)) int_{-L}^{L} u(x) e^{-ipx} dx;
-    for the periodic box with decaying samples this coincides with the
-    plain dx-weighted sum.  Warns when |p| exceeds the resolvable band.
-    Accepts a scalar or an array of frequencies.
+    Accepts a scalar (gives a complex) or an array of P frequencies
+    (gives a flat array).  Warns when |p| exceeds the resolvable band.
+    The samples, zero-padded to Q rows of B (:func:`_offgrid_tables`),
+    are summed over b by one BLAS product and then over q against the
+    row phases: O(N*P) time, O((B + Q)*P) memory, no FFT.  The grid
+    memoizes the tables for the most recent frequencies.  Subnormal
+    samples count as zero: that moves a value by less than
+    N*dx*2.3e-308 and keeps the BLAS product off its slow path.
     """
-    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    _warn_beyond_band(u.grid, np.abs(p_arr))
-    phases = np.exp(-1j * np.outer(p_arr, u.grid.x))
-    out = (u.grid.dx / SQRT_2PI) * (phases @ u.values)
-    if np.isscalar(p) or np.asarray(p).ndim == 0:
-        return complex(out[0])
-    return out
-
-
-def _bits(values) -> bytes:
-    """Exact memo key for float data: its float64 bit patterns."""
-    return np.asarray(values, dtype=np.float64).tobytes()
+    p_arr = np.asarray(p, dtype=np.float64).ravel()
+    grid = u.grid
+    if np.any(np.abs(p_arr) > grid.p_max * (1.0 + 1e-12)):
+        warnings.warn(
+            f"frequency beyond the resolvable band |p| <= {grid.p_max:.6g}; "
+            "quadrature values there alias",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    inner, outer = grid.memo("offgrid", p_arr.tobytes(), lambda: _offgrid_tables(grid, p_arr))
+    B, Q = inner.shape[0], outer.shape[1]
+    parts = (u.values,) if u.is_real else (u.values.real, u.values.imag)
+    rows = np.zeros((len(parts), Q * B))
+    rows[:, : grid.N] = parts
+    rows[np.abs(rows) < np.finfo(np.float64).tiny] = 0.0
+    # sum_b u_(qB+b) e^{-i p b dx} per part and row q: interleaved
+    # (re, im) columns, read as complex without a copy
+    rowsums = (rows.reshape(-1, B) @ inner).view(np.complex128).reshape(len(parts), Q, -1)
+    # then over q, by numpy's pairwise sum along contiguous (P, Q) rows: a
+    # sequential sum carries input changes far below round-off (1e-20 in
+    # the tails) into values that are round-off zeros, and the projection
+    # coefficients of two nearly equal functions then differ by an ulp
+    terms = np.empty((len(parts),) + outer.shape, dtype=np.complex128)
+    sums = np.multiply(rowsums.transpose(0, 2, 1), outer, out=terms).sum(axis=-1)
+    out = (grid.dx / SQRT_2PI) * (sums[0] if u.is_real else sums[0] + 1j * sums[1])
+    return complex(out[0]) if np.ndim(p) == 0 else out
 
 
 def transform_at_pm(u: GridFunction, r: float) -> tuple[complex, complex]:
-    """The pair (u_hat(r), u_hat(-r)) of :func:`evaluate_transform_at`
-    values, from one phase vector e^{-irx} and its conjugate; the grid
-    memoizes the phase vector for the most recent r.  Warns when |r|
-    exceeds the resolvable band."""
-    r = float(r)
-    grid = u.grid
-    _warn_beyond_band(grid, abs(r))
-    phase = grid.memo("phase_pm", _bits(r), lambda: np.exp(-1j * r * grid.x))
-    w = grid.dx / SQRT_2PI
-    return complex(w * (phase @ u.values)), complex(w * (phase.conj() @ u.values))
-
-
-def transform_on_progression(u: GridFunction, starts, step, M: int) -> np.ndarray:
-    """Transform on arithmetic progressions of frequencies, by Bluestein's
-    chirp-z transform in O((N + M) log(N + M)) time and O(N + M) memory
-    per progression.
-
-    Row b of the returned (len(starts), M) array holds the same trapezoidal
-    sum as :func:`evaluate_transform_at`,
-    (dx/sqrt(2*pi)) * sum_j u(x_j) e^{-i p_k x_j},
-    at p_k = starts[b] + k*step_b, k = 0..M-1.  ``step`` is a scalar or
-    one value per start; all steps must have the same magnitude, because
-    every row shares one chirp filter (a negative-step row is evaluated
-    from its other end with the positive step and then reversed).
-    Frequencies beyond the resolvable band are not flagged; the sum
-    aliases there.  The data-independent factors (the pre-chirp rows
-    and the chirp filter's spectrum) are memoized on the grid for the
-    most recent (starts, step, M).
-    """
-    grid = u.grid
-    starts = np.atleast_1d(np.asarray(starts, dtype=np.float64))
-    steps = np.broadcast_to(np.asarray(step, dtype=np.float64), starts.shape)
-    M = int(M)
-    if starts.ndim != 1 or starts.size == 0 or M < 1:
-        raise ValueError("starts must be a nonempty 1-D array and M >= 1")
-    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(steps))):
-        raise ValueError("starts and step must be finite")
-    d = abs(float(steps[0]))
-    if np.any(np.abs(steps) != d):
-        raise ValueError("all steps must have the same magnitude")
-    neg = steps < 0
-
-    def build():
-        N = grid.N
-        # centred indices x_j = m*dx, p = pc + t*d keep the chirp phases
-        # small where the data and the output live
-        c = (M - 1) // 2
-        pc = np.where(neg, starts + (M - 1) * steps, starts) + c * d
-        w = d * grid.dx
-        m = np.arange(N) - N // 2
-        t = np.arange(M) - c
-        # Bluestein: t*m = (t^2 + m^2 - (t-m)^2)/2, a convolution over the
-        # lag n = k - j with t - m = n + N/2 - c
-        nfft = 1 << (N + M - 2).bit_length()
-        pre = np.exp(-1j * (np.outer(pc, grid.x) + 0.5 * w * m**2))
-        lags = np.arange(-(N - 1), M)
-        chirp = np.zeros(nfft, dtype=np.complex128)
-        chirp[lags % nfft] = np.exp(0.5j * w * (lags + N // 2 - c) ** 2)
-        post = (grid.dx / SQRT_2PI) * np.exp(-0.5j * w * t**2)
-        return pre, np.fft.fft(chirp), post
-
-    pre, chirp_hat, post = grid.memo("progression", (_bits(starts), _bits(steps), M), build)
-    nfft = chirp_hat.size
-    y = np.fft.ifft(np.fft.fft(pre * u.values, nfft) * chirp_hat)[:, :M]
-    out = post * y
-    out[neg] = out[neg, ::-1]
-    return out
+    """The pair (u_hat(r), u_hat(-r)): :func:`evaluate_transform_at` at
+    [r, -r].  Warns when |r| exceeds the resolvable band."""
+    plus, minus = evaluate_transform_at(u, [float(r), -float(r)])
+    return complex(plus), complex(minus)
 
 
 def shift(u: GridFunction, h: float) -> GridFunction:

@@ -380,6 +380,8 @@ NONLINEAR_CFG = {
     "F": {"name": "tanh", "params": {"slope": 0.1, "offset": "gaussian"}},
 }
 
+KERNEL_SEQUENCE_CFG = dict(SEQUENCE_CFG, kind="kernel", F=NONLINEAR_CFG["F"], epsilon=0.5)
+
 
 def _percent_g17_csv(u):
     # reference solution.csv: '%.17g' per value, a real u's im field the literal 0
@@ -446,6 +448,22 @@ def test_solution_csv_bytes_match_percent_g17(tmp_path, monkeypatch, case):
         ("sequence", SEQUENCE_CFG, "generator", {"name": "add", "perturbation": 5}),
         ("sequence", SEQUENCE_CFG, "generator", {"name": 1}),
         ("sequence", SEQUENCE_CFG, "M", 0),
+        # JSON ints beyond the float range
+        pytest.param("solve-linear", LINEAR_CFG, "a", 10**400, id="solve-linear-a-10**400"),
+        pytest.param(
+            "constants", {"a": 1.0, "h": 1.0, "N": 1024, "G": {"name": "gaussian"}}, "L",
+            -(10**400), id="constants-L--10**400",
+        ),
+        pytest.param(
+            "solve-nonlinear", NONLINEAR_CFG, "tol_h2", 10**400, id="solve-nonlinear-tol_h2-10**400"
+        ),
+        pytest.param(
+            "spectrum", {"a": 1.0, "h": 1.0, "p_min": -4.0, "num_points": 9}, "p_max", 10**400,
+            id="spectrum-p_max-10**400",
+        ),
+        # a kernel sequence's contraction slack lies in (0, 1)
+        ("sequence", KERNEL_SEQUENCE_CFG, "epsilon", 1.5),
+        ("sequence", KERNEL_SEQUENCE_CFG, "epsilon", 1),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -458,6 +476,58 @@ def test_config_number_not_finite_or_out_of_range_exit_1(
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ConfigError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, base, field, value, named",
+    [
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gauss"}, "f.name"),
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": {"sigma": "1"}},
+         "f.params.sigma"),
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": {"width": 1.0}},
+         "f.params"),
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": {"sigma": 10**400}},
+         "f.params.sigma"),
+        ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024}, "G",
+         {"name": "zero", "params": {"amplitude": 1.0}}, "G.params"),
+        ("solve-nonlinear", NONLINEAR_CFG, "G", {"name": "gaussian", "params": {"amplitude": True}},
+         "G.params.amplitude"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "cubic"}, "F.name"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "params": {"offset": 0.5}},
+         "F.params.offset"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "params": {"offset": None}},
+         "F.params.offset"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "params": {"offset": "gauss"}},
+         "F.params.offset.name"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F",
+         {"name": "constant", "params": {"offset": {"name": "gaussian", "params": {"s": 1.0}}}},
+         "F.params.offset.params"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "zero", "params": {"slope": 0.1}},
+         "F.params"),
+        ("sequence", SEQUENCE_CFG, "base", {"name": "gaussian", "params": {"center": [0.0]}},
+         "base.params.center"),
+        ("sequence", SEQUENCE_CFG, "generator",
+         {"name": "add", "perturbation": {"name": "sine_packet", "params": {"freq": "2"}}},
+         "generator.perturbation.params.freq"),
+    ],
+)
+def test_builtin_spec_checked_against_catalog_exit_1(
+    tmp_path, capsys, command, base, field, value, named
+):
+    cfg = write_cfg(tmp_path, dict(base, **{field: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert f"field '{named}'" in err["message"]
+    assert not out.exists()
+
+
+def test_builtin_offset_accepts_a_name_or_a_spec(tmp_path):
+    for offset in ("gaussian", {"name": "gaussian"}, {"name": "zero", "params": {}}):
+        F = {"name": "tanh", "params": {"slope": 0.1, "offset": offset}}
+        cfg = write_cfg(tmp_path, dict(NONLINEAR_CFG, F=F))
+        assert parse_config(cfg, "solve-nonlinear", tmp_path, 0).options["F"] == F
 
 
 @pytest.mark.parametrize(

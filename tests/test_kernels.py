@@ -15,7 +15,6 @@ from shiftspec.linear import resonant_aligned_half_length
 from shiftspec.spectral import (
     SQRT_2PI,
     GridFunction,
-    evaluate_transform_at,
     forward_transform,
     l1_norm,
     make_grid,
@@ -37,8 +36,8 @@ from shiftspec.errors import ShiftSpecError
 from shiftspec.spectral import GridFunction, make_grid
 from shiftspec.symbols import ShiftParams
 
-original = kernels.transform_on_progression
-kernels.transform_on_progression = lambda *args: 10.0 * original(*args)
+original = kernels.evaluate_transform_at
+kernels.evaluate_transform_at = lambda *args: 10.0 * original(*args)
 g = make_grid(10.0, 128)
 try:
     kernels.stability_constant(GridFunction(g, np.exp(-g.x**2 / 2)), ShiftParams(1.0, 2 * np.pi / 1.15))
@@ -117,13 +116,14 @@ def test_stability_resonant_weighted_l1_once(monkeypatch):
     assert rep.weighted_l1_G == original(G)
 
 
-def _dense_progression(u, starts, step, M):
-    """Reference for transform_on_progression: the dense sum in band, and
-    a huge value beyond it that must never reach a sup."""
-    p = np.asarray(starts)[:, None] + np.asarray(step)[:, None] * np.arange(M)
+def _dense_in_band(u, p):
+    """Reference for evaluate_transform_at: the dense O(P*N) sum in band,
+    and a huge value beyond it that must never reach a sup."""
+    p = np.asarray(p, dtype=float)
     out = np.full(p.shape, 1e300, dtype=complex)
     in_band = np.abs(p) <= u.grid.p_max
-    out[in_band] = evaluate_transform_at(u, p[in_band])
+    phases = np.exp(-1j * np.outer(p[in_band], u.grid.x))
+    out[in_band] = (u.grid.dx / SQRT_2PI) * (phases @ u.values)
     return out
 
 
@@ -145,7 +145,7 @@ def test_stability_matches_dense_reference(monkeypatch, L, N, kernel, params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fast = stability_constant(G, params)
-        monkeypatch.setattr(kernels, "transform_on_progression", _dense_progression)
+        monkeypatch.setattr(kernels, "evaluate_transform_at", _dense_in_band)
         dense = stability_constant(G, params)
     assert fast.finite == dense.finite
     if not dense.finite:
@@ -160,8 +160,8 @@ def test_inconsistent_refinement_samples_raise(monkeypatch):
     G = GridFunction(g, np.exp(-(g.x**2) / 2))
     params = ShiftParams(1.0, 2 * np.pi / 1.15)
     assert stability_constant(G, params).finite
-    original = kernels.transform_on_progression
-    monkeypatch.setattr(kernels, "transform_on_progression", lambda *args: 10.0 * original(*args))
+    original = kernels.evaluate_transform_at
+    monkeypatch.setattr(kernels, "evaluate_transform_at", lambda *args: 10.0 * original(*args))
     with pytest.raises(ShiftSpecError, match="sampled sups"):
         stability_constant(G, params)
 
@@ -255,3 +255,24 @@ def test_ghat_sup_is_the_transform_sup(params):
     G = GridFunction(g, 0.3 * np.exp(-((g.x - 0.5) ** 2)))
     report = stability_constant(G, params)
     assert report.ghat_sup == sup_abs_spectral(forward_transform(G))
+
+
+@pytest.mark.parametrize("params", [NONRESONANT, RESONANT])
+def test_stability_constant_fft_count(monkeypatch, params):
+    # G_hat on the grid is the one FFT; G_hat(+-sqrt(a)) and the refinement
+    # samples are one off-grid direct sum, on a fresh grid and a warm one
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    g = make_grid(resonant_aligned_half_length(1.0, 20.0), 1024)
+    G = GridFunction(g, g.x**2 * np.exp(-(g.x**2) / 2))
+    for _ in range(2):
+        calls.clear()
+        assert stability_constant(G, params).finite
+        assert calls == ["fft"]

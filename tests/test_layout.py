@@ -53,3 +53,39 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _fft_uses(tree):
+    """(line, enclosing function) of every reference to numpy's fft module."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append((node.lineno, func))
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.fft") for alias in node.names):
+                found.append((node.lineno, func))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if node.module.startswith("numpy.fft") or any(a.name == "fft" for a in node.names):
+                found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_fft_only_in_the_two_transforms():
+    # every FFT the package runs goes through forward_transform or
+    # inverse_transform, so counting those two counts them all
+    allowed = {("spectral.py", "forward_transform"), ("spectral.py", "inverse_transform")}
+    found = [
+        f"{path.name}:{line} in {func}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for line, func in _fft_uses(ast.parse(path.read_text(), filename=str(path)))
+        if (path.name, func) not in allowed
+    ]
+    assert found == []

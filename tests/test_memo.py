@@ -1,4 +1,4 @@
-"""The per-grid memo of symbol, phase, chirp and window-basis arrays."""
+"""The per-grid memo of symbol, off-grid phase table and window-basis arrays."""
 
 import gc
 import sys
@@ -14,11 +14,10 @@ from shiftspec.kernels import stability_constant
 from shiftspec.linear import project_solvable, resonant_aligned_half_length, solve_linear
 from shiftspec.nonlinear import Nonlinearity, fixed_point_solve
 from shiftspec.spectral import (
-    SQRT_2PI,
     GridFunction,
+    evaluate_transform_at,
     make_grid,
     transform_at_pm,
-    transform_on_progression,
 )
 from shiftspec.symbols import (
     FredholmClass,
@@ -56,11 +55,14 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def progression_args(grid, params):
-    # the four refinement progressions stability_constant evaluates
+def stability_frequencies(grid, params):
+    # +-sqrt(a) and four 65-point progressions leading away from them, as
+    # stability_constant evaluates them
     r = params.sqrt_a
     away = np.array([1.0, -1.0, 1.0, -1.0])
-    return np.array([r, r, -r, -r]) + 1e-4 * r * away, away * grid.dp / 64, 65
+    starts = np.array([r, r, -r, -r]) + 1e-4 * r * away
+    steps = away * grid.dp / 64
+    return np.concatenate([[r, -r], (starts[:, None] + steps[:, None] * np.arange(65)).ravel()])
 
 
 def memo_arrays(grid):
@@ -71,12 +73,14 @@ def memo_arrays(grid):
 
 
 def touch_every_entry(grid, params):
-    """Run the solve paths that fill the memo for (grid, params)."""
+    """Run the solve paths that fill the memo for (grid, params); the
+    stability constant goes last, so its off-grid tables, the largest,
+    stay in the memo."""
     f = GridFunction(grid, np.exp(-grid.x**2 / 2))
     if classify(params).is_resonant:
         f = project_solvable(f, params)
-    stability_constant(f, params)
     solve_linear(f, params)
+    stability_constant(f, params)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -86,29 +90,28 @@ def test_cached_arrays_equal_uncached_bitwise(seed):
         cls = classify(params)
         grid = make_grid(L, N)
         u = GridFunction(grid, rng.standard_normal(N) * np.exp(-grid.x**2 / 8))
-        # first call builds (cold), second reads the memo (warm)
+        # first call builds (cold), second reads the memo (warm); the
+        # off-grid values against an equal, fresh grid
         for _ in range(2):
             assert same_bits(symbol_on_grid(grid, params), symbol(grid.p, params))
             assert same_bits(
                 inverse_symbol_on_grid(grid, params, cls), inverse_symbol(grid.p, params, cls)
             )
-            phase = np.exp(-1j * params.sqrt_a * grid.x)
-            w = grid.dx / SQRT_2PI
-            uncached = (complex(w * (phase @ u.values)), complex(w * (phase.conj() @ u.values)))
-            assert transform_at_pm(u, params.sqrt_a) == uncached
+            fresh = GridFunction(make_grid(L, N), u.values)
+            assert transform_at_pm(u, params.sqrt_a) == transform_at_pm(fresh, params.sqrt_a)
         assert symbol_on_grid(grid, params) is symbol_on_grid(grid, params)
-        # the progression rows on a warm grid against an equal, fresh one
-        args = progression_args(grid, params)
-        warm = transform_on_progression(u, *args)
-        assert same_bits(transform_on_progression(u, *args), warm)
+        # the stability frequencies on a warm grid against an equal, fresh one
+        p = stability_frequencies(grid, params)
+        warm = evaluate_transform_at(u, p)
+        assert same_bits(evaluate_transform_at(u, p), warm)
         fresh = make_grid(L, N)
-        assert same_bits(transform_on_progression(GridFunction(fresh, u.values), *args), warm)
+        assert same_bits(evaluate_transform_at(GridFunction(fresh, u.values), p), warm)
 
 
 def test_params_do_not_share_entries():
     grid = make_grid(resonant_aligned_half_length(1.0, 20.0), 512)
     u = GridFunction(grid, np.exp(-grid.x**2 / 2))
-    # different a: different progression starts under the same step
+    # different a: different stability frequencies on the same grid
     first, second = ShiftParams(1.0, 1.0), ShiftParams(2.0, 2 * np.pi / np.sqrt(2.0))
     for params in (first, second, first, second):
         fresh = make_grid(grid.L, grid.N)
@@ -118,10 +121,8 @@ def test_params_do_not_share_entries():
         assert same_bits(
             inverse_symbol_on_grid(grid, params, cls), inverse_symbol(grid.p, params, cls)
         )
-        args = progression_args(grid, params)
-        assert same_bits(
-            transform_on_progression(u, *args), transform_on_progression(ref, *args)
-        )
+        p = stability_frequencies(grid, params)
+        assert same_bits(evaluate_transform_at(u, p), evaluate_transform_at(ref, p))
         assert stability_constant(u, params) == stability_constant(ref, params)
     resonant = second
     for _ in range(2):
@@ -137,7 +138,7 @@ def test_memo_is_bounded_across_params():
     grid = make_grid(resonant_aligned_half_length(1.0, 20.0), 1024)
     touch_every_entry(grid, ShiftParams(1.0, 2 * np.pi))
     kinds = len(grid._memo)
-    assert kinds == 5
+    assert kinds == 4
     tracemalloc.start()
     try:
         held = []
@@ -148,12 +149,12 @@ def test_memo_is_bounded_across_params():
     finally:
         tracemalloc.stop()
     assert len(grid._memo) == kinds
-    # one set of entries: the symbol, its inverse, the phase vector and the
-    # two window functions are N complex values each, the progression
-    # factors four rows of N, a chirp filter spectrum of 2N and M = 65
-    # output phases
+    # one set of entries: the symbol, its inverse and the two window
+    # functions are N complex values each (with the window basis's 2x2
+    # matrix), and the off-grid tables for P = 2 + 4*65 frequencies four
+    # (B or Q) x P float tables, B = Q = 32 at N = 1024
     one_set = sum(arr.nbytes for arr in memo_arrays(grid))
-    assert one_set <= 16 * (11 * grid.N + 2 * 65)
+    assert one_set <= 16 * (4 * grid.N + 4) + 8 * 2 * (32 + 32) * (2 + 4 * 65)
     assert max(held) - held[0] <= one_set + 64 * 1024
 
 
@@ -214,7 +215,7 @@ def test_memo_is_freed_with_its_grid_without_gc():
             )
             if not classify(params).is_resonant:
                 fixed_point_solve(G, F, params, tol_h2=1e-8)
-            assert len(grid._memo) == (5 if classify(params).is_resonant else 4)
+            assert len(grid._memo) == (4 if classify(params).is_resonant else 3)
             ref = weakref.ref(grid)
             del grid, G, F
             assert ref() is None

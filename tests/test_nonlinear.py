@@ -325,11 +325,10 @@ def test_contraction_bound_random_pairs(grid):
 @pytest.mark.parametrize("tol_h2", [1e-6, 1e-8])
 def test_fixed_point_fft_count(monkeypatch, tol_h2):
     # per iteration: F(v)_hat and one inverse for the step (its H2 norm
-    # is taken on the spectra); once: 4 for the stability constant, 1 for
+    # is taken on the spectra); once: 1 for the stability constant, 1 for
     # G_hat, 1 for v0_hat, 2 for the nontriviality check, 2 for the
-    # residual's operator application.  The stability constant's chirp
-    # filter spectrum is memoized on the grid, so a second solve on the
-    # same grid and params does 3 there
+    # residual's operator application.  The off-grid samples take no FFT,
+    # so a second solve on the same, now warm grid does the same
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
@@ -344,11 +343,11 @@ def test_fixed_point_fft_count(monkeypatch, tol_h2):
     F = tanh_nonlinearity(cold)
     result = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
     assert result.iterations >= 3
-    assert len(calls) == 2 * result.iterations + 10
+    assert len(calls) == 2 * result.iterations + 7
     calls.clear()  # same grid, now warm for NONRESONANT
     again = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
     assert again.iterations == result.iterations
-    assert len(calls) == 2 * again.iterations + 9
+    assert len(calls) == 2 * again.iterations + 7
 
 
 def test_first_step_norm_matches_h2_norm(grid):

@@ -263,11 +263,11 @@ def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
 
 
 def test_resonant_rhs_sequence_checks_each_member_once(monkeypatch):
-    # one solvability check per solve, one phase vector e^{-i sqrt(a) x}
-    # for each (its +-sqrt(a) pair); the truncate builtin projects the
-    # limit and every member (one phase vector each) against one window
-    # basis (one per window, once).  The basis is memoized on the grid,
-    # so the grid is a fresh one
+    # one solvability check per solve, one +-sqrt(a) pair for each; the
+    # truncate builtin projects the limit and every member (one pair each)
+    # against one window basis (one pair per window, once).  Every pair is
+    # one off-grid evaluation.  The basis is memoized on the grid, so the
+    # grid is a fresh one
     symbols.classify.cache_clear()
     checks = count_calls(monkeypatch, linear, "check_solvability")
     pairs = count_calls(monkeypatch, spectral, "transform_at_pm")
@@ -278,7 +278,7 @@ def test_resonant_rhs_sequence_checks_each_member_once(monkeypatch):
         "truncate", kind=SequenceKind.RHS, base=base, M=12, shift_params=RESONANT
     )
     run_linear_sequence(spec, RESONANT)
-    assert (len(checks), len(pairs), len(offgrid)) == (13, 13 + 13 + 2, 0)
+    assert (len(checks), len(pairs), len(offgrid)) == (13, 13 + 13 + 2, 13 + 13 + 2)
 
 
 def test_write_table_csv(tmp_path, grid):

@@ -28,7 +28,6 @@ from shiftspec.spectral import (
     shift,
     sup_abs_spectral,
     transform_at_pm,
-    transform_on_progression,
     weighted_l1_norm,
     write_gridfunction_csv,
 )
@@ -38,6 +37,21 @@ H2_SQ_GAUSSIAN = 7.0 * np.sqrt(np.pi) / 4.0  # ||u||^2 + ||u''||^2 for e^{-x^2/2
 
 def gaussian_on(grid):
     return GridFunction(grid, np.exp(-grid.x**2 / 2))
+
+
+def dense_transform(u, p):
+    """Reference for evaluate_transform_at: the trapezoidal sum as one
+    dense (P, N) phase matrix, O(P*N) time and memory."""
+    phases = np.exp(-1j * np.outer(np.atleast_1d(p), u.grid.x))
+    return (u.grid.dx / SQRT_2PI) * (phases @ u.values)
+
+
+def random_packet(g, complex_input, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.exp(-g.x**2 / 2) * rng.standard_normal(g.N)
+    if complex_input:
+        vals = vals + 1j * np.exp(-((g.x - 1) ** 2)) * rng.standard_normal(g.N)
+    return GridFunction(g, vals)
 
 
 def random_resolvable(grid, rng, fill=0.75):
@@ -145,43 +159,80 @@ def test_evaluate_transform_matches_forward_on_grid():
     assert np.max(np.abs(direct - uh.values)) <= 1e-10
 
 
-@pytest.mark.parametrize("N", [8, 64, 4096])
+@pytest.mark.parametrize("N", [8, 64, 4096, 1000])
 @pytest.mark.parametrize("complex_input", [False, True])
 @pytest.mark.parametrize("e_min", [0.0, 1e-4])
 def test_transform_on_progression_matches_dense(N, complex_input, e_min):
-    # the refinement layout of stability_constant: blocks leaving +-1 on
-    # either side, from an offset e_min (resonant case) to one grid step,
-    # and a block that runs past the band edge
-    rng = np.random.default_rng(N)
+    # the refinement progressions of stability_constant: blocks leaving
+    # +-1 on either side, from an offset e_min (resonant case) to one grid
+    # step, and a block that runs past the band edge.  N = 1000 is no
+    # multiple of the row length, so the last row is zero-padded
     g = make_grid(2.0 if N == 8 else 12.0, N)
-    vals = np.exp(-g.x**2 / 2) * rng.standard_normal(N)
-    if complex_input:
-        vals = vals + 1j * np.exp(-((g.x - 1) ** 2)) * rng.standard_normal(N)
-    u = GridFunction(g, vals)
+    u = random_packet(g, complex_input, N)
     step = (g.dp - e_min) / 64
     starts = np.array([1 + e_min, 1 - e_min, -1 + e_min, -1 - e_min, g.p_max - 0.5 * g.dp])
     steps = np.array([step, -step, step, -step, step])
-    fast = transform_on_progression(u, starts, steps, 65)
     p = starts[:, None] + steps[:, None] * np.arange(65)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        dense = evaluate_transform_at(u, p.ravel()).reshape(p.shape)
-    assert fast.shape == (5, 65)
-    assert np.max(np.abs(fast - dense)) <= 1e-12 * l1_norm(u) / SQRT_2PI
+        fast = evaluate_transform_at(u, p)
+    assert fast.shape == (5 * 65,)
+    assert np.max(np.abs(fast - dense_transform(u, p.ravel()))) <= 1e-12 * l1_norm(u) / SQRT_2PI
 
 
-def test_transform_on_progression_scalar_start_and_rejects():
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+)
+@pytest.mark.parametrize("N", [1000, 4096])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_evaluate_transform_at_accuracy_near_sqrt_a(N, complex_input):
+    # the stability constant's samples within one bin of +-1, against the
+    # sum over x_j = (j - N/2)*dx in long double: within 5e-16 of the
+    # scale dx*sum|u_j|/sqrt(2*pi).  The dense phase matrix, whose
+    # x_j = -L + j*dx carry a rounding of order eps*L, is off by 1.7e-15
+    # at N = 1000
+    g = make_grid(100.0, N)
+    u = random_packet(g, complex_input, N)
+    p = np.concatenate([1.0 + g.dp * np.arange(33) / 32, -1.0 - g.dp * np.arange(33) / 32])
+    x = (np.arange(N) - N // 2).astype(np.longdouble) * np.longdouble(g.dx)
+    theta = p.astype(np.longdouble)[:, None] * x
+    re, im = u.values.real.astype(np.longdouble), u.values.imag.astype(np.longdouble)
+    w = np.longdouble(g.dx) / np.sqrt(2 * np.longdouble(np.pi))
+    ref_re = w * (np.cos(theta) @ re + np.sin(theta) @ im)
+    ref_im = w * (np.cos(theta) @ im - np.sin(theta) @ re)
+    ref = ref_re.astype(np.float64) + 1j * ref_im.astype(np.float64)
+    err = np.max(np.abs(evaluate_transform_at(u, p) - ref))
+    assert err <= 5e-16 * l1_norm(u) / SQRT_2PI
+
+
+def test_evaluate_transform_at_scalar_and_beyond_band():
     g = make_grid(12.0, 64)
-    u = gaussian_on(g)
-    one = transform_on_progression(u, 0.3, -0.01, 7)
-    assert one.shape == (1, 7)
-    assert np.max(np.abs(one[0] - evaluate_transform_at(u, 0.3 - 0.01 * np.arange(7)))) <= 1e-14
-    with pytest.raises(ValueError):
-        transform_on_progression(u, [0.0, 1.0], [0.1, 0.2], 5)
-    with pytest.raises(ValueError):
-        transform_on_progression(u, [0.0], 0.1, 0)
-    with pytest.raises(ValueError):
-        transform_on_progression(u, [np.nan], 0.1, 5)
+    u = random_packet(g, True, 3)
+    value = evaluate_transform_at(u, 0.37)
+    assert isinstance(value, complex)
+    assert value == evaluate_transform_at(u, np.array([0.37]))[0]
+    assert abs(value - dense_transform(u, 0.37)[0]) <= 1e-13 * l1_norm(u) / SQRT_2PI
+    # beyond the band: still the trapezoidal sum, which aliases there
+    p = np.array([1.5, -2.5, 7.0]) * g.p_max
+    with pytest.warns(RuntimeWarning, match="resolvable band"):
+        beyond = evaluate_transform_at(u, p)
+    assert np.max(np.abs(beyond - dense_transform(u, p))) <= 1e-13 * l1_norm(u) / SQRT_2PI
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_evaluate_transform_at_warm_grid_matches_fresh_bitwise(complex_input):
+    g = make_grid(12.0, 1000)
+    u = random_packet(g, complex_input, 11)
+    p = np.linspace(-3.0, 3.0, 50) + 0.01
+    cold = evaluate_transform_at(u, p)
+    warm = evaluate_transform_at(u, p)
+    fresh = evaluate_transform_at(GridFunction(make_grid(12.0, 1000), u.values), p)
+    # another function on the warm grid, against its own fresh grid
+    v = random_packet(g, not complex_input, 12)
+    other = evaluate_transform_at(v, p)
+    other_fresh = evaluate_transform_at(GridFunction(make_grid(12.0, 1000), v.values), p)
+    assert cold.tobytes() == warm.tobytes() == fresh.tobytes()
+    assert other.tobytes() == other_fresh.tobytes()
 
 
 def test_evaluate_transform_gaussian_values():
