@@ -56,6 +56,16 @@ class SolvabilityReport:
 
 
 @dataclass(frozen=True)
+class SymbolDivision:
+    """The solve itself: u, its grid spectrum uh (before u's real
+    projection) and the solvability report the division was gated on."""
+
+    u: GridFunction
+    uh: np.ndarray
+    solvability: SolvabilityReport
+
+
+@dataclass(frozen=True)
 class LinearSolveResult:
     u: GridFunction
     residual_l2: float
@@ -95,10 +105,11 @@ def check_solvability(
     )
 
 
-def solve_linear(
+def divide_by_symbol(
     f: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
-) -> LinearSolveResult:
-    """Solve -u'' - a*u(x-h) = f by symbol division on the grid.
+) -> SymbolDivision:
+    """Solve -u'' - a*u(x-h) = f by symbol division on the grid: 2 FFTs
+    and the solvability check, no diagnostics.
 
     Resonant parameters require the orthogonality report to pass (raises
     ResonantNotSolvable otherwise); the division follows
@@ -116,7 +127,17 @@ def solve_linear(
         )
     uh = inverse_symbol_on_grid(grid, params, report.classification) * forward_transform(f).values
     u = f.real_like(inverse_transform(SpectralFunction(grid, uh)).values)
-    residual = l2_norm(apply_operator(u, params) - f)
+    return SymbolDivision(u=u, uh=uh, solvability=report)
+
+
+def solve_linear(
+    f: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
+) -> LinearSolveResult:
+    """:func:`divide_by_symbol`, plus the residual ||Lu - f||_L2 (the
+    operator applied to u again, 2 more FFTs) and the H2 norm of u."""
+    sol = divide_by_symbol(f, params, tol_orth)
+    grid, uh = f.grid, sol.uh
+    residual = l2_norm(apply_operator(sol.u, params) - f)
     # H2 norm by Parseval on uh, as fixed_point_solve takes its step norm:
     # the real projection of u drops only round-off and the unpaired
     # -N/2 bin, where a decaying f's transform is negligible.  Squares,
@@ -124,7 +145,9 @@ def solve_linear(
     # order of magnitude slower.
     weight = 1.0 + (grid.p * grid.p) ** 2
     h2 = float(np.sqrt(grid.dp * np.sum(weight * (uh.real**2 + uh.imag**2))))
-    return LinearSolveResult(u=u, residual_l2=residual, solvability=report, h2_norm_u=h2)
+    return LinearSolveResult(
+        u=sol.u, residual_l2=residual, solvability=sol.solvability, h2_norm_u=h2
+    )
 
 
 def _projection_basis(grid: Grid, params: ShiftParams):

@@ -86,6 +86,19 @@ class Nonlinearity:
 
 
 @dataclass(frozen=True)
+class FixedPointIteration:
+    """The iteration itself: its last iterate u, the H2 step norms, the
+    contraction factor q = 2*sqrt(pi)*N*l, the a priori iteration bound
+    and the kernel's stability report the iteration was gated on."""
+
+    u: GridFunction
+    step_norms: list[float]
+    q_bound: float
+    iteration_bound: int
+    stability: KernelReport
+
+
+@dataclass(frozen=True)
 class FixedPointResult:
     u: GridFunction
     iterations: int
@@ -235,7 +248,7 @@ def _a_priori_iterations(q: float, first_step: float, tol: float) -> int:
     return max(2, int(math.ceil(k)))
 
 
-def fixed_point_solve(
+def iterate_fixed_point(
     G: GridFunction,
     F: Nonlinearity,
     params: ShiftParams,
@@ -243,17 +256,15 @@ def fixed_point_solve(
     tol_h2: float = 1e-10,
     max_iter: int | None = None,
     tol_orth: float = 1e-8,
-) -> FixedPointResult:
+) -> FixedPointIteration:
     """Iterate the map from v0 (default zero) until the H2 step norm
-    drops to tol_h2.
+    drops to tol_h2: the stability constant, G_hat and 2 FFTs per
+    iteration, no diagnostics.
 
     Requires a positive contraction margin 1 - 2*sqrt(pi)*N*l (raises
-    ContractionHypothesisFailed otherwise, including the boundary).  The
-    residual of the full nonlocal equation is recomputed independently:
-    operator application on one side, direct-sum convolution on the
-    other.  The direct sum skips a kernel tail below round-off;
-    residual_tail_bound = ||G_tail||_L1 * ||F(u)||_L2 bounds, by Young's
-    inequality, how far that moves the convolution in L2.
+    ContractionHypothesisFailed otherwise, including the boundary) and,
+    for resonant parameters, a finite stability constant (NotFinite).
+    Raises MaxIterExceeded past the a priori bound plus 2, or max_iter.
 
     Raises ValueError, before any work, unless tol_h2 is positive and
     finite and max_iter (when given) is at least 1.
@@ -284,7 +295,8 @@ def fixed_point_solve(
     # which the kernel's tail certificate bounds.  An FFT round trip would
     # add a floor ~eps*p_max^2*||u|| that exceeds tol_h2 on fine grids.
     h2_weight = grid.dp * (1.0 + (grid.p * grid.p) ** 2)
-    vh = forward_transform(v).values
+    # the zero start's spectrum is zero, with no FFT: uh - 0.0 is uh bit for bit
+    vh = forward_transform(v).values if v0 is not None else 0.0
     step_norms: list[float] = []
     cap = bound = None
     while True:
@@ -302,6 +314,32 @@ def fixed_point_solve(
                 f"(a priori bound {bound}, last step {step:.3e})"
             )
         v, vh = u, uh
+    return FixedPointIteration(
+        u=u, step_norms=step_norms, q_bound=q, iteration_bound=bound, stability=report
+    )
+
+
+def fixed_point_solve(
+    G: GridFunction,
+    F: Nonlinearity,
+    params: ShiftParams,
+    v0: GridFunction | None = None,
+    tol_h2: float = 1e-10,
+    max_iter: int | None = None,
+    tol_orth: float = 1e-8,
+) -> FixedPointResult:
+    """:func:`iterate_fixed_point`, plus the report's diagnostics: the
+    observed step ratios, the residual, its tail bound and the
+    nontriviality check.
+
+    The residual of the full nonlocal equation is recomputed
+    independently: operator application on one side, direct-sum
+    convolution on the other.  The direct sum skips a kernel tail below
+    round-off; residual_tail_bound = ||G_tail||_L1 * ||F(u)||_L2 bounds,
+    by Young's inequality, how far that moves the convolution in L2.
+    """
+    it = iterate_fixed_point(G, F, params, v0, tol_h2, max_iter, tol_orth)
+    u, step_norms = it.u, it.step_norms
     ratios = [
         step_norms[i + 1] / step_norms[i]
         for i in range(1, len(step_norms) - 1)
@@ -315,10 +353,10 @@ def fixed_point_solve(
         iterations=len(step_norms),
         step_norms=step_norms,
         observed_ratio=max(ratios) if ratios else 0.0,
-        q_bound=q,
+        q_bound=it.q_bound,
         residual_l2=residual,
         residual_tail_bound=window[2] * l2_norm(Fu),
-        nontrivial=nontriviality_check(G, F, grid),
-        stability=report,
-        iteration_bound=bound,
+        nontrivial=nontriviality_check(G, F, G.grid),
+        stability=it.stability,
+        iteration_bound=it.iteration_bound,
     )

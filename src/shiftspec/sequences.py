@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ContractionHypothesisFailed, NotFinite, ResonantNotSolvable
 from .kernels import stability_constant
-from .linear import project_solvable, solve_linear
-from .nonlinear import Nonlinearity, fixed_point_solve
+from .linear import divide_by_symbol, project_solvable
+from .nonlinear import Nonlinearity, iterate_fixed_point
 from .spectral import (
     SQRT_2PI,
     GridFunction,
@@ -119,13 +119,17 @@ def run_linear_sequence(
     ||u_m - u||_L2 <= ||f_m - f||_L2 / sqrt(alpha) and every row against
     the second-derivative bound
     ||u_m'' - u''|| <= a ||u_m - u|| + ||f_m - f||.
+
+    Each solve is :func:`divide_by_symbol` (2 FFTs), not
+    :func:`solve_linear`: the table reads only u, so a solve's residual
+    and H2 norm (2 more FFTs and a Parseval sum) would be thrown away.
     """
     if spec.kind is not SequenceKind.RHS:
         raise ValueError("run_linear_sequence expects a right-hand-side sequence")
 
     def solve(f, label):
         try:
-            return solve_linear(f, params, tol_orth).u
+            return divide_by_symbol(f, params, tol_orth).u
         except ResonantNotSolvable as exc:
             raise ResonantNotSolvable(label, exc.report) from exc
 
@@ -179,6 +183,12 @@ def run_kernel_sequence(
     2*sqrt(pi)*N_m*l <= 1 - epsilon.  The run records whether the limit
     inherits the margin, the sup-norm gaps of both symbol quotients, and
     the bounds tying them to ||G_m - G||_L1.
+
+    Each solve is :func:`iterate_fixed_point` (2k + 2 FFTs for k
+    iterations), not :func:`fixed_point_solve`: the table reads only u
+    and the stability report, so a solve's residual (2 FFTs and the
+    O(N*K) direct sum), tail bound and nontriviality check (2 FFTs)
+    would be thrown away.
     """
     if spec.kind is not SequenceKind.KERNEL:
         raise ValueError("run_kernel_sequence expects a kernel sequence")
@@ -188,7 +198,7 @@ def run_kernel_sequence(
 
     def solve(kernel, label):
         try:
-            return fixed_point_solve(kernel, F, params, tol_h2=tol_h2, tol_orth=tol_orth)
+            return iterate_fixed_point(kernel, F, params, tol_h2=tol_h2, tol_orth=tol_orth)
         except NotFinite as exc:
             raise NotFinite(f"{label} violates the orthogonality conditions", exc.report) from exc
         except ContractionHypothesisFailed as exc:

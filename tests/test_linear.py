@@ -10,6 +10,7 @@ from shiftspec.linear import (
     apply_operator,
     check_solvability,
     derivative_bound_check,
+    divide_by_symbol,
     project_solvable,
     resonance_quotient_masses,
     resonant_aligned_half_length,
@@ -18,8 +19,10 @@ from shiftspec.linear import (
 from shiftspec.nonlinear import Nonlinearity, apply_T
 from shiftspec.spectral import (
     GridFunction,
+    SpectralFunction,
     evaluate_transform_at,
     h2_norm,
+    inverse_transform,
     l2_norm,
     make_grid,
     second_derivative,
@@ -165,6 +168,39 @@ def test_solve_linear_fft_count(grid, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     solve_linear(GridFunction(grid, np.exp(-grid.x**2 / 2)), NONRESONANT)
     assert len(calls) == 4
+
+
+def test_divide_by_symbol_is_solve_linear_without_diagnostics(monkeypatch):
+    # the core's u and report are solve_linear's bit for bit, on seeded
+    # random (a, h, N): real and complex right-hand sides on non-resonant
+    # grids, projected ones on resonant-aligned grids.  The core never
+    # applies the operator (the residual's 2 FFTs), and uh is u's spectrum
+    rng = np.random.default_rng(61)
+
+    def bump(g):
+        return GridFunction(g, rng.standard_normal() * np.exp(-((g.x - rng.uniform(-2, 2)) ** 2)))
+
+    for N in (256, 1024, 4096):
+        a = rng.uniform(0.5, 2.0)
+        g = make_grid(rng.uniform(15.0, 40.0), N)
+        noise = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * np.exp(-g.x**2 / 8)
+        aligned = make_grid(resonant_aligned_half_length(a, 40.0), N)
+        resonant = ShiftParams(a, 2 * np.pi * rng.integers(1, 3) / np.sqrt(a))
+        cases = [
+            (bump(g), ShiftParams(a, rng.uniform(0.2, 3.0))),
+            (GridFunction(g, noise), ShiftParams(a, rng.uniform(0.2, 3.0))),
+            (project_solvable(bump(aligned), resonant), resonant),
+        ]
+        for f, params in cases:
+            full = solve_linear(f, params)
+            with monkeypatch.context() as m:
+                m.setattr(shiftspec.linear, "apply_operator", None)
+                core = divide_by_symbol(f, params)
+            assert core.u.grid == f.grid and core.solvability == full.solvability
+            assert core.u.values.dtype == full.u.values.dtype
+            assert np.array_equal(core.u.values, full.u.values)
+            inverse = inverse_transform(SpectralFunction(f.grid, core.uh)).values
+            assert np.array_equal(core.u.values, f.real_like(inverse).values)
 
 
 @pytest.mark.parametrize("resonant", [False, True])

@@ -5,7 +5,12 @@ from shiftspec import nonlinear
 from shiftspec.catalog import builtin_function, builtin_nonlinearity
 from shiftspec.errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
 from shiftspec.kernels import stability_constant
-from shiftspec.linear import apply_operator, resonant_aligned_half_length, solve_linear
+from shiftspec.linear import (
+    apply_operator,
+    project_solvable,
+    resonant_aligned_half_length,
+    solve_linear,
+)
 from shiftspec.nonlinear import (
     Nonlinearity,
     _direct_sum_window,
@@ -14,6 +19,7 @@ from shiftspec.nonlinear import (
     convolve,
     convolve_direct,
     fixed_point_solve,
+    iterate_fixed_point,
     nontriviality_check,
 )
 from shiftspec.spectral import (
@@ -326,9 +332,10 @@ def test_contraction_bound_random_pairs(grid):
 def test_fixed_point_fft_count(monkeypatch, tol_h2):
     # per iteration: F(v)_hat and one inverse for the step (its H2 norm
     # is taken on the spectra); once: 1 for the stability constant, 1 for
-    # G_hat, 1 for v0_hat, 2 for the nontriviality check, 2 for the
-    # residual's operator application.  The off-grid samples take no FFT,
-    # so a second solve on the same, now warm grid does the same
+    # G_hat, 2 for the nontriviality check, 2 for the residual's operator
+    # application.  The zero start's spectrum is zero, with no FFT.  The
+    # off-grid samples take no FFT, so a second solve on the same, now
+    # warm grid does the same
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
@@ -343,11 +350,43 @@ def test_fixed_point_fft_count(monkeypatch, tol_h2):
     F = tanh_nonlinearity(cold)
     result = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
     assert result.iterations >= 3
-    assert len(calls) == 2 * result.iterations + 7
+    assert len(calls) == 2 * result.iterations + 6
     calls.clear()  # same grid, now warm for NONRESONANT
     again = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
     assert again.iterations == result.iterations
-    assert len(calls) == 2 * again.iterations + 7
+    assert len(calls) == 2 * again.iterations + 6
+
+
+def test_iterate_fixed_point_is_fixed_point_solve_without_diagnostics(monkeypatch):
+    # the core's u, step norms, bounds and report are fixed_point_solve's
+    # bit for bit, on seeded random (a, h, N) with a Gaussian kernel and
+    # on resonant-aligned grids with a projected one, from the zero start
+    # and from a given v0.  The core runs none of the diagnostics
+    rng = np.random.default_rng(67)
+    for N in (256, 1024, 2048):
+        a = rng.uniform(0.5, 2.0)
+        g = make_grid(rng.uniform(20.0, 40.0), N)
+        aligned = make_grid(resonant_aligned_half_length(a, 40.0), N)
+        resonant = ShiftParams(a, 2 * np.pi * rng.integers(1, 3) / np.sqrt(a))
+        cases = [
+            (GridFunction(g, np.exp(-g.x**2 / (2 * rng.uniform(0.5, 2.0)))),
+             ShiftParams(a, rng.uniform(0.2, 3.0))),
+            (project_solvable(GridFunction(aligned, np.exp(-aligned.x**2 / 2)), resonant),
+             resonant),
+        ]
+        for G, params in cases:
+            N_G = stability_constant(G, params).N
+            F = tanh_nonlinearity(G.grid, 0.25 / (np.sqrt(np.pi) * N_G))  # q = 1/2
+            v0 = GridFunction(G.grid, rng.standard_normal(N) * np.exp(-G.grid.x**2 / 8))
+            for start in (None, v0):
+                full = fixed_point_solve(G, F, params, v0=start, tol_h2=1e-10)
+                with monkeypatch.context() as m:
+                    for name in ("apply_operator", "_convolve_on_window", "nontriviality_check"):
+                        m.setattr(nonlinear, name, None)
+                    core = iterate_fixed_point(G, F, params, v0=start, tol_h2=1e-10)
+                assert core.u.grid == G.grid and np.array_equal(core.u.values, full.u.values)
+                assert core.step_norms == full.step_norms and core.stability == full.stability
+                assert (core.q_bound, core.iteration_bound) == (full.q_bound, full.iteration_bound)
 
 
 def test_first_step_norm_matches_h2_norm(grid):

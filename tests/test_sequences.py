@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from shiftspec import kernels, linear, spectral, symbols
+from shiftspec import kernels, linear, nonlinear, sequences, spectral, symbols
 from shiftspec.errors import ContractionHypothesisFailed, NotFinite, ResonantNotSolvable
 from shiftspec.linear import project_solvable, resonant_aligned_half_length
 from shiftspec.nonlinear import Nonlinearity
@@ -233,21 +233,51 @@ def test_kernel_sequence_not_finite_names_kernel(aligned_grid, label, bad_limit)
     assert info.value.report.finite is False
 
 
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Put ``replacement`` in place of ``module.name`` in every shiftspec
+    module that holds it; returns the original."""
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("shiftspec") and (
+            getattr(mod, name, None) is original
+        ):
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
 def count_calls(monkeypatch, module, name):
     """Count the calls to ``module.name`` made through any shiftspec module."""
-    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("shiftspec") and (
-            getattr(mod, name, None) is original
-        ):
-            monkeypatch.setattr(mod, name, counted)
+    original = patch_everywhere(monkeypatch, module, name, counted)
     return calls
+
+
+def refuse_calls(monkeypatch, module, name):
+    """Make ``module.name`` raise when called through any shiftspec module."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    patch_everywhere(monkeypatch, module, name, refuse)
+
+
+def kernel_scale_spec(grid):
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    return builtin_sequences("scale", kind=SequenceKind.KERNEL, base=G, M=12, epsilon=0.1)
+
+
+def resonant_truncate_spec():
+    """M = 12 on a fresh resonant-aligned grid (nothing memoized yet)."""
+    g = make_grid(resonant_aligned_half_length(1.0, 40.0), 1024)
+    base = GridFunction(g, np.exp(-g.x**2 / 2))
+    return builtin_sequences(
+        "truncate", kind=SequenceKind.RHS, base=base, M=12, shift_params=RESONANT
+    )
 
 
 def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
@@ -256,9 +286,7 @@ def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
     symbols.classify.cache_clear()
     reports = count_calls(monkeypatch, kernels, "stability_constant")
     alphas = count_calls(monkeypatch, symbols, "estimate_alpha")
-    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
-    spec = builtin_sequences("scale", kind=SequenceKind.KERNEL, base=G, M=12, epsilon=0.1)
-    run_kernel_sequence(spec, tanh_F(grid), ShiftParams(1.0, 0.9))
+    run_kernel_sequence(kernel_scale_spec(grid), tanh_F(grid), ShiftParams(1.0, 0.9))
     assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)
 
 
@@ -272,13 +300,84 @@ def test_resonant_rhs_sequence_checks_each_member_once(monkeypatch):
     checks = count_calls(monkeypatch, linear, "check_solvability")
     pairs = count_calls(monkeypatch, spectral, "transform_at_pm")
     offgrid = count_calls(monkeypatch, spectral, "evaluate_transform_at")
-    fresh = make_grid(resonant_aligned_half_length(1.0, 40.0), 1024)
-    base = GridFunction(fresh, np.exp(-fresh.x**2 / 2))
-    spec = builtin_sequences(
-        "truncate", kind=SequenceKind.RHS, base=base, M=12, shift_params=RESONANT
-    )
-    run_linear_sequence(spec, RESONANT)
+    run_linear_sequence(resonant_truncate_spec(), RESONANT)
     assert (len(checks), len(pairs), len(offgrid)) == (13, 13 + 13 + 2, 13 + 13 + 2)
+
+
+def count_ffts(monkeypatch):
+    """Count numpy's forward and inverse FFT calls."""
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["rhs-scale", "rhs-resonant-truncate", "kernel-scale"])
+def test_sequence_tables_match_full_solvers(grid, monkeypatch, case):
+    # the harnesses call the solver cores; put the full solvers back in
+    # their place and every table entry stays the same, bit for bit
+    if case == "kernel-scale":
+        spec = kernel_scale_spec(grid)
+        run = lambda: run_kernel_sequence(spec, tanh_F(grid), ShiftParams(1.0, 0.9))
+    elif case == "rhs-scale":
+        f = GridFunction(grid, np.exp(-grid.x**2))
+        spec = builtin_sequences("scale", kind=SequenceKind.RHS, base=f, M=12)
+        run = lambda: run_linear_sequence(spec, NONRESONANT)
+    else:
+        spec = resonant_truncate_spec()
+        run = lambda: run_linear_sequence(spec, RESONANT)
+    table = run()
+    monkeypatch.setattr(sequences, "divide_by_symbol", linear.solve_linear)
+    monkeypatch.setattr(sequences, "iterate_fixed_point", nonlinear.fixed_point_solve)
+    assert run() == table
+
+
+@pytest.mark.parametrize("params", [NONRESONANT, RESONANT], ids=["scale", "resonant-truncate"])
+def test_rhs_sequence_fft_count(grid, monkeypatch, params):
+    # 2 per solve (limit and M members: forward, inverse) and 1 per
+    # member for its d2_gap; no residual, so the operator is never applied
+    if params is RESONANT:
+        spec = resonant_truncate_spec()
+    else:
+        f = GridFunction(grid, np.exp(-grid.x**2))
+        spec = builtin_sequences("scale", kind=SequenceKind.RHS, base=f, M=12)
+    refuse_calls(monkeypatch, linear, "apply_operator")
+    calls = count_ffts(monkeypatch)
+    run_linear_sequence(spec, params)
+    assert len(calls) == 2 * (spec.M + 1) + spec.M == 38
+
+
+def test_kernel_sequence_runs_no_solver_diagnostics(grid, monkeypatch):
+    # each solve (limit and M members) costs 2k + 2 FFTs for k iterations:
+    # 1 for its stability constant, 1 for G_hat, 2 per iteration; each
+    # member adds 2: the difference kernel's stability constant and the
+    # d2_gap.  No residual, direct sum or nontriviality check runs
+    for module, name in [
+        (linear, "apply_operator"),
+        (nonlinear, "_convolve_on_window"),
+        (nonlinear, "nontriviality_check"),
+    ]:
+        refuse_calls(monkeypatch, module, name)
+    iterations = []
+    core = sequences.iterate_fixed_point
+
+    def recorded(*args, **kwargs):
+        result = core(*args, **kwargs)
+        iterations.append(len(result.step_norms))
+        return result
+
+    monkeypatch.setattr(sequences, "iterate_fixed_point", recorded)
+    spec = kernel_scale_spec(grid)
+    calls = count_ffts(monkeypatch)
+    run_kernel_sequence(spec, tanh_F(grid), ShiftParams(1.0, 0.9))
+    assert len(iterations) == spec.M + 1
+    assert len(calls) == sum(2 * k + 2 for k in iterations) + 2 * spec.M
 
 
 def test_write_table_csv(tmp_path, grid):
