@@ -335,7 +335,7 @@ def _cmd_solve_nonlinear(cfg: RunConfig):
     G = _load_function(o["G"], grid)
     F = _load_nonlinearity(o["F"], grid)
     v0 = o.get("v0", "zero")
-    v0_fn = None if v0 == "zero" else read_gridfunction_csv(Path(v0), grid)
+    v0_fn = None if v0 == "zero" else _load_function(v0, grid)
     result = fixed_point_solve(
         G,
         F,

@@ -29,7 +29,14 @@ from .spectral import (
     weighted_l1_norm,
 )
 from .errors import ShiftSpecError
-from .symbols import FredholmClass, ShiftParams, classify, inverse_symbol_on_grid, symbol
+from .symbols import (
+    FredholmClass,
+    ShiftParams,
+    check_orthogonality_tol,
+    classify,
+    inverse_symbol_on_grid,
+    symbol,
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,9 @@ class KernelReport:
 
 
 def kernel_orthogonality(G: GridFunction, a: float, tol: float = 1e-8):
-    """Transform of G at +-sqrt(a) and whether both are below tol."""
+    """Transform of G at +-sqrt(a) and whether both are at most tol
+    (positive and finite, or ValueError before any work)."""
+    check_orthogonality_tol(tol)
     if a <= 0:
         raise ValueError("a must be positive")
     r = float(np.sqrt(a))
@@ -77,8 +86,10 @@ def stability_constant(
     ||x G||_L1 / sqrt(2*pi*a)  (and, for the p^2 quotient, by
     max|G_hat| + a * that cap).  The on-grid quotients use
     :func:`inverse_symbol`, so a non-resonant grid with symbol values
-    below alpha/2 raises NearSingularGrid.
+    below alpha/2 raises NearSingularGrid.  Raises ValueError, before any
+    work, unless tol_orth is positive and finite.
     """
+    check_orthogonality_tol(tol_orth)
     grid = G.grid
     cls = classify(params)
     r = params.sqrt_a
@@ -118,7 +129,7 @@ def stability_constant(
     if cls.is_resonant and not orth_ok:
         return KernelReport(N=None, sup1=None, sup2=None, finite=False, **common)
 
-    inv_abs = np.abs(inverse_symbol_on_grid(grid, params, cls))
+    inv_abs = np.abs(inverse_symbol_on_grid(grid, params))
     sup1 = float((gh_abs * inv_abs).max())
     sup2 = float((grid.p**2 * gh_abs * inv_abs).max())
 

@@ -30,6 +30,7 @@ from .spectral import (
 from .symbols import (
     FredholmClass,
     ShiftParams,
+    check_orthogonality_tol,
     classify,
     inverse_symbol_on_grid,
     symbol,
@@ -87,10 +88,10 @@ def check_solvability(
     """Evaluate the transform of f at +-sqrt(a) and decide solvability.
 
     Non-resonant parameters are always solvable; resonant ones require
-    |f_hat(+-sqrt(a))| <= tol.
+    |f_hat(+-sqrt(a))| <= tol.  Raises ValueError, before any work, unless
+    tol is positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_orthogonality_tol(tol)
     cls = classify(params)
     r = params.sqrt_a
     fp, fm = transform_at_pm(f, r)
@@ -125,7 +126,7 @@ def divide_by_symbol(
             f"|f_hat(-sqrt(a))| = {abs(report.fhat_minus):.3e}, tol = {tol_orth:.3e}",
             report=report,
         )
-    uh = inverse_symbol_on_grid(grid, params, report.classification) * forward_transform(f).values
+    uh = inverse_symbol_on_grid(grid, params) * forward_transform(f).values
     u = f.real_like(inverse_transform(SpectralFunction(grid, uh)).values)
     return SymbolDivision(u=u, uh=uh, solvability=report)
 

@@ -26,7 +26,7 @@ from .spectral import (
     inverse_transform,
     l2_norm,
 )
-from .symbols import ShiftParams, classify, inverse_symbol_on_grid
+from .symbols import ShiftParams, inverse_symbol_on_grid
 
 
 @dataclass(frozen=True)
@@ -190,29 +190,29 @@ def _step(mult: np.ndarray, F: Nonlinearity, v: GridFunction, G: GridFunction):
     return uh, G.real_like(inverse_transform(SpectralFunction(v.grid, uh)).values)
 
 
+def _multiplier(G: GridFunction, params: ShiftParams, tol_orth: float = 1e-8):
+    """The map's gate and multiplier: G's stability report, NotFinite
+    unless it is finite (G_hat vanishing at +-sqrt(a) when resonant), and
+    sqrt(2*pi) * G_hat / lambda (see :func:`inverse_symbol`)."""
+    report = stability_constant(G, params, tol_orth)
+    if not report.finite:
+        raise NotFinite(
+            "stability constant is infinite: kernel orthogonality fails at +-sqrt(a)",
+            report=report,
+        )
+    return report, SQRT_2PI * forward_transform(G).values * inverse_symbol_on_grid(G.grid, params)
+
+
 def apply_T(
     v: GridFunction, G: GridFunction, F: Nonlinearity, params: ShiftParams
 ) -> GridFunction:
     """One step of the fixed-point map: the solution u of the linear
     problem with right-hand side G * F(v, .), computed as
-    u_hat = sqrt(2*pi) * G_hat * F(v)_hat * :func:`inverse_symbol`; u is
-    real when G is.  Resonant parameters require a finite kernel report
-    (G_hat vanishing at +-sqrt(a)), which every step's right-hand side
-    inherits.
+    u_hat = sqrt(2*pi) * G_hat * F(v)_hat / lambda; u is real when G is.
+    Gated on a finite stability report, as :func:`iterate_fixed_point` is.
     """
-    cls = classify(params)
-    if cls.is_resonant:
-        report = stability_constant(G, params)
-        if not report.finite:
-            raise NotFinite(
-                "kernel transform does not vanish at +-sqrt(a); the auxiliary "
-                f"problem has no H2 solution (|G_hat(+sqrt a)| = {abs(report.Ghat_plus):.3e}, "
-                f"|G_hat(-sqrt a)| = {abs(report.Ghat_minus):.3e})",
-                report=report,
-            )
     G.require_same_grid(v)
-    mult = SQRT_2PI * forward_transform(G).values * inverse_symbol_on_grid(G.grid, params, cls)
-    return _step(mult, F, v, G)[1]
+    return _step(_multiplier(G, params)[1], F, v, G)[1]
 
 
 def nontriviality_check(
@@ -222,14 +222,15 @@ def nontriviality_check(
     threshold: float | None = None,
 ) -> bool:
     """Whether the transforms of G and of x -> F(0, x) overlap on a set
-    of bins of positive measure.
+    of bins of positive measure; grid must be G's (ValueError otherwise).
 
     With no overlap the zero function is the fixed point.  threshold is
     absolute for both transforms; by default each uses 1e-12 times its
     own maximum magnitude.
     """
-    gh = np.abs(forward_transform(GridFunction(grid, np.asarray(G.values))).values)
     f0 = GridFunction(grid, np.asarray(F.eval(np.zeros(grid.N), grid.x), dtype=np.float64))
+    G.require_same_grid(f0)
+    gh = np.abs(forward_transform(G).values)
     fh = np.abs(forward_transform(f0).values)
     thr_g = threshold if threshold is not None else 1e-12 * gh.max()
     thr_f = threshold if threshold is not None else 1e-12 * fh.max()
@@ -266,21 +267,15 @@ def iterate_fixed_point(
     for resonant parameters, a finite stability constant (NotFinite).
     Raises MaxIterExceeded past the a priori bound plus 2, or max_iter.
 
-    Raises ValueError, before any work, unless tol_h2 is positive and
-    finite and max_iter (when given) is at least 1.
+    Raises ValueError, before any work, unless tol_h2 and tol_orth are
+    positive and finite and max_iter (when given) is at least 1.
     """
     if not (math.isfinite(tol_h2) and tol_h2 > 0.0):
         raise ValueError(f"tol_h2 must be positive and finite, got {tol_h2}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = G.grid
-    cls = classify(params)
-    report = stability_constant(G, params, tol_orth)
-    if not report.finite:
-        raise NotFinite(
-            "stability constant is infinite: kernel orthogonality fails at +-sqrt(a)",
-            report=report,
-        )
+    report, mult = _multiplier(G, params, tol_orth)
     q = 2.0 * np.sqrt(np.pi) * report.N * F.l
     if contraction_margin(report.N, F.l) <= 0.0:
         raise ContractionHypothesisFailed(
@@ -288,8 +283,6 @@ def iterate_fixed_point(
         )
     v = v0 if v0 is not None else GridFunction(grid, np.zeros(grid.N))
     G.require_same_grid(v)
-    # the map's multiplier sqrt(2*pi) * G_hat / lambda, built once
-    mult = SQRT_2PI * forward_transform(G).values * inverse_symbol_on_grid(grid, params, cls)
     # H2 step norm by Parseval on the spectra uh, before the real projection
     # of u: that projection drops only round-off and the unpaired -N/2 bin,
     # which the kernel's tail certificate bounds.  An FFT round trip would

@@ -88,16 +88,17 @@ def symbol_modulus_sq(p, params: ShiftParams):
     return float(out) if out.ndim == 0 else out
 
 
-def inverse_symbol(p, params: ShiftParams, classification: FredholmClass):
-    """1/lambda(p) on grid frequencies: the division rule of every solve.
+def inverse_symbol(p, params: ShiftParams):
+    """1/lambda(p) on grid frequencies: the division rule of every solve,
+    for the memoized :func:`classify` of params.
 
-    Resonant classifications get 0 on the bins where
+    Resonant parameters get 0 on the bins where
     |lambda|^2 < RESONANT_BIN_GUARD * a^2 (the symbol zeros at +-sqrt(a)
     on aligned grids).  Non-resonant ones raise NearSingularGrid when
     |lambda|^2 < alpha/2 anywhere, which would indicate a
     misclassification.
     """
-    return _checked(_inverse(symbol(p, params), p, params, classification))
+    return _inverse(symbol(p, params), p, params)
 
 
 def symbol_on_grid(grid, params: ShiftParams):
@@ -106,38 +107,34 @@ def symbol_on_grid(grid, params: ShiftParams):
     return grid.memo("symbol", params, lambda: symbol(grid.p, params))
 
 
-def inverse_symbol_on_grid(grid, params: ShiftParams, classification: FredholmClass):
-    """inverse_symbol(grid.p, params, classification), memoized on the
-    grid (see ``Grid.memo``) and read-only.  Raises NearSingularGrid on
-    every call where inverse_symbol does."""
+def inverse_symbol_on_grid(grid, params: ShiftParams):
+    """inverse_symbol(grid.p, params), memoized on the grid (see
+    ``Grid.memo``) and read-only.  A build that raises NearSingularGrid
+    stores nothing, so every such call raises."""
     lam = symbol_on_grid(grid, params)
-    return _checked(
-        grid.memo(
-            "inverse_symbol",
-            (params, classification),
-            lambda: _inverse(lam, grid.p, params, classification),
-        )
-    )
+    return grid.memo("inverse_symbol", params, lambda: _inverse(lam, grid.p, params))
 
 
-def _inverse(lam, p, params: ShiftParams, classification: FredholmClass):
-    """inverse_symbol from lambda(p); None for a near-singular grid."""
+def _inverse(lam, p, params: ShiftParams):
+    """inverse_symbol from lambda(p)."""
+    cls = classify(params)
     mod2 = symbol_modulus_sq(p, params)
-    if classification.is_resonant:
+    if cls.is_resonant:
         singular = mod2 < RESONANT_BIN_GUARD * params.a**2
         return np.where(singular, 0.0, 1.0 / np.where(singular, 1.0, lam))
-    if np.any(mod2 < classification.alpha / 2.0):
-        return None
-    return 1.0 / lam
-
-
-def _checked(inv):
-    if inv is None:
+    if np.any(mod2 < cls.alpha / 2.0):
         raise NearSingularGrid(
             "grid carries symbol values below alpha/2 for a non-resonant "
             "classification; grid or classification is pathological"
         )
-    return inv
+    return 1.0 / lam
+
+
+def check_orthogonality_tol(tol: float) -> None:
+    """Raise ValueError unless tol, the bound on |transform(+-sqrt(a))|
+    that the orthogonality checks compare with, is positive and finite."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"orthogonality tolerance must be positive and finite, got {tol}")
 
 
 def default_resonance_tol(params: ShiftParams) -> float:

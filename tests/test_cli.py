@@ -539,8 +539,9 @@ def test_builtin_offset_accepts_a_name_or_a_spec(tmp_path):
          "ResonantNotSolvable"),
         ("solve-nonlinear", dict(NONLINEAR_CFG, F={"name": "tanh", "params": {"slope": 20.0}}), 2,
          "ContractionHypothesisFailed"),
+        ("solve-nonlinear", dict(NONLINEAR_CFG, v0="absent.csv"), 1, "ConfigError"),
     ],
-    ids=["odd-N", "missing-csv", "resonant", "contraction"],
+    ids=["odd-N", "missing-csv", "resonant", "contraction", "missing-v0"],
 )
 def test_run_rejected_after_parsing_leaves_no_output_dir(
     tmp_path, monkeypatch, capsys, command, config, rc, error

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import shiftspec
-from shiftspec import kernels
+from shiftspec import kernels, linear
 from shiftspec.errors import ShiftSpecError
 from shiftspec.kernels import contraction_margin, kernel_orthogonality, stability_constant
-from shiftspec.linear import resonant_aligned_half_length
+from shiftspec.linear import check_solvability, resonant_aligned_half_length, solve_linear
+from shiftspec.nonlinear import Nonlinearity, fixed_point_solve
 from shiftspec.spectral import (
     SQRT_2PI,
     GridFunction,
@@ -49,6 +50,50 @@ except ShiftSpecError:
 @pytest.fixture(scope="module")
 def grid():
     return make_grid(40.0, 4096)
+
+
+def zero_source(grid):
+    return Nonlinearity(
+        eval=lambda u, x: 0.1 * np.tanh(u),
+        k=0.1,
+        envelope=GridFunction(grid, np.zeros(grid.N)),
+        l=0.1,
+    )
+
+
+# every check of |transform(+-sqrt(a))| against a tolerance
+ORTHOGONALITY_CHECKS = {
+    "check_solvability": lambda f, tol: check_solvability(f, RESONANT, tol=tol),
+    "solve_linear": lambda f, tol: solve_linear(f, RESONANT, tol_orth=tol),
+    "kernel_orthogonality": lambda f, tol: kernel_orthogonality(f, 1.0, tol=tol),
+    "stability_constant": lambda f, tol: stability_constant(f, RESONANT, tol_orth=tol),
+    "fixed_point_solve": lambda f, tol: fixed_point_solve(
+        f, zero_source(f.grid), RESONANT, tol_orth=tol
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")], ids=str)
+@pytest.mark.parametrize("name", sorted(ORTHOGONALITY_CHECKS))
+def test_orthogonality_tolerance_must_be_positive_and_finite(grid, monkeypatch, name, tol):
+    # the Hermite function's transform vanishes at +-1, so any positive
+    # tolerance passes it; a bad one is rejected with one message before
+    # any transform runs, never read as a failed orthogonality check
+    f = GridFunction(grid, grid.x**2 * np.exp(-grid.x**2 / 2))
+    calls = []
+    record = lambda *args, **kw: calls.append(1)
+    for module, attr in [
+        (np.fft, "fft"),
+        (np.fft, "ifft"),
+        (linear, "transform_at_pm"),
+        (kernels, "transform_at_pm"),
+        (kernels, "evaluate_transform_at"),
+    ]:
+        monkeypatch.setattr(module, attr, record)
+    with pytest.raises(ValueError) as info:
+        ORTHOGONALITY_CHECKS[name](f, tol)
+    assert str(info.value) == f"orthogonality tolerance must be positive and finite, got {tol}"
+    assert calls == []
 
 
 def test_orthogonality_hermite(grid):

@@ -24,6 +24,20 @@ def test_no_private_imports_across_modules():
     assert found == []
 
 
+def test_no_function_takes_a_classification():
+    # resonance is decided once, by symbols.classify, which each function
+    # calls itself; no caller passes a FredholmClass in
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.arg) and (
+                node.arg == "classification"
+                or (node.annotation and "FredholmClass" in ast.unparse(node.annotation))
+            ):
+                found.append(f"{path.name}:{node.lineno} takes {node.arg}")
+    assert found == []
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     # runtime dependencies stay numpy only
     allowed = set(sys.stdlib_module_names) | {"numpy", "shiftspec"}

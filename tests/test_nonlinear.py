@@ -523,6 +523,14 @@ def test_nontriviality_gaussians(grid):
     assert nontriviality_check(G, F, grid)
 
 
+def test_nontriviality_rejects_a_kernel_from_another_grid():
+    # G's samples mean nothing on another grid, even one of the same size
+    small, large = make_grid(20.0, 1024), make_grid(30.0, 1024)
+    G = GridFunction(small, 0.3 * np.exp(-small.x**2 / 2))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        nontriviality_check(G, tanh_nonlinearity(large), large)
+
+
 def test_nontriviality_zero_source(grid):
     G = GridFunction(grid, np.exp(-grid.x**2 / 2))
     F = Nonlinearity(

@@ -4,7 +4,9 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -598,6 +600,14 @@ def test_grid_json_round_trip():
     meta = json.loads(g.to_json())
     assert meta == {"L": 40.0, "N": 4096}
     assert Grid.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize(
+    "L, N", [(40.0, 4096), (0.5, 8), (resonant_aligned_half_length(2.0, 30.0), 1000)]
+)
+def test_grid_json_matches_the_shipped_schema(L, N):
+    schema = json.loads((resources.files("shiftspec") / "schemas" / "grid.schema.json").read_text())
+    jsonschema.validate(json.loads(make_grid(L, N).to_json()), schema)
 
 
 @pytest.mark.parametrize("cls", [GridFunction, SpectralFunction])

@@ -70,15 +70,13 @@ def test_inverse_symbol_drops_only_resonant_bins():
     # would be ~1e16 without the guard
     params = ShiftParams(4.0, np.pi)
     g = make_grid(resonant_aligned_half_length(4.0, 20.0), 256)
-    inv = inverse_symbol(g.p, params, classify(params))
+    inv = inverse_symbol(g.p, params)
     zero = np.abs(np.abs(g.p) - 2.0) <= 1e-12
     assert np.count_nonzero(zero) == 2
     assert np.all(inv[zero] == 0)
     np.testing.assert_allclose(inv[~zero], 1.0 / symbol(g.p[~zero], params), rtol=1e-14)
     off = ShiftParams(4.0, 1.0)
-    np.testing.assert_allclose(
-        inverse_symbol(g.p, off, classify(off)), 1.0 / symbol(g.p, off), rtol=1e-14
-    )
+    np.testing.assert_allclose(inverse_symbol(g.p, off), 1.0 / symbol(g.p, off), rtol=1e-14)
 
 
 @pytest.mark.parametrize(
