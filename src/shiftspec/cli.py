@@ -49,6 +49,9 @@ class ConfigError(ValueError):
 
 _NUMBER = (int, float)
 
+# Largest N and num_points: one complex array of 2**24 values takes 256 MB
+MAX_POINTS = 2**24
+
 # spec kind -> (optional keys beside the required string 'name' and their
 # kinds, the shape named in errors)
 _SPECS = {
@@ -141,7 +144,9 @@ def _check_type(key, value, kind):
         for sub, sub_kind in {"name": "string", **fields}.items():
             if sub in value:
                 _check_type(f"{key}.{sub}", value[sub], sub_kind)
-        if kind != "generator":
+        if kind == "generator":
+            _check_generator(key, value)
+        else:
             _check_builtin(key, value, kind)
     elif kind == "offset":
         # the catalog reads a bare name as {'name': name}
@@ -168,6 +173,16 @@ def _check_builtin(key, spec, kind):
                 f"{name} takes {sorted(known[name])}"
             )
         _check_type(f"{key}.params.{param}", value, "offset" if param == "offset" else "number")
+
+
+def _check_generator(key, spec):
+    name = spec["name"]
+    if name not in sequences.BUILTIN_SEQUENCES:
+        raise ConfigError(
+            f"field '{key}.name' must be one of {list(sequences.BUILTIN_SEQUENCES)}, got {name!r}"
+        )
+    if name == "add" and "perturbation" not in spec:
+        raise ConfigError(f"field '{key}.perturbation' is required by the 'add' generator")
 
 
 def _finite_float(text):
@@ -206,6 +221,16 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
             raise ConfigError(f"field {key!r} must be positive")
     if raw.get("num_points", 2) < 2:
         raise ConfigError("num_points must be at least 2")
+    # one config field sizes every array of a run: bound it before any allocation
+    for key in ("N", "num_points"):
+        if raw.get(key, 0) > MAX_POINTS:
+            raise ConfigError(
+                f"field {key!r} must be at most 2**24 = {MAX_POINTS}, got {raw[key]}"
+            )
+    if command == "spectrum" and raw["p_min"] > raw["p_max"]:
+        raise ConfigError(
+            f"field 'p_min' = {raw['p_min']} must not exceed 'p_max' = {raw['p_max']}"
+        )
     if command == "sequence":
         if raw["kind"] == "kernel" and "epsilon" not in raw:
             raise ConfigError("kernel sequences require 'epsilon'")

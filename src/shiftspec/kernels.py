@@ -22,8 +22,9 @@ import numpy as np
 from .spectral import (
     SQRT_2PI,
     GridFunction,
+    dft,
     evaluate_transform_at,
-    forward_transform,
+    fft_frequencies,
     l1_norm,
     transform_at_pm,
     weighted_l1_norm,
@@ -90,6 +91,15 @@ def stability_constant(
     work, unless tol_orth is positive and finite.
     """
     check_orthogonality_tol(tol_orth)
+    return stability_from_spectrum(G, dft(G.values), params, tol_orth)
+
+
+def stability_from_spectrum(
+    G: GridFunction, spectrum, params: ShiftParams, tol_orth: float = 1e-8
+) -> KernelReport:
+    """:func:`stability_constant` of G from spectrum = dft(G.values), for
+    a caller that needs G's transform itself as well: no FFT."""
+    check_orthogonality_tol(tol_orth)
     grid = G.grid
     cls = classify(params)
     r = params.sqrt_a
@@ -105,10 +115,11 @@ def stability_constant(
     values = evaluate_transform_at(G, np.concatenate([[r, -r], p_ref]))
     gp, gm = complex(values[0]), complex(values[1])
     orth_ok = abs(gp) <= tol_orth and abs(gm) <= tol_orth
-    Gh = forward_transform(G)
-    gh_abs = np.abs(Gh.values)
+    # |G_hat| on the grid; bins N/2 - 1 and N/2 hold the outermost
+    # frequencies p_max - dp and -p_max in either layout
+    gh_abs = (grid.dx / SQRT_2PI) * np.abs(spectrum)
     gh_max = float(gh_abs.max())
-    tail_sup = float(max(gh_abs[0], gh_abs[-1]))
+    tail_sup = float(max(gh_abs[grid.N // 2 - 1], gh_abs[grid.N // 2]))
     if tail_sup > 1e-14 * max(1.0, gh_max):
         warnings.warn(
             "kernel transform has not decayed below 1e-14 at the band edge; "
@@ -129,9 +140,10 @@ def stability_constant(
     if cls.is_resonant and not orth_ok:
         return KernelReport(N=None, sup1=None, sup2=None, finite=False, **common)
 
-    inv_abs = np.abs(inverse_symbol_on_grid(grid, params))
-    sup1 = float((gh_abs * inv_abs).max())
-    sup2 = float((grid.p**2 * gh_abs * inv_abs).max())
+    # on half a real G's spectrum: |G_hat| and |lambda| are even in p
+    quot = gh_abs * np.abs(inverse_symbol_on_grid(grid, params)[: len(spectrum)])
+    sup1 = float(quot.max())
+    sup2 = float((fft_frequencies(grid, len(spectrum)) ** 2 * quot).max())
 
     if p_ref.size:
         gh_ref = np.abs(values[2:])

@@ -18,12 +18,14 @@ from .spectral import (
     SQRT_2PI,
     Grid,
     GridFunction,
-    SpectralFunction,
+    dft,
     evaluate_transform_at,
     forward_transform,
-    inverse_transform,
+    idft,
     l2_norm,
     make_grid,
+    parseval_norm,
+    parseval_weight,
     transform_at_pm,
     weighted_l1_norm,
 )
@@ -58,8 +60,10 @@ class SolvabilityReport:
 
 @dataclass(frozen=True)
 class SymbolDivision:
-    """The solve itself: u, its grid spectrum uh (before u's real
-    projection) and the solvability report the division was gated on."""
+    """The solve itself: u, its spectrum uh in the layout of
+    :func:`shiftspec.spectral.dft` (the N/2 + 1 bins of a real f, before
+    the inverse drops the Nyquist bin's imaginary part) and the
+    solvability report the division was gated on."""
 
     u: GridFunction
     uh: np.ndarray
@@ -77,9 +81,9 @@ class LinearSolveResult:
 def apply_operator(u: GridFunction, params: ShiftParams) -> GridFunction:
     """-u'' - a*u(x - h), applied spectrally as multiplication of u_hat by
     the symbol lambda(p) = p^2 - a*e^{-iph}: one forward and one inverse
-    transform.  Real when u is real."""
-    uh = symbol_on_grid(u.grid, params) * forward_transform(u).values
-    return u.real_like(inverse_transform(SpectralFunction(u.grid, uh)).values)
+    transform, half-length when u is real.  Real when u is real."""
+    s = dft(u.values)
+    return GridFunction(u.grid, idft(symbol_on_grid(u.grid, params)[: len(s)] * s, u.grid.N))
 
 
 def check_solvability(
@@ -110,7 +114,8 @@ def divide_by_symbol(
     f: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
 ) -> SymbolDivision:
     """Solve -u'' - a*u(x-h) = f by symbol division on the grid: 2 FFTs
-    and the solvability check, no diagnostics.
+    (half-length when f is real) and the solvability check, no
+    diagnostics.
 
     Resonant parameters require the orthogonality report to pass (raises
     ResonantNotSolvable otherwise); the division follows
@@ -126,9 +131,9 @@ def divide_by_symbol(
             f"|f_hat(-sqrt(a))| = {abs(report.fhat_minus):.3e}, tol = {tol_orth:.3e}",
             report=report,
         )
-    uh = inverse_symbol_on_grid(grid, params) * forward_transform(f).values
-    u = f.real_like(inverse_transform(SpectralFunction(grid, uh)).values)
-    return SymbolDivision(u=u, uh=uh, solvability=report)
+    s = dft(f.values)
+    uh = inverse_symbol_on_grid(grid, params)[: len(s)] * s
+    return SymbolDivision(u=GridFunction(grid, idft(uh, grid.N)), uh=uh, solvability=report)
 
 
 def solve_linear(
@@ -137,15 +142,11 @@ def solve_linear(
     """:func:`divide_by_symbol`, plus the residual ||Lu - f||_L2 (the
     operator applied to u again, 2 more FFTs) and the H2 norm of u."""
     sol = divide_by_symbol(f, params, tol_orth)
-    grid, uh = f.grid, sol.uh
     residual = l2_norm(apply_operator(sol.u, params) - f)
     # H2 norm by Parseval on uh, as fixed_point_solve takes its step norm:
-    # the real projection of u drops only round-off and the unpaired
-    # -N/2 bin, where a decaying f's transform is negligible.  Squares,
-    # not p**4 and np.abs: numpy's general power and complex abs are an
-    # order of magnitude slower.
-    weight = 1.0 + (grid.p * grid.p) ** 2
-    h2 = float(np.sqrt(grid.dp * np.sum(weight * (uh.real**2 + uh.imag**2))))
+    # the inverse to u drops only the Nyquist bin's imaginary part, where
+    # a decaying f's transform is negligible
+    h2 = parseval_norm(parseval_weight(f.grid, len(sol.uh)), sol.uh)
     return LinearSolveResult(
         u=sol.u, residual_l2=residual, solvability=sol.solvability, h2_norm_u=h2
     )

@@ -15,18 +15,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
-from .kernels import KernelReport, contraction_margin, stability_constant
+from .kernels import KernelReport, contraction_margin, stability_from_spectrum
 from .linear import apply_operator
 from .spectral import (
     SQRT_2PI,
     Grid,
     GridFunction,
     SpectralFunction,
+    dft,
     forward_transform,
+    idft,
     inverse_transform,
     l2_norm,
+    parseval_norm,
+    parseval_weight,
 )
-from .symbols import ShiftParams, inverse_symbol_on_grid
+from .symbols import ShiftParams, check_orthogonality_tol, inverse_symbol_on_grid
 
 
 @dataclass(frozen=True)
@@ -178,29 +182,46 @@ def _convolve_on_window(G: GridFunction, w: GridFunction, window) -> GridFunctio
 
 def apply_nonlinearity(F: Nonlinearity, v: GridFunction) -> GridFunction:
     """Pointwise w(x) = F(v(x), x) on v's grid."""
-    if not v.is_real:
+    return GridFunction(v.grid, _evaluate(F, v.values, v.grid.x))
+
+
+def _evaluate(F: Nonlinearity, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F(v, x) as float64 samples; ValueError unless v is real."""
+    if np.iscomplexobj(v):
         raise ValueError("nonlinearity arguments must be real-valued")
-    vals = np.asarray(F.eval(v.values, v.grid.x), dtype=np.float64)
-    return GridFunction(v.grid, vals)
+    return np.asarray(F.eval(v, x), dtype=np.float64)
 
 
-def _step(mult: np.ndarray, F: Nonlinearity, v: GridFunction, G: GridFunction):
-    """u_hat = mult * F(v)_hat and its inverse transform u (real if G is)."""
-    uh = mult * forward_transform(apply_nonlinearity(F, v)).values
-    return uh, G.real_like(inverse_transform(SpectralFunction(v.grid, uh)).values)
+def _spectrum_like(G: GridFunction, values: np.ndarray) -> np.ndarray:
+    """dft of samples in G's layout: all N bins when G or they are complex."""
+    return dft(values.astype(np.result_type(values, G.values), copy=False))
 
 
-def _multiplier(G: GridFunction, params: ShiftParams, tol_orth: float = 1e-8):
-    """The map's gate and multiplier: G's stability report, NotFinite
-    unless it is finite (G_hat vanishing at +-sqrt(a) when resonant), and
-    sqrt(2*pi) * G_hat / lambda (see :func:`inverse_symbol`)."""
-    report = stability_constant(G, params, tol_orth)
+def _step(c: np.ndarray, F: Nonlinearity, v: np.ndarray, G: GridFunction):
+    """One step of the map on samples: u_hat = c * dft(F(v)) and
+    u = idft(u_hat), the one finiteness check on u (ValueError)."""
+    uh = c * _spectrum_like(G, _evaluate(F, v, G.grid.x))
+    u = idft(uh, G.grid.N)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("values contain NaN or Inf")
+    return uh, u
+
+
+def _multiplier(G: GridFunction, spectrum, params: ShiftParams, tol_orth: float = 1e-8):
+    """The map's gate and multiplier from spectrum = dft(G.values): G's
+    stability report, NotFinite unless it is finite (G_hat vanishing at
+    +-sqrt(a) when resonant), and c = dx * (-1)^k * spectrum / lambda (see
+    :func:`inverse_symbol`), sqrt(2*pi) * G_hat / lambda with the
+    transform factors folded in; (-1)^k centres the convolution."""
+    report = stability_from_spectrum(G, spectrum, params, tol_orth)
     if not report.finite:
         raise NotFinite(
             "stability constant is infinite: kernel orthogonality fails at +-sqrt(a)",
             report=report,
         )
-    return report, SQRT_2PI * forward_transform(G).values * inverse_symbol_on_grid(G.grid, params)
+    c = G.grid.dx * spectrum * inverse_symbol_on_grid(G.grid, params)[: len(spectrum)]
+    c[1::2] *= -1.0
+    return report, c
 
 
 def apply_T(
@@ -212,7 +233,8 @@ def apply_T(
     Gated on a finite stability report, as :func:`iterate_fixed_point` is.
     """
     G.require_same_grid(v)
-    return _step(_multiplier(G, params)[1], F, v, G)[1]
+    c = _multiplier(G, dft(G.values), params)[1]
+    return GridFunction(G.grid, _step(c, F, v.values, G)[1])
 
 
 def nontriviality_check(
@@ -228,14 +250,21 @@ def nontriviality_check(
     absolute for both transforms; by default each uses 1e-12 times its
     own maximum magnitude.
     """
+    return _overlap(G, dft(G.values), F, grid, threshold)
+
+
+def _overlap(G, spectrum, F, grid, threshold):
+    """:func:`nontriviality_check` from spectrum = dft(G.values).  On half
+    of real spectra: both magnitudes are even in p."""
     f0 = GridFunction(grid, np.asarray(F.eval(np.zeros(grid.N), grid.x), dtype=np.float64))
     G.require_same_grid(f0)
-    gh = np.abs(forward_transform(G).values)
-    fh = np.abs(forward_transform(f0).values)
-    thr_g = threshold if threshold is not None else 1e-12 * gh.max()
-    thr_f = threshold if threshold is not None else 1e-12 * fh.max()
-    overlap_bins = int(np.count_nonzero((gh > thr_g) & (fh > thr_f)))
-    return overlap_bins > 0
+    gh = np.abs(spectrum)
+    fh = np.abs(_spectrum_like(G, f0.values))
+    # |dft| is |transform| * sqrt(2*pi)/dx
+    unit = SQRT_2PI / grid.dx
+    thr_g = threshold * unit if threshold is not None else 1e-12 * gh.max()
+    thr_f = threshold * unit if threshold is not None else 1e-12 * fh.max()
+    return bool(np.any((gh > thr_g) & (fh > thr_f)))
 
 
 def _a_priori_iterations(q: float, first_step: float, tol: float) -> int:
@@ -259,8 +288,9 @@ def iterate_fixed_point(
     tol_orth: float = 1e-8,
 ) -> FixedPointIteration:
     """Iterate the map from v0 (default zero) until the H2 step norm
-    drops to tol_h2: the stability constant, G_hat and 2 FFTs per
-    iteration, no diagnostics.
+    drops to tol_h2: one transform of G, which the stability constant and
+    the multiplier share, and 2 FFTs per iteration (half-length when G is
+    real), no diagnostics.
 
     Requires a positive contraction margin 1 - 2*sqrt(pi)*N*l (raises
     ContractionHypothesisFailed otherwise, including the boundary) and,
@@ -270,31 +300,42 @@ def iterate_fixed_point(
     Raises ValueError, before any work, unless tol_h2 and tol_orth are
     positive and finite and max_iter (when given) is at least 1.
     """
+    return _iterate(G, F, params, v0, tol_h2, max_iter, tol_orth)[0]
+
+
+def _iterate(G, F, params, v0, tol_h2, max_iter, tol_orth):
+    """:func:`iterate_fixed_point` and the transform dft(G.values) it used."""
     if not (math.isfinite(tol_h2) and tol_h2 > 0.0):
         raise ValueError(f"tol_h2 must be positive and finite, got {tol_h2}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_orthogonality_tol(tol_orth)
     grid = G.grid
-    report, mult = _multiplier(G, params, tol_orth)
+    spectrum = dft(G.values)
+    report, c = _multiplier(G, spectrum, params, tol_orth)
     q = 2.0 * np.sqrt(np.pi) * report.N * F.l
     if contraction_margin(report.N, F.l) <= 0.0:
         raise ContractionHypothesisFailed(
             f"2*sqrt(pi)*N*l = {q:.6g} >= 1; the fixed-point map does not contract"
         )
-    v = v0 if v0 is not None else GridFunction(grid, np.zeros(grid.N))
-    G.require_same_grid(v)
-    # H2 step norm by Parseval on the spectra uh, before the real projection
-    # of u: that projection drops only round-off and the unpaired -N/2 bin,
-    # which the kernel's tail certificate bounds.  An FFT round trip would
-    # add a floor ~eps*p_max^2*||u|| that exceeds tol_h2 on fine grids.
-    h2_weight = grid.dp * (1.0 + (grid.p * grid.p) ** 2)
-    # the zero start's spectrum is zero, with no FFT: uh - 0.0 is uh bit for bit
-    vh = forward_transform(v).values if v0 is not None else 0.0
+    if v0 is None:
+        # the zero start's spectrum is zero, with no FFT: uh - 0.0 is uh bit for bit
+        v, vh = np.zeros(grid.N), 0.0
+    else:
+        # a complex v0 is rejected by the first step
+        G.require_same_grid(v0)
+        v = v0.values
+        vh = _spectrum_like(G, v)
+    # H2 step norm by Parseval on the spectra uh, before the inverse drops
+    # the Nyquist bin's imaginary part, which the kernel's tail certificate
+    # bounds.  An FFT round trip would add a floor ~eps*p_max^2*||u|| that
+    # exceeds tol_h2 on fine grids.
+    h2_weight = parseval_weight(grid, len(c))
     step_norms: list[float] = []
     cap = bound = None
     while True:
-        uh, u = _step(mult, F, v, G)
-        step = float(np.sqrt(np.sum(h2_weight * np.abs(uh - vh) ** 2)))
+        uh, u = _step(c, F, v, G)
+        step = parseval_norm(h2_weight, uh - vh)
         step_norms.append(step)
         if bound is None:
             bound = _a_priori_iterations(q, step, tol_h2)
@@ -307,9 +348,14 @@ def iterate_fixed_point(
                 f"(a priori bound {bound}, last step {step:.3e})"
             )
         v, vh = u, uh
-    return FixedPointIteration(
-        u=u, step_norms=step_norms, q_bound=q, iteration_bound=bound, stability=report
+    it = FixedPointIteration(
+        u=GridFunction(grid, u),
+        step_norms=step_norms,
+        q_bound=q,
+        iteration_bound=bound,
+        stability=report,
     )
+    return it, spectrum
 
 
 def fixed_point_solve(
@@ -325,13 +371,14 @@ def fixed_point_solve(
     observed step ratios, the residual, its tail bound and the
     nontriviality check.
 
-    The residual of the full nonlocal equation is recomputed
+    G is transformed once, for the iteration and the nontriviality
+    check.  The residual of the full nonlocal equation is recomputed
     independently: operator application on one side, direct-sum
     convolution on the other.  The direct sum skips a kernel tail below
     round-off; residual_tail_bound = ||G_tail||_L1 * ||F(u)||_L2 bounds,
     by Young's inequality, how far that moves the convolution in L2.
     """
-    it = iterate_fixed_point(G, F, params, v0, tol_h2, max_iter, tol_orth)
+    it, spectrum = _iterate(G, F, params, v0, tol_h2, max_iter, tol_orth)
     u, step_norms = it.u, it.step_norms
     ratios = [
         step_norms[i + 1] / step_norms[i]
@@ -349,7 +396,7 @@ def fixed_point_solve(
         q_bound=it.q_bound,
         residual_l2=residual,
         residual_tail_bound=window[2] * l2_norm(Fu),
-        nontrivial=nontriviality_check(G, F, G.grid),
+        nontrivial=_overlap(G, spectrum, F, G.grid, None),
         stability=it.stability,
         iteration_bound=it.iteration_bound,
     )

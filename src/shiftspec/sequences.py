@@ -281,6 +281,9 @@ def _mollified_cutoff(x, m):
     return np.exp(-(t**2))
 
 
+BUILTIN_SEQUENCES = ("add", "scale", "truncate")
+
+
 def builtin_sequences(
     name: str,
     kind: SequenceKind,
@@ -322,7 +325,9 @@ def builtin_sequences(
         limit = project_solvable(base, shift_params) if reproject else base
         gen = _member
     else:
-        raise KeyError(f"unknown sequence builtin {name!r}; available: add, scale, truncate")
+        raise KeyError(
+            f"unknown sequence builtin {name!r}; available: {', '.join(BUILTIN_SEQUENCES)}"
+        )
     return SequenceSpec(kind=kind, generator=gen, limit=limit, M=M, epsilon=epsilon)
 
 

@@ -13,6 +13,29 @@ which on this grid are exact inverses of each other and exactly unitary
 (Parseval with the dx / dp quadrature weights).  Functions are expected
 to decay below ~1e-14 at +-L; the periodic surrogate is not claimed to
 approximate non-decaying data.
+
+The solve paths work on a second layout: the unscaled DFT in numpy's FFT
+order, from :func:`dft` and :func:`idft`.  Bin k holds the frequency
+k*dp for k < N/2 and (k - N)*dp from k = N/2 on, so bin N/2 is the
+unpaired endpoint -N*pi/(2L) (:func:`fft_frequencies`).  A real input
+keeps only bins 0..N/2 (``rfft``, half the work of a complex FFT); a
+complex one keeps all N (``fft``).  The choice follows the input's dtype
+and is made here only.  The transform factors fold away: the forward
+factor (dx/sqrt(2*pi)) * sign and the inverse factor
+(dp*N/sqrt(2*pi)) * sign multiply to 1, since dx*dp*N = 2*pi and
+sign*sign = 1.  So a multiplier m(p) acts as idft(m_k * dft(u)) with m
+sampled at the FFT-order frequencies, and a real input reads the first
+N/2 + 1 entries of such an array.  A convolution with a kernel G keeps
+two factors: sqrt(2*pi) * G_hat is dx * sign * dft(G), and the sign,
+(-1)^k in FFT order, moves the kernel's centre from x_0 = -L to x = 0.
+
+The Nyquist rule.  Bin N/2 has no partner.  A multiplier that is not
+real there, such as 1/lambda(-N*pi/(2L)), gives it an imaginary part,
+which the inverse of a half spectrum (``irfft``) drops, as taking the
+real part of a full inverse does.  Norms by Parseval
+(:func:`parseval_weight`) count it once, with its imaginary part, as the
+full-spectrum sum does; the paired bins 1..N/2-1 of a half spectrum
+count twice.
 """
 
 from __future__ import annotations
@@ -50,7 +73,8 @@ class Grid:
 
     Each grid also memoizes, through :meth:`memo`, the read-only arrays
     that the solve paths derive from it and the shift parameters: the
-    symbol lambda(p) and its inverse, the window basis of
+    symbol lambda(p) and its inverse in FFT order (see the module
+    docstring), the window basis of
     ``linear.project_solvable`` and the phase tables of
     :func:`evaluate_transform_at` (kind ``offgrid``).  The memo keeps one
     entry per kind, for the most recent key only, so it holds at most
@@ -213,6 +237,45 @@ def inverse_transform(uh: SpectralFunction) -> GridFunction:
     return GridFunction(grid, vals)
 
 
+def dft(values: np.ndarray) -> np.ndarray:
+    """Unscaled DFT of grid samples in FFT order: the N/2 + 1 bins of
+    ``rfft`` for real values, all N bins of ``fft`` for complex ones."""
+    return np.fft.fft(values) if np.iscomplexobj(values) else np.fft.rfft(values)
+
+
+def idft(spectrum: np.ndarray, N: int) -> np.ndarray:
+    """Inverse of :func:`dft` to N samples: real (``irfft``, which drops
+    the imaginary parts of bins 0 and N/2) from a half spectrum, complex
+    (``ifft``) from a full one."""
+    return np.fft.ifft(spectrum) if len(spectrum) == N else np.fft.irfft(spectrum, N)
+
+
+def fft_frequencies(grid: Grid, bins: int) -> np.ndarray:
+    """The frequencies of the first ``bins`` FFT-order bins: k*dp for
+    k < N/2, then (k - N)*dp; the same floats as the matching grid.p."""
+    k = np.arange(bins)
+    k[grid.N // 2 :] -= grid.N
+    return grid.dp * k
+
+
+def parseval_weight(grid: Grid, bins: int, l2: float = 1.0) -> np.ndarray:
+    """Weights w with sqrt(sum w*|s|^2) = sqrt(l2*||u||_L2^2 + ||u''||_L2^2)
+    for the spectrum s = dft(u) of ``bins`` bins (N/2 + 1 or N):
+    (dx/N)*(l2 + p^4), the paired bins 1..N/2-1 of a half spectrum counted
+    twice and bins 0 and N/2 once (see the module docstring)."""
+    p2 = fft_frequencies(grid, bins) ** 2
+    weight = (grid.dx / grid.N) * (l2 + p2 * p2)
+    if bins < grid.N:
+        weight[1 : grid.N // 2] *= 2.0
+    return weight
+
+
+def parseval_norm(weight: np.ndarray, spectrum: np.ndarray) -> float:
+    """sqrt(sum weight*|spectrum|^2), for a weight from :func:`parseval_weight`.
+    Squares, not np.abs: numpy's complex abs is an order of magnitude slower."""
+    return float(np.sqrt(np.sum(weight * (spectrum.real**2 + spectrum.imag**2))))
+
+
 def _offgrid_tables(grid: Grid, p: np.ndarray):
     """Phase tables of :func:`evaluate_transform_at` at the frequencies p.
 
@@ -307,12 +370,9 @@ def weighted_l1_norm(u: GridFunction) -> float:
 
 def second_derivative_norm(u: GridFunction) -> float:
     """||u''||_L2 of the spectral second derivative, by Parseval on one
-    forward transform: sqrt(dp * sum p^4 |u_hat|^2)."""
-    uh = forward_transform(u).values
-    p2 = u.grid.p * u.grid.p
-    # squares, not p**4 and np.abs: numpy's general power and complex abs
-    # are an order of magnitude slower
-    return float(np.sqrt(u.grid.dp * np.sum(p2 * p2 * (uh.real**2 + uh.imag**2))))
+    transform: sqrt(dp * sum p^4 |u_hat|^2), from :func:`dft`."""
+    s = dft(u.values)
+    return parseval_norm(parseval_weight(u.grid, len(s), l2=0.0), s)
 
 
 def h2_norm(u: GridFunction) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularGrid, ShiftSpecError
+from .spectral import fft_frequencies
 
 # Resonant grid bins are identified by a machine-zero symbol modulus
 # relative to the natural scale |lambda(0)|^2 = a^2.  Only the bins at
@@ -102,17 +103,24 @@ def inverse_symbol(p, params: ShiftParams):
 
 
 def symbol_on_grid(grid, params: ShiftParams):
-    """symbol(grid.p, params), memoized on the grid (see ``Grid.memo``)
-    and read-only."""
-    return grid.memo("symbol", params, lambda: symbol(grid.p, params))
+    """lambda on the grid in FFT order, the multiplier of
+    :func:`shiftspec.spectral.dft` spectra: symbol(p, params) at
+    p = fft_frequencies(grid, N), memoized on the grid (see ``Grid.memo``)
+    and read-only.  A real input's half spectrum reads the first N/2 + 1
+    entries."""
+    return grid.memo("symbol", params, lambda: symbol(fft_frequencies(grid, grid.N), params))
 
 
 def inverse_symbol_on_grid(grid, params: ShiftParams):
-    """inverse_symbol(grid.p, params), memoized on the grid (see
-    ``Grid.memo``) and read-only.  A build that raises NearSingularGrid
-    stores nothing, so every such call raises."""
+    """inverse_symbol on the grid in FFT order, as :func:`symbol_on_grid`,
+    memoized on the grid and read-only.  A build that raises
+    NearSingularGrid stores nothing, so every such call raises."""
     lam = symbol_on_grid(grid, params)
-    return grid.memo("inverse_symbol", params, lambda: _inverse(lam, grid.p, params))
+    return grid.memo(
+        "inverse_symbol",
+        params,
+        lambda: _inverse(lam, fft_frequencies(grid, grid.N), params),
+    )
 
 
 def _inverse(lam, p, params: ShiftParams):

@@ -464,6 +464,8 @@ def test_solution_csv_bytes_match_percent_g17(tmp_path, monkeypatch, case):
         # a kernel sequence's contraction slack lies in (0, 1)
         ("sequence", KERNEL_SEQUENCE_CFG, "epsilon", 1.5),
         ("sequence", KERNEL_SEQUENCE_CFG, "epsilon", 1),
+        # an empty interval
+        ("spectrum", {"a": 1.0, "h": 1.0, "p_max": -4.0, "num_points": 9}, "p_min", 4.0),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -509,6 +511,8 @@ def test_config_number_not_finite_or_out_of_range_exit_1(
         ("sequence", SEQUENCE_CFG, "generator",
          {"name": "add", "perturbation": {"name": "sine_packet", "params": {"freq": "2"}}},
          "generator.perturbation.params.freq"),
+        ("sequence", SEQUENCE_CFG, "generator", {"name": "shift"}, "generator.name"),
+        ("sequence", SEQUENCE_CFG, "generator", {"name": "add"}, "generator.perturbation"),
     ],
 )
 def test_builtin_spec_checked_against_catalog_exit_1(
@@ -551,3 +555,35 @@ def test_run_rejected_after_parsing_leaves_no_output_dir(
     assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == rc
     assert json.loads(capsys.readouterr().err)["error"]["type"] == error
     assert not out.exists()
+
+
+SIZED_CONFIGS = [
+    ("solve-linear", LINEAR_CFG, "N"),
+    ("solve-nonlinear", NONLINEAR_CFG, "N"),
+    ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "G": {"name": "gaussian"}}, "N"),
+    ("sequence", SEQUENCE_CFG, "N"),
+    ("spectrum", {"a": 1.0, "h": 1.0, "p_min": -4.0, "p_max": 4.0}, "num_points"),
+]
+
+
+@pytest.mark.parametrize("command, base, field", SIZED_CONFIGS)
+def test_sizes_above_2_24_rejected_before_any_allocation(
+    tmp_path, monkeypatch, capsys, command, base, field
+):
+    # the bound is checked at parse time: neither the grid nor the
+    # spectrum's frequencies are ever built
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocation attempted")
+
+    monkeypatch.setattr(cli, "make_grid", refuse)
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    for value in (2**24 + 2, 10**300):
+        cfg = write_cfg(tmp_path, dict(base, **{field: value}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"field '{field}' must be at most 2**24" in err["message"]
+        assert not out.exists()
+    cfg = write_cfg(tmp_path, dict(base, **{field: 2**24}))
+    assert parse_config(cfg, command, tmp_path, 0).options[field] == 2**24

@@ -93,9 +93,16 @@ def _fft_uses(tree):
 
 
 def test_fft_only_in_the_two_transforms():
-    # every FFT the package runs goes through forward_transform or
-    # inverse_transform, so counting those two counts them all
-    allowed = {("spectral.py", "forward_transform"), ("spectral.py", "inverse_transform")}
+    # every FFT the package runs goes through one of the two transforms,
+    # each a forward/inverse pair: forward_transform / inverse_transform in
+    # increasing-p order, and dft / idft in FFT order for the solve paths.
+    # Counting those four functions counts them all
+    allowed = {
+        ("spectral.py", "forward_transform"),
+        ("spectral.py", "inverse_transform"),
+        ("spectral.py", "dft"),
+        ("spectral.py", "idft"),
+    }
     found = [
         f"{path.name}:{line} in {func}"
         for path in sorted(SOURCE.rglob("*.py"))

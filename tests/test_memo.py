@@ -17,6 +17,7 @@ from shiftspec.nonlinear import Nonlinearity, fixed_point_solve
 from shiftspec.spectral import (
     GridFunction,
     evaluate_transform_at,
+    fft_frequencies,
     make_grid,
     transform_at_pm,
 )
@@ -49,6 +50,14 @@ def random_cases(seed, count=6):
             L = float(rng.uniform(10.0, 40.0))
         cases.append((L, N, params))
     return cases
+
+
+def fft_p(grid):
+    """The grid frequencies in FFT order, the layout of the symbol memo:
+    the same floats as grid.p, rotated."""
+    p = fft_frequencies(grid, grid.N)
+    assert same_bits(p, np.fft.ifftshift(grid.p))
+    return p
 
 
 def same_bits(x, y):
@@ -93,8 +102,9 @@ def test_cached_arrays_equal_uncached_bitwise(seed):
         # first call builds (cold), second reads the memo (warm); the
         # off-grid values against an equal, fresh grid
         for _ in range(2):
-            assert same_bits(symbol_on_grid(grid, params), symbol(grid.p, params))
-            assert same_bits(inverse_symbol_on_grid(grid, params), inverse_symbol(grid.p, params))
+            p = fft_p(grid)
+            assert same_bits(symbol_on_grid(grid, params), symbol(p, params))
+            assert same_bits(inverse_symbol_on_grid(grid, params), inverse_symbol(p, params))
             fresh = GridFunction(make_grid(L, N), u.values)
             assert transform_at_pm(u, params.sqrt_a) == transform_at_pm(fresh, params.sqrt_a)
         assert symbol_on_grid(grid, params) is symbol_on_grid(grid, params)
@@ -114,8 +124,8 @@ def test_params_do_not_share_entries():
     for params in (first, second, first, second):
         fresh = make_grid(grid.L, grid.N)
         ref = GridFunction(fresh, u.values)
-        assert same_bits(symbol_on_grid(grid, params), symbol(grid.p, params))
-        assert same_bits(inverse_symbol_on_grid(grid, params), inverse_symbol(grid.p, params))
+        assert same_bits(symbol_on_grid(grid, params), symbol(fft_p(grid), params))
+        assert same_bits(inverse_symbol_on_grid(grid, params), inverse_symbol(fft_p(grid), params))
         p = stability_frequencies(grid, params)
         assert same_bits(evaluate_transform_at(u, p), evaluate_transform_at(ref, p))
         assert stability_constant(u, params) == stability_constant(ref, params)
@@ -186,7 +196,7 @@ def test_near_singular_grid_raises_on_every_call(monkeypatch):
             with pytest.raises(NearSingularGrid):
                 inverse_symbol_on_grid(grid, params)
     good = inverse_symbol_on_grid(grid, params)
-    assert same_bits(good, inverse_symbol(grid.p, params))
+    assert same_bits(good, inverse_symbol(fft_p(grid), params))
 
 
 def test_memo_is_freed_with_its_grid_without_gc():
@@ -220,14 +230,14 @@ def test_threads_sharing_a_grid_get_their_own_params():
     # replace the grid's entry with theirs
     grid = make_grid(30.0, 256)
     params = [ShiftParams(1.0 + 0.25 * i, 1.0) for i in range(6)]
-    want = {q: symbol(grid.p, q) for q in params}
+    want = {q: symbol(fft_p(grid), q) for q in params}
     errors = []
 
     def work(offset):
         for k in range(300):
             q = params[(offset + k) % len(params)]
             if not same_bits(symbol_on_grid(grid, q), want[q]) or not same_bits(
-                inverse_symbol_on_grid(grid, q), inverse_symbol(grid.p, q)
+                inverse_symbol_on_grid(grid, q), inverse_symbol(fft_p(grid), q)
             ):
                 errors.append(q)
 

@@ -329,32 +329,24 @@ def test_contraction_bound_random_pairs(grid):
 
 
 @pytest.mark.parametrize("tol_h2", [1e-6, 1e-8])
-def test_fixed_point_fft_count(monkeypatch, tol_h2):
-    # per iteration: F(v)_hat and one inverse for the step (its H2 norm
-    # is taken on the spectra); once: 1 for the stability constant, 1 for
-    # G_hat, 2 for the nontriviality check, 2 for the residual's operator
-    # application.  The zero start's spectrum is zero, with no FFT.  The
-    # off-grid samples take no FFT, so a second solve on the same, now
-    # warm grid does the same
-    calls = []
-    for name in ("fft", "ifft"):
-        original = getattr(np.fft, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
+def test_fixed_point_fft_count(fft_calls, tol_h2):
+    # once: 1 for G_hat, which the stability constant, the multiplier and
+    # the nontriviality check share; per iteration: F(v)_hat and one
+    # inverse for the step (its H2 norm is taken on the spectra); then 1
+    # for F(0)_hat in the nontriviality check and 2 for the residual's
+    # operator application.  All are half-length for real data.  The zero
+    # start's spectrum is zero, with no FFT.  The off-grid samples take no
+    # FFT, so a second solve on the same, now warm grid does the same
     cold = make_grid(40.0, 1024)  # fresh: nothing memoized yet
     G = GridFunction(cold, 0.3 * np.exp(-cold.x**2 / 2))
     F = tanh_nonlinearity(cold)
-    result = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
-    assert result.iterations >= 3
-    assert len(calls) == 2 * result.iterations + 6
-    calls.clear()  # same grid, now warm for NONRESONANT
-    again = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
-    assert again.iterations == result.iterations
-    assert len(calls) == 2 * again.iterations + 6
+    for _ in range(2):  # the second on the same grid, now warm for NONRESONANT
+        fft_calls.clear()
+        result = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
+        assert result.iterations >= 3
+        pair = [("rfft", 1024), ("irfft", 1024)]
+        assert fft_calls == [("rfft", 1024)] + pair * result.iterations + pair + [("rfft", 1024)]
+        assert len(fft_calls) == 2 * result.iterations + 4
 
 
 def test_iterate_fixed_point_is_fixed_point_solve_without_diagnostics(monkeypatch):

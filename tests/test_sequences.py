@@ -282,9 +282,11 @@ def resonant_truncate_spec():
 
 def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
     # one stability report per solve (limit and M members) and one per
-    # difference kernel; one classification for the whole run
+    # difference kernel; one classification for the whole run.  Every
+    # report comes from stability_from_spectrum, which stability_constant
+    # calls with the kernel's transform
     symbols.classify.cache_clear()
-    reports = count_calls(monkeypatch, kernels, "stability_constant")
+    reports = count_calls(monkeypatch, kernels, "stability_from_spectrum")
     alphas = count_calls(monkeypatch, symbols, "estimate_alpha")
     run_kernel_sequence(kernel_scale_spec(grid), tanh_F(grid), ShiftParams(1.0, 0.9))
     assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)
@@ -302,20 +304,6 @@ def test_resonant_rhs_sequence_checks_each_member_once(monkeypatch):
     offgrid = count_calls(monkeypatch, spectral, "evaluate_transform_at")
     run_linear_sequence(resonant_truncate_spec(), RESONANT)
     assert (len(checks), len(pairs), len(offgrid)) == (13, 13 + 13 + 2, 13 + 13 + 2)
-
-
-def count_ffts(monkeypatch):
-    """Count numpy's forward and inverse FFT calls."""
-    calls = []
-    for name in ("fft", "ifft"):
-        original = getattr(np.fft, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("case", ["rhs-scale", "rhs-resonant-truncate", "kernel-scale"])
@@ -339,25 +327,30 @@ def test_sequence_tables_match_full_solvers(grid, monkeypatch, case):
 
 
 @pytest.mark.parametrize("params", [NONRESONANT, RESONANT], ids=["scale", "resonant-truncate"])
-def test_rhs_sequence_fft_count(grid, monkeypatch, params):
+def test_rhs_sequence_fft_count(grid, monkeypatch, fft_calls, params):
     # 2 per solve (limit and M members: forward, inverse) and 1 per
-    # member for its d2_gap; no residual, so the operator is never applied
+    # member for its d2_gap, all half-length; no residual, so the
+    # operator is never applied
     if params is RESONANT:
         spec = resonant_truncate_spec()
     else:
         f = GridFunction(grid, np.exp(-grid.x**2))
         spec = builtin_sequences("scale", kind=SequenceKind.RHS, base=f, M=12)
     refuse_calls(monkeypatch, linear, "apply_operator")
-    calls = count_ffts(monkeypatch)
+    N = spec.limit.grid.N
+    fft_calls.clear()  # count the run's transforms only
     run_linear_sequence(spec, params)
-    assert len(calls) == 2 * (spec.M + 1) + spec.M == 38
+    member = [("rfft", N), ("irfft", N), ("rfft", N)]
+    assert fft_calls == [("rfft", N), ("irfft", N)] + member * spec.M
+    assert len(fft_calls) == 2 * (spec.M + 1) + spec.M == 38
 
 
-def test_kernel_sequence_runs_no_solver_diagnostics(grid, monkeypatch):
-    # each solve (limit and M members) costs 2k + 2 FFTs for k iterations:
-    # 1 for its stability constant, 1 for G_hat, 2 per iteration; each
-    # member adds 2: the difference kernel's stability constant and the
-    # d2_gap.  No residual, direct sum or nontriviality check runs
+def test_kernel_sequence_runs_no_solver_diagnostics(grid, monkeypatch, fft_calls):
+    # each solve (limit and M members) costs 2k + 1 half-length FFTs for
+    # k iterations: 1 for G_hat, which its stability constant shares, 2
+    # per iteration; each member adds 2: the difference kernel's
+    # stability constant and the d2_gap.  No residual, direct sum or
+    # nontriviality check runs
     for module, name in [
         (linear, "apply_operator"),
         (nonlinear, "_convolve_on_window"),
@@ -374,10 +367,12 @@ def test_kernel_sequence_runs_no_solver_diagnostics(grid, monkeypatch):
 
     monkeypatch.setattr(sequences, "iterate_fixed_point", recorded)
     spec = kernel_scale_spec(grid)
-    calls = count_ffts(monkeypatch)
+    fft_calls.clear()
     run_kernel_sequence(spec, tanh_F(grid), ShiftParams(1.0, 0.9))
     assert len(iterations) == spec.M + 1
-    assert len(calls) == sum(2 * k + 2 for k in iterations) + 2 * spec.M
+    assert len(fft_calls) == sum(2 * k + 1 for k in iterations) + 2 * spec.M
+    assert {name for name, _ in fft_calls} == {"rfft", "irfft"}
+    assert {n for _, n in fft_calls} == {grid.N}
 
 
 def test_write_table_csv(tmp_path, grid):
