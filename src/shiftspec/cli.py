@@ -32,7 +32,7 @@ from .spectral import (
     write_float_rows,
     write_gridfunction_csv,
 )
-from .symbols import ShiftParams, symbol, symbol_modulus_sq
+from .symbols import ShiftParams, default_resonance_tol, symbol, symbol_modulus_sq
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,6 +227,16 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
             raise ConfigError(
                 f"field {key!r} must be at most 2**24 = {MAX_POINTS}, got {raw[key]}"
             )
+    if "N" in raw and (raw["N"] < 8 or raw["N"] % 2):
+        raise ConfigError(f"field 'N' must be an even integer >= 8, got {raw['N']}")
+    # every other command classifies (a, h): it resolves h to a tolerance
+    # that must stay below half the spacing of the resonances 2*pi*n/sqrt(a)
+    params = ShiftParams(float(raw["a"]), float(raw["h"]))
+    if command != "spectrum" and not default_resonance_tol(params) < np.pi / params.sqrt_a:
+        raise ConfigError(
+            f"field {'h' if abs(params.h) > 1.0 else 'a'!r} is too large to classify resonance: "
+            f"max(1, |h|)*sqrt(a) must be below 1e9*pi, got a = {raw['a']}, h = {raw['h']}"
+        )
     if command == "spectrum" and raw["p_min"] > raw["p_max"]:
         raise ConfigError(
             f"field 'p_min' = {raw['p_min']} must not exceed 'p_max' = {raw['p_max']}"

@@ -22,7 +22,6 @@ import numpy as np
 from .spectral import (
     SQRT_2PI,
     GridFunction,
-    dft,
     evaluate_transform_at,
     fft_frequencies,
     l1_norm,
@@ -87,18 +86,10 @@ def stability_constant(
     ||x G||_L1 / sqrt(2*pi*a)  (and, for the p^2 quotient, by
     max|G_hat| + a * that cap).  The on-grid quotients use
     :func:`inverse_symbol`, so a non-resonant grid with symbol values
-    below alpha/2 raises NearSingularGrid.  Raises ValueError, before any
-    work, unless tol_orth is positive and finite.
+    below alpha/2 raises NearSingularGrid.  The grid transform is
+    ``G.spectrum``: 1 FFT on first use, none after.  Raises ValueError,
+    before any work, unless tol_orth is positive and finite.
     """
-    check_orthogonality_tol(tol_orth)
-    return stability_from_spectrum(G, dft(G.values), params, tol_orth)
-
-
-def stability_from_spectrum(
-    G: GridFunction, spectrum, params: ShiftParams, tol_orth: float = 1e-8
-) -> KernelReport:
-    """:func:`stability_constant` of G from spectrum = dft(G.values), for
-    a caller that needs G's transform itself as well: no FFT."""
     check_orthogonality_tol(tol_orth)
     grid = G.grid
     cls = classify(params)
@@ -117,7 +108,7 @@ def stability_from_spectrum(
     orth_ok = abs(gp) <= tol_orth and abs(gm) <= tol_orth
     # |G_hat| on the grid; bins N/2 - 1 and N/2 hold the outermost
     # frequencies p_max - dp and -p_max in either layout
-    gh_abs = (grid.dx / SQRT_2PI) * np.abs(spectrum)
+    gh_abs = (grid.dx / SQRT_2PI) * np.abs(G.spectrum)
     gh_max = float(gh_abs.max())
     tail_sup = float(max(gh_abs[grid.N // 2 - 1], gh_abs[grid.N // 2]))
     if tail_sup > 1e-14 * max(1.0, gh_max):
@@ -141,9 +132,9 @@ def stability_from_spectrum(
         return KernelReport(N=None, sup1=None, sup2=None, finite=False, **common)
 
     # on half a real G's spectrum: |G_hat| and |lambda| are even in p
-    quot = gh_abs * np.abs(inverse_symbol_on_grid(grid, params)[: len(spectrum)])
+    quot = gh_abs * np.abs(inverse_symbol_on_grid(grid, params)[: len(gh_abs)])
     sup1 = float(quot.max())
-    sup2 = float((fft_frequencies(grid, len(spectrum)) ** 2 * quot).max())
+    sup2 = float((fft_frequencies(grid, len(quot)) ** 2 * quot).max())
 
     if p_ref.size:
         gh_ref = np.abs(values[2:])

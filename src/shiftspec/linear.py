@@ -18,7 +18,6 @@ from .spectral import (
     SQRT_2PI,
     Grid,
     GridFunction,
-    dft,
     evaluate_transform_at,
     forward_transform,
     idft,
@@ -82,7 +81,7 @@ def apply_operator(u: GridFunction, params: ShiftParams) -> GridFunction:
     """-u'' - a*u(x - h), applied spectrally as multiplication of u_hat by
     the symbol lambda(p) = p^2 - a*e^{-iph}: one forward and one inverse
     transform, half-length when u is real.  Real when u is real."""
-    s = dft(u.values)
+    s = u.spectrum
     return GridFunction(u.grid, idft(symbol_on_grid(u.grid, params)[: len(s)] * s, u.grid.N))
 
 
@@ -131,7 +130,7 @@ def divide_by_symbol(
             f"|f_hat(-sqrt(a))| = {abs(report.fhat_minus):.3e}, tol = {tol_orth:.3e}",
             report=report,
         )
-    s = dft(f.values)
+    s = f.spectrum
     uh = inverse_symbol_on_grid(grid, params)[: len(s)] * s
     return SymbolDivision(u=GridFunction(grid, idft(uh, grid.N)), uh=uh, solvability=report)
 

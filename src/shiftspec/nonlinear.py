@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
-from .kernels import KernelReport, contraction_margin, stability_from_spectrum
+from .kernels import KernelReport, contraction_margin, stability_constant
 from .linear import apply_operator
 from .spectral import (
     SQRT_2PI,
@@ -30,7 +30,7 @@ from .spectral import (
     parseval_norm,
     parseval_weight,
 )
-from .symbols import ShiftParams, check_orthogonality_tol, inverse_symbol_on_grid
+from .symbols import ShiftParams, inverse_symbol_on_grid
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,7 @@ def _convolve_on_window(G: GridFunction, w: GridFunction, window) -> GridFunctio
     full = np.convolve(np.roll(G.values, -start)[:K], w.values)  # direct sliding sum, not FFT
     circ = full[:N].copy()
     circ[: K - 1] += full[N:]
-    vals = G.grid.dx * np.roll(circ, start - N // 2)
-    if G.is_real and w.is_real:
-        vals = vals.real
-    return GridFunction(G.grid, vals)
+    return GridFunction(G.grid, G.grid.dx * np.roll(circ, start - N // 2))
 
 
 def apply_nonlinearity(F: Nonlinearity, v: GridFunction) -> GridFunction:
@@ -207,19 +204,19 @@ def _step(c: np.ndarray, F: Nonlinearity, v: np.ndarray, G: GridFunction):
     return uh, u
 
 
-def _multiplier(G: GridFunction, spectrum, params: ShiftParams, tol_orth: float = 1e-8):
-    """The map's gate and multiplier from spectrum = dft(G.values): G's
-    stability report, NotFinite unless it is finite (G_hat vanishing at
-    +-sqrt(a) when resonant), and c = dx * (-1)^k * spectrum / lambda (see
-    :func:`inverse_symbol`), sqrt(2*pi) * G_hat / lambda with the
-    transform factors folded in; (-1)^k centres the convolution."""
-    report = stability_from_spectrum(G, spectrum, params, tol_orth)
+def _multiplier(G: GridFunction, params: ShiftParams, tol_orth: float = 1e-8):
+    """The map's gate and multiplier: G's stability report, NotFinite
+    unless it is finite (G_hat vanishing at +-sqrt(a) when resonant), and
+    c = dx * (-1)^k * G.spectrum / lambda (see :func:`inverse_symbol`),
+    sqrt(2*pi) * G_hat / lambda with the transform factors folded in;
+    (-1)^k centres the convolution."""
+    report = stability_constant(G, params, tol_orth)
     if not report.finite:
         raise NotFinite(
             "stability constant is infinite: kernel orthogonality fails at +-sqrt(a)",
             report=report,
         )
-    c = G.grid.dx * spectrum * inverse_symbol_on_grid(G.grid, params)[: len(spectrum)]
+    c = G.grid.dx * G.spectrum * inverse_symbol_on_grid(G.grid, params)[: len(G.spectrum)]
     c[1::2] *= -1.0
     return report, c
 
@@ -233,7 +230,7 @@ def apply_T(
     Gated on a finite stability report, as :func:`iterate_fixed_point` is.
     """
     G.require_same_grid(v)
-    c = _multiplier(G, dft(G.values), params)[1]
+    c = _multiplier(G, params)[1]
     return GridFunction(G.grid, _step(c, F, v.values, G)[1])
 
 
@@ -248,17 +245,12 @@ def nontriviality_check(
 
     With no overlap the zero function is the fixed point.  threshold is
     absolute for both transforms; by default each uses 1e-12 times its
-    own maximum magnitude.
+    own maximum magnitude.  On half of real spectra: both magnitudes are
+    even in p.
     """
-    return _overlap(G, dft(G.values), F, grid, threshold)
-
-
-def _overlap(G, spectrum, F, grid, threshold):
-    """:func:`nontriviality_check` from spectrum = dft(G.values).  On half
-    of real spectra: both magnitudes are even in p."""
-    f0 = GridFunction(grid, np.asarray(F.eval(np.zeros(grid.N), grid.x), dtype=np.float64))
+    f0 = GridFunction(grid, _evaluate(F, np.zeros(grid.N), grid.x))
     G.require_same_grid(f0)
-    gh = np.abs(spectrum)
+    gh = np.abs(G.spectrum)
     fh = np.abs(_spectrum_like(G, f0.values))
     # |dft| is |transform| * sqrt(2*pi)/dx
     unit = SQRT_2PI / grid.dx
@@ -288,9 +280,9 @@ def iterate_fixed_point(
     tol_orth: float = 1e-8,
 ) -> FixedPointIteration:
     """Iterate the map from v0 (default zero) until the H2 step norm
-    drops to tol_h2: one transform of G, which the stability constant and
-    the multiplier share, and 2 FFTs per iteration (half-length when G is
-    real), no diagnostics.
+    drops to tol_h2: G's transform ``G.spectrum`` (1 FFT, which the
+    stability constant and the multiplier share, none once taken) and 2
+    FFTs per iteration (half-length when G is real), no diagnostics.
 
     Requires a positive contraction margin 1 - 2*sqrt(pi)*N*l (raises
     ContractionHypothesisFailed otherwise, including the boundary) and,
@@ -300,19 +292,12 @@ def iterate_fixed_point(
     Raises ValueError, before any work, unless tol_h2 and tol_orth are
     positive and finite and max_iter (when given) is at least 1.
     """
-    return _iterate(G, F, params, v0, tol_h2, max_iter, tol_orth)[0]
-
-
-def _iterate(G, F, params, v0, tol_h2, max_iter, tol_orth):
-    """:func:`iterate_fixed_point` and the transform dft(G.values) it used."""
     if not (math.isfinite(tol_h2) and tol_h2 > 0.0):
         raise ValueError(f"tol_h2 must be positive and finite, got {tol_h2}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    check_orthogonality_tol(tol_orth)
     grid = G.grid
-    spectrum = dft(G.values)
-    report, c = _multiplier(G, spectrum, params, tol_orth)
+    report, c = _multiplier(G, params, tol_orth)
     q = 2.0 * np.sqrt(np.pi) * report.N * F.l
     if contraction_margin(report.N, F.l) <= 0.0:
         raise ContractionHypothesisFailed(
@@ -348,14 +333,13 @@ def _iterate(G, F, params, v0, tol_h2, max_iter, tol_orth):
                 f"(a priori bound {bound}, last step {step:.3e})"
             )
         v, vh = u, uh
-    it = FixedPointIteration(
+    return FixedPointIteration(
         u=GridFunction(grid, u),
         step_norms=step_norms,
         q_bound=q,
         iteration_bound=bound,
         stability=report,
     )
-    return it, spectrum
 
 
 def fixed_point_solve(
@@ -371,14 +355,15 @@ def fixed_point_solve(
     observed step ratios, the residual, its tail bound and the
     nontriviality check.
 
-    G is transformed once, for the iteration and the nontriviality
-    check.  The residual of the full nonlocal equation is recomputed
+    G's transform ``G.spectrum`` serves the iteration and the
+    nontriviality check, and u's the residual and any later norm of u.
+    The residual of the full nonlocal equation is recomputed
     independently: operator application on one side, direct-sum
     convolution on the other.  The direct sum skips a kernel tail below
     round-off; residual_tail_bound = ||G_tail||_L1 * ||F(u)||_L2 bounds,
     by Young's inequality, how far that moves the convolution in L2.
     """
-    it, spectrum = _iterate(G, F, params, v0, tol_h2, max_iter, tol_orth)
+    it = iterate_fixed_point(G, F, params, v0, tol_h2, max_iter, tol_orth)
     u, step_norms = it.u, it.step_norms
     ratios = [
         step_norms[i + 1] / step_norms[i]
@@ -396,7 +381,7 @@ def fixed_point_solve(
         q_bound=it.q_bound,
         residual_l2=residual,
         residual_tail_bound=window[2] * l2_norm(Fu),
-        nontrivial=_overlap(G, spectrum, F, G.grid, None),
+        nontrivial=nontriviality_check(G, F, G.grid),
         stability=it.stability,
         iteration_bound=it.iteration_bound,
     )

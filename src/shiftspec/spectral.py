@@ -20,8 +20,11 @@ k*dp for k < N/2 and (k - N)*dp from k = N/2 on, so bin N/2 is the
 unpaired endpoint -N*pi/(2L) (:func:`fft_frequencies`).  A real input
 keeps only bins 0..N/2 (``rfft``, half the work of a complex FFT); a
 complex one keeps all N (``fft``).  The choice follows the input's dtype
-and is made here only.  The transform factors fold away: the forward
-factor (dx/sqrt(2*pi)) * sign and the inverse factor
+and is made here only.  A :class:`GridFunction` carries its own
+``spectrum = dft(values)``, taken on first use and kept as long as the
+function (1 MB for a real one at N=131072); a function made by
+arithmetic is new and starts without one.  The transform factors fold
+away: the forward factor (dx/sqrt(2*pi)) * sign and the inverse factor
 (dp*N/sqrt(2*pi)) * sign multiply to 1, since dx*dp*N = 2*pi and
 sign*sign = 1.  So a multiplier m(p) acts as idft(m_k * dft(u)) with m
 sampled at the FFT-order frequencies, and a real input reads the first
@@ -179,6 +182,16 @@ class GridFunction:
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """:func:`dft` of the values, read-only: the N/2 + 1 bins of a real
+        function, all N of a complex one.  Computed on first use and kept;
+        the values are read-only and the function frozen, so it cannot go
+        stale."""
+        s = dft(self.values)
+        s.setflags(write=False)
+        return s
 
     def require_same_grid(self, other) -> None:
         """Raise ValueError unless ``other`` lives on this grid."""
@@ -370,14 +383,14 @@ def weighted_l1_norm(u: GridFunction) -> float:
 
 def second_derivative_norm(u: GridFunction) -> float:
     """||u''||_L2 of the spectral second derivative, by Parseval on one
-    transform: sqrt(dp * sum p^4 |u_hat|^2), from :func:`dft`."""
-    s = dft(u.values)
+    transform: sqrt(dp * sum p^4 |u_hat|^2), from ``u.spectrum``."""
+    s = u.spectrum
     return parseval_norm(parseval_weight(u.grid, len(s), l2=0.0), s)
 
 
 def h2_norm(u: GridFunction) -> float:
     """Sobolev norm sqrt(||u||_L2^2 + ||u''||_L2^2), with ||u''|| from
-    :func:`second_derivative_norm` (1 FFT)."""
+    :func:`second_derivative_norm` (1 FFT, none if ``u.spectrum`` is taken)."""
     return float(np.sqrt(l2_norm(u) ** 2 + second_derivative_norm(u) ** 2))
 
 

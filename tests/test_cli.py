@@ -537,7 +537,7 @@ def test_builtin_offset_accepts_a_name_or_a_spec(tmp_path):
 @pytest.mark.parametrize(
     "command, config, rc, error",
     [
-        ("solve-linear", dict(LINEAR_CFG, N=1023), 1, "ValueError"),
+        ("solve-linear", dict(LINEAR_CFG, N=1023), 1, "ConfigError"),
         ("solve-linear", dict(LINEAR_CFG, f="absent.csv"), 1, "ConfigError"),
         ("solve-linear", dict(LINEAR_CFG, h=2 * np.pi, f={"name": "gaussian"}), 2,
          "ResonantNotSolvable"),
@@ -555,6 +555,52 @@ def test_run_rejected_after_parsing_leaves_no_output_dir(
     assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == rc
     assert json.loads(capsys.readouterr().err)["error"]["type"] == error
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, base, field, value",
+    [
+        ("solve-linear", LINEAR_CFG, "N", 15),
+        ("solve-linear", LINEAR_CFG, "N", 6),
+        ("sequence", SEQUENCE_CFG, "N", 0),
+        ("solve-nonlinear", NONLINEAR_CFG, "a", 1e308),
+        ("solve-linear", LINEAR_CFG, "h", 1e308),
+        ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}},
+         "h", -1e308),
+    ],
+)
+def test_grid_size_and_shift_range_named_at_parse_time(
+    tmp_path, capsys, command, base, field, value
+):
+    # N must be even and at least 8; (a, h) must leave classify a
+    # resonance tolerance below pi/sqrt(a), which it derives from h
+    cfg = write_cfg(tmp_path, dict(base, **{field: value}))
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        parse_config(cfg, command, tmp_path, 0)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_readme_solve_nonlinear_fft_count(tmp_path, fft_calls):
+    # the README job at tol_h2 = 1e-8: fixed_point_solve's 2k + 4, as the
+    # report's h2_norm reads the transform that the residual took of u
+    cfg = dict(
+        NONLINEAR_CFG,
+        N=4096,
+        F={"name": "tanh", "l": 0.1, "k": 0.1,
+           "params": {"slope": 0.1,
+                      "offset": {"name": "gaussian", "params": {"sigma": 0.7071067811865476}}}},
+        tol_h2=1e-8,
+        max_iter=64,
+        v0="zero",
+    )
+    out = tmp_path / "out"
+    assert main(["solve-nonlinear", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    k = json.loads((out / "fixed_point.json").read_text())["iterations"]
+    assert (k, len(fft_calls)) == (9, 2 * k + 4)
+    assert {name for name, _ in fft_calls} == {"rfft", "irfft"}
 
 
 SIZED_CONFIGS = [

@@ -306,12 +306,14 @@ def test_ghat_sup_is_the_transform_sup(params):
 
 @pytest.mark.parametrize("params", [NONRESONANT, RESONANT])
 def test_stability_constant_fft_count(fft_calls, params):
-    # G_hat on the grid is the one FFT, half-length for a real G;
-    # G_hat(+-sqrt(a)) and the refinement samples are one off-grid direct
-    # sum, on a fresh grid and a warm one
+    # G_hat on the grid is G.spectrum: one half-length FFT for a real G on
+    # first use, none when the same G comes back, one for a new G with
+    # the same values; G_hat(+-sqrt(a)) and the refinement samples are one
+    # off-grid direct sum, on a fresh grid and a warm one
     g = make_grid(resonant_aligned_half_length(1.0, 20.0), 1024)
     G = GridFunction(g, g.x**2 * np.exp(-(g.x**2) / 2))
-    for _ in range(2):
+    once = [("rfft", 1024)]
+    for kernel, ffts in [(G, once), (G, []), (GridFunction(g, G.values), once)]:
         fft_calls.clear()
-        assert stability_constant(G, params).finite
-        assert fft_calls == [("rfft", 1024)]
+        assert stability_constant(kernel, params).finite
+        assert fft_calls == ffts

@@ -38,6 +38,18 @@ def test_no_function_takes_a_classification():
     assert found == []
 
 
+def test_no_solver_function_takes_a_spectrum():
+    # a grid function carries its own transform, GridFunction.spectrum;
+    # no solver function takes one in beside it
+    found = []
+    for name in ("kernels.py", "linear.py", "nonlinear.py", "sequences.py"):
+        path = SOURCE / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.arg) and node.arg == "spectrum":
+                found.append(f"{name}:{node.lineno} takes spectrum")
+    assert found == []
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     # runtime dependencies stay numpy only
     allowed = set(sys.stdlib_module_names) | {"numpy", "shiftspec"}

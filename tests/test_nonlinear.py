@@ -330,23 +330,24 @@ def test_contraction_bound_random_pairs(grid):
 
 @pytest.mark.parametrize("tol_h2", [1e-6, 1e-8])
 def test_fixed_point_fft_count(fft_calls, tol_h2):
-    # once: 1 for G_hat, which the stability constant, the multiplier and
-    # the nontriviality check share; per iteration: F(v)_hat and one
-    # inverse for the step (its H2 norm is taken on the spectra); then 1
-    # for F(0)_hat in the nontriviality check and 2 for the residual's
-    # operator application.  All are half-length for real data.  The zero
+    # once: 1 for G.spectrum, which the stability constant, the multiplier
+    # and the nontriviality check share; per iteration: F(v)_hat and one
+    # inverse for the step (its H2 norm is taken on the spectra); then 2
+    # for the residual's operator application and 1 for F(0)_hat in the
+    # nontriviality check.  All are half-length for real data.  The zero
     # start's spectrum is zero, with no FFT.  The off-grid samples take no
-    # FFT, so a second solve on the same, now warm grid does the same
+    # FFT, so a second solve with the same G on the now warm grid does the
+    # same, less G's transform, which G keeps
     cold = make_grid(40.0, 1024)  # fresh: nothing memoized yet
     G = GridFunction(cold, 0.3 * np.exp(-cold.x**2 / 2))
     F = tanh_nonlinearity(cold)
-    for _ in range(2):  # the second on the same grid, now warm for NONRESONANT
+    pair = [("rfft", 1024), ("irfft", 1024)]
+    for g_fft in ([("rfft", 1024)], []):
         fft_calls.clear()
         result = fixed_point_solve(G, F, NONRESONANT, tol_h2=tol_h2)
         assert result.iterations >= 3
-        pair = [("rfft", 1024), ("irfft", 1024)]
-        assert fft_calls == [("rfft", 1024)] + pair * result.iterations + pair + [("rfft", 1024)]
-        assert len(fft_calls) == 2 * result.iterations + 4
+        assert fft_calls == g_fft + pair * result.iterations + pair + [("rfft", 1024)]
+        assert len(fft_calls) == 2 * result.iterations + 3 + len(g_fft)
 
 
 def test_iterate_fixed_point_is_fixed_point_solve_without_diagnostics(monkeypatch):

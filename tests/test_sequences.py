@@ -282,11 +282,9 @@ def resonant_truncate_spec():
 
 def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
     # one stability report per solve (limit and M members) and one per
-    # difference kernel; one classification for the whole run.  Every
-    # report comes from stability_from_spectrum, which stability_constant
-    # calls with the kernel's transform
+    # difference kernel; one classification for the whole run
     symbols.classify.cache_clear()
-    reports = count_calls(monkeypatch, kernels, "stability_from_spectrum")
+    reports = count_calls(monkeypatch, kernels, "stability_constant")
     alphas = count_calls(monkeypatch, symbols, "estimate_alpha")
     run_kernel_sequence(kernel_scale_spec(grid), tanh_F(grid), ShiftParams(1.0, 0.9))
     assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from shiftspec.spectral import (
     Grid,
     GridFunction,
     SpectralFunction,
+    dft,
     evaluate_transform_at,
     forward_transform,
     h2_norm,
@@ -104,6 +106,27 @@ def test_gridfunction_rejects_nan_and_wrong_length():
         GridFunction(g, np.array([np.nan] * 8))
     with pytest.raises(ValueError):
         GridFunction(g, np.zeros(9))
+
+
+def test_spectrum_is_read_only_taken_once_and_not_inherited(fft_calls):
+    # dft(values) bit for bit, half layout for a real function and full for
+    # a complex one; one transform over two reads; a function made by
+    # arithmetic is new and takes its own
+    g = make_grid(20.0, 64)
+    u = GridFunction(g, np.exp(-g.x**2))
+    w = GridFunction(g, u.values * np.exp(1j * g.x))
+    s = u.spectrum
+    assert u.spectrum is s and w.spectrum is w.spectrum
+    assert fft_calls == [("rfft", 64), ("fft", 64)]
+    assert s.shape == (33,) and w.spectrum.shape == (64,)
+    assert np.array_equal(s, dft(u.values)) and np.array_equal(w.spectrum, dft(w.values))
+    with pytest.raises(ValueError):
+        s[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.spectrum = s
+    for v in (u + u, 2.0 * u, -u, u - u):
+        assert "spectrum" not in vars(v)
+        assert np.array_equal(v.spectrum, dft(v.values))
 
 
 def test_gaussian_self_transform():
