@@ -10,6 +10,7 @@ JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import json
@@ -26,13 +27,21 @@ from .linear import solve_linear
 from .nonlinear import Nonlinearity, fixed_point_solve
 from .sequences import SequenceKind, builtin_sequences, run_kernel_sequence, run_linear_sequence
 from .spectral import (
+    MAX_POINTS,
+    grid_spacing,
     h2_norm,
     make_grid,
     read_gridfunction_csv,
     write_float_rows,
     write_gridfunction_csv,
 )
-from .symbols import ShiftParams, default_resonance_tol, symbol, symbol_modulus_sq
+from .symbols import (
+    ShiftParams,
+    alpha_sample_count,
+    default_resonance_tol,
+    symbol,
+    symbol_modulus_sq,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,9 +57,6 @@ class ConfigError(ValueError):
 
 
 _NUMBER = (int, float)
-
-# Largest N and num_points: one complex array of 2**24 values takes 256 MB
-MAX_POINTS = 2**24
 
 # spec kind -> (optional keys beside the required string 'name' and their
 # kinds, the shape named in errors)
@@ -229,14 +235,28 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
             )
     if "N" in raw and (raw["N"] < 8 or raw["N"] % 2):
         raise ConfigError(f"field 'N' must be an even integer >= 8, got {raw['N']}")
+    if "L" in raw:
+        try:
+            grid_spacing(float(raw["L"]), raw["N"])
+        except ValueError as exc:
+            raise ConfigError(f"field 'L': {exc}") from None
     # every other command classifies (a, h): it resolves h to a tolerance
-    # that must stay below half the spacing of the resonances 2*pi*n/sqrt(a)
+    # that must stay below half the spacing of the resonances 2*pi*n/sqrt(a),
+    # and a non-resonant (a, h) is sampled at alpha_sample_count points
     params = ShiftParams(float(raw["a"]), float(raw["h"]))
-    if command != "spectrum" and not default_resonance_tol(params) < np.pi / params.sqrt_a:
-        raise ConfigError(
-            f"field {'h' if abs(params.h) > 1.0 else 'a'!r} is too large to classify resonance: "
-            f"max(1, |h|)*sqrt(a) must be below 1e9*pi, got a = {raw['a']}, h = {raw['h']}"
-        )
+    if command != "spectrum":
+        field = "h" if abs(params.h) > 1.0 else "a"
+        if not default_resonance_tol(params) < np.pi / params.sqrt_a:
+            raise ConfigError(
+                f"field {field!r} is too large to classify resonance: max(1, |h|)*sqrt(a) "
+                f"must be below 1e9*pi, got a = {raw['a']}, h = {raw['h']}"
+            )
+        try:
+            alpha_sample_count(params)
+        except ValueError as exc:
+            raise ConfigError(
+                f"field {field!r} is too large to classify resonance: {exc}"
+            ) from None
     if command == "spectrum" and raw["p_min"] > raw["p_max"]:
         raise ConfigError(
             f"field 'p_min' = {raw['p_min']} must not exceed 'p_max' = {raw['p_max']}"
@@ -251,24 +271,39 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
     return RunConfig(command=command, options=raw, output_dir=Path(output_dir), seed=seed)
 
 
-def _load_function(spec, grid):
+@contextlib.contextmanager
+def _building(key):
+    """Turn a failure to build the builtin of config field ``key`` (a
+    parameter out of the builtin's range, or samples that overflow) into
+    a ConfigError naming the field.  numpy's overflow warnings are not
+    printed: GridFunction rejects the samples they would announce."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"field {key!r} cannot be built: {exc}") from exc
+
+
+def _load_function(key, spec, grid):
     if isinstance(spec, str):
         path = Path(spec)
         if not path.exists():
             raise ConfigError(f"input CSV not found: {spec}")
         return read_gridfunction_csv(path, grid)
-    return catalog.builtin_function(spec["name"], grid, spec.get("params"))
+    with _building(key):
+        return catalog.builtin_function(spec["name"], grid, spec.get("params"))
 
 
-def _load_nonlinearity(spec, grid) -> Nonlinearity:
-    F = catalog.builtin_nonlinearity(spec["name"], grid, spec.get("params"))
-    if "l" in spec or "k" in spec:
-        F = Nonlinearity(
-            eval=F.eval,
-            k=float(spec.get("k", F.k)),
-            envelope=F.envelope,
-            l=float(spec.get("l", F.l)),
-        )
+def _load_nonlinearity(key, spec, grid) -> Nonlinearity:
+    with _building(key):
+        F = catalog.builtin_nonlinearity(spec["name"], grid, spec.get("params"))
+        if "l" in spec or "k" in spec:
+            F = Nonlinearity(
+                eval=F.eval,
+                k=float(spec.get("k", F.k)),
+                envelope=F.envelope,
+                l=float(spec.get("l", F.l)),
+            )
     return F
 
 
@@ -338,7 +373,7 @@ def _cmd_solve_linear(cfg: RunConfig):
     o = cfg.options
     params = ShiftParams(float(o["a"]), float(o["h"]))
     grid = make_grid(float(o["L"]), int(o["N"]))
-    f = _load_function(o["f"], grid)
+    f = _load_function("f", o["f"], grid)
     tol = float(o.get("tol_orth", 1e-8))
     result = solve_linear(f, params, tol_orth=tol)
     write_gridfunction_csv(result.u, _output(cfg, "solution.csv"))
@@ -355,7 +390,7 @@ def _cmd_constants(cfg: RunConfig):
     o = cfg.options
     params = ShiftParams(float(o["a"]), float(o["h"]))
     grid = make_grid(float(o["L"]), int(o["N"]))
-    G = _load_function(o["G"], grid)
+    G = _load_function("G", o["G"], grid)
     rep = stability_constant(G, params, tol_orth=float(o.get("tol_orth", 1e-8)))
     _write_report(cfg, "kernel_report.json", rep)
     n_str = "infinite" if not rep.finite else f"{rep.N:.6g}"
@@ -367,10 +402,10 @@ def _cmd_solve_nonlinear(cfg: RunConfig):
     o = cfg.options
     params = ShiftParams(float(o["a"]), float(o["h"]))
     grid = make_grid(float(o["L"]), int(o["N"]))
-    G = _load_function(o["G"], grid)
-    F = _load_nonlinearity(o["F"], grid)
+    G = _load_function("G", o["G"], grid)
+    F = _load_nonlinearity("F", o["F"], grid)
     v0 = o.get("v0", "zero")
-    v0_fn = None if v0 == "zero" else _load_function(v0, grid)
+    v0_fn = None if v0 == "zero" else _load_function("v0", v0, grid)
     result = fixed_point_solve(
         G,
         F,
@@ -393,11 +428,13 @@ def _cmd_sequence(cfg: RunConfig):
     o = cfg.options
     params = ShiftParams(float(o["a"]), float(o["h"]))
     grid = make_grid(float(o["L"]), int(o["N"]))
-    base = _load_function(o["base"], grid)
+    base = _load_function("base", o["base"], grid)
     gen = o["generator"]
     kind = SequenceKind.RHS if o["kind"] == "rhs" else SequenceKind.KERNEL
     perturbation = (
-        _load_function(gen["perturbation"], grid) if "perturbation" in gen else None
+        _load_function("generator.perturbation", gen["perturbation"], grid)
+        if "perturbation" in gen
+        else None
     )
     spec = builtin_sequences(
         gen["name"],
@@ -412,7 +449,7 @@ def _cmd_sequence(cfg: RunConfig):
     if kind is SequenceKind.RHS:
         table = run_linear_sequence(spec, params, tol_orth=tol_orth)
     else:
-        F = _load_nonlinearity(o["F"], grid)
+        F = _load_nonlinearity("F", o["F"], grid)
         table = run_kernel_sequence(
             spec, F, params, tol_orth=tol_orth, tol_h2=float(o.get("tol_h2", 1e-10))
         )

@@ -21,11 +21,8 @@ from .spectral import (
     SQRT_2PI,
     Grid,
     GridFunction,
-    SpectralFunction,
     dft,
-    forward_transform,
     idft,
-    inverse_transform,
     l2_norm,
     parseval_norm,
     parseval_weight,
@@ -117,15 +114,16 @@ class FixedPointResult:
 
 
 def convolve(G: GridFunction, w: GridFunction) -> GridFunction:
-    """Periodic convolution int G(x-y) w(y) dy, spectral form
-    sqrt(2*pi) * G_hat * w_hat."""
+    """Periodic convolution int G(x-y) w(y) dy: sqrt(2*pi) * G_hat * w_hat,
+    G's factor built as in :func:`_multiplier`; real when both are real."""
     G.require_same_grid(w)
-    gh = forward_transform(G)
-    wh = forward_transform(w)
-    conv = inverse_transform(SpectralFunction(G.grid, SQRT_2PI * gh.values * wh.values))
-    if G.is_real and w.is_real:
-        return GridFunction(G.grid, conv.values.real)
-    return conv
+    if G.is_real == w.is_real:
+        gs, ws = G.spectrum, w.spectrum
+    else:
+        gs, ws = _spectrum_like(w, G.values), _spectrum_like(G, w.values)
+    c = G.grid.dx * gs
+    c[1::2] *= -1.0
+    return GridFunction(G.grid, idft(c * ws, G.grid.N))
 
 
 def _direct_sum_window(G: GridFunction):

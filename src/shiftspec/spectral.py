@@ -3,8 +3,7 @@ transforms in the symmetric 1/sqrt(2*pi) convention.
 
 The box is [-L, L) sampled at N equispaced points x_j = -L + j*dx,
 dx = 2L/N.  The dual grid carries the frequencies p_j = pi*j/L for
-j = -N/2 .. N/2-1, stored in increasing order.  Forward and inverse
-transforms are the trapezoidal discretizations of
+j = -N/2 .. N/2-1.  The transforms are the trapezoidal discretizations of
 
     u_hat(p) = (1/sqrt(2*pi)) int u(x) e^{-ipx} dx,
     u(x)     = (1/sqrt(2*pi)) int u_hat(p) e^{+ipx} dp,
@@ -14,23 +13,25 @@ which on this grid are exact inverses of each other and exactly unitary
 to decay below ~1e-14 at +-L; the periodic surrogate is not claimed to
 approximate non-decaying data.
 
-The solve paths work on a second layout: the unscaled DFT in numpy's FFT
-order, from :func:`dft` and :func:`idft`.  Bin k holds the frequency
-k*dp for k < N/2 and (k - N)*dp from k = N/2 on, so bin N/2 is the
-unpaired endpoint -N*pi/(2L) (:func:`fft_frequencies`).  A real input
-keeps only bins 0..N/2 (``rfft``, half the work of a complex FFT); a
-complex one keeps all N (``fft``).  The choice follows the input's dtype
-and is made here only.  A :class:`GridFunction` carries its own
-``spectrum = dft(values)``, taken on first use and kept as long as the
-function (1 MB for a real one at N=131072); a function made by
-arithmetic is new and starts without one.  The transform factors fold
-away: the forward factor (dx/sqrt(2*pi)) * sign and the inverse factor
-(dp*N/sqrt(2*pi)) * sign multiply to 1, since dx*dp*N = 2*pi and
-sign*sign = 1.  So a multiplier m(p) acts as idft(m_k * dft(u)) with m
-sampled at the FFT-order frequencies, and a real input reads the first
-N/2 + 1 entries of such an array.  A convolution with a kernel G keeps
-two factors: sqrt(2*pi) * G_hat is dx * sign * dft(G), and the sign,
-(-1)^k in FFT order, moves the kernel's centre from x_0 = -L to x = 0.
+The solve paths and the increasing-p transforms share one core, the only
+code that calls ``np.fft``: the unscaled DFT in numpy's FFT order,
+:func:`dft` and :func:`idft`.  Bin k holds the frequency k*dp for
+k < N/2 and (k - N)*dp from k = N/2 on, so bin N/2 is the unpaired
+endpoint -N*pi/(2L) (:func:`fft_frequencies`).  A real input keeps only
+bins 0..N/2 (``rfft``, half the work of a complex FFT); a complex one
+keeps all N (``fft``), as the input's dtype decides, here only.  A
+:class:`GridFunction` carries its own ``spectrum = dft(values)``, taken
+on first use and kept as long as the function (1 MB for a real one at
+N=131072); a function made by arithmetic starts without one.  The
+increasing-p view, :func:`forward_transform`, is the full N-bin DFT
+rotated by N/2 times (dx/sqrt(2*pi)) * sign; :func:`inverse_transform`
+undoes it with (dp*N/sqrt(2*pi)) * sign.  The two factors multiply to 1
+(dx*dp*N = 2*pi, sign*sign = 1), so a multiplier m(p) acts as
+idft(m_k * dft(u)) with m at the FFT-order frequencies
+(:func:`apply_multiplier`), and a real input reads its first N/2 + 1
+entries.  A convolution with a kernel G keeps two factors:
+sqrt(2*pi) * G_hat is dx * sign * dft(G), and the sign, (-1)^k in FFT
+order, moves the kernel's centre from x_0 = -L to x = 0.
 
 The Nyquist rule.  Bin N/2 has no partner.  A multiplier that is not
 real there, such as 1/lambda(-N*pi/(2L)), gives it an imaginary part,
@@ -52,6 +53,10 @@ import numpy as np
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
+# Largest number of samples one array of a run may hold: one complex array
+# of 2**24 values takes 256 MB
+MAX_POINTS = 2**24
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -71,8 +76,7 @@ class Grid:
         Frequencies pi*j/L, j = -N/2..N/2-1, strictly increasing.  The
         single unpaired endpoint is -N*pi/(2L).
     sign : ndarray
-        (-1)^j for the same j: pairs the fftshift reordering with the
-        phase e^{i*pi*j} coming from the box offset x_0 = -L.
+        (-1)^j for the same j, the phase e^{i*pi*j} of the box offset -L.
 
     Each grid also memoizes, through :meth:`memo`, the read-only arrays
     that the solve paths derive from it and the shift parameters: the
@@ -92,14 +96,12 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not np.isfinite(self.L) or self.L <= 0:
-            raise ValueError(f"half-length L must be positive, got {self.L}")
         if self.N != int(self.N) or self.N < 8:
             raise ValueError(f"N must be an integer >= 8, got {self.N}")
         if self.N % 2 != 0:
             raise ValueError(f"N must be even, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
-        dx = 2.0 * self.L / self.N
+        dx = grid_spacing(self.L, self.N)
         x = -self.L + dx * np.arange(self.N)
         j = np.arange(-self.N // 2, self.N // 2)
         p = (np.pi / self.L) * j
@@ -147,6 +149,27 @@ class Grid:
     def from_json(text: str) -> "Grid":
         meta = json.loads(text)
         return make_grid(float(meta["L"]), int(meta["N"]))
+
+
+def grid_spacing(L: float, N: int) -> float:
+    """The spacing dx = 2L/N of the grid over [-L, L) with N samples.
+
+    Raises ValueError unless L is positive and finite and both dx and
+    p_max^4 = (pi/dx)^4, the largest weight of :func:`parseval_weight`,
+    are finite: L = 1e308 overflows 2L, and at N = 64 an L below about
+    8.7e-76 overflows p_max^4.  Allocates nothing.
+    """
+    if not np.isfinite(L) or L <= 0:
+        raise ValueError(f"half-length L must be positive, got {L}")
+    dx = 2.0 * L / N
+    with np.errstate(over="ignore", divide="ignore"):
+        p_max4 = (np.pi / np.float64(dx)) ** 4
+    if not (np.isfinite(dx) and np.isfinite(p_max4)):
+        raise ValueError(
+            f"half-length L = {L} is out of range for N = {N}: dx = 2L/N and "
+            f"p_max^4 = (pi/dx)^4 must be finite, got {dx:.3g} and {p_max4:.3g}"
+        )
+    return dx
 
 
 def make_grid(L: float, N: int) -> Grid:
@@ -234,20 +257,20 @@ class SpectralFunction:
 def forward_transform(u: GridFunction) -> SpectralFunction:
     """Transform to the dual grid: (dx/sqrt(2*pi)) * sum u(x_j) e^{-i p x_j}.
 
-    Exact inverse of :func:`inverse_transform`; unitary in the discrete
-    L2 norms (Parseval), and identical to :func:`evaluate_transform_at`
-    at every on-grid frequency.
+    One full-length :func:`dft`.  Exact inverse of :func:`inverse_transform`;
+    unitary in the discrete L2 norms (Parseval), and identical to
+    :func:`evaluate_transform_at` at every on-grid frequency.
     """
     grid = u.grid
-    vals = (grid.dx / SQRT_2PI) * grid.sign * np.fft.fftshift(np.fft.fft(u.values))
-    return SpectralFunction(grid, vals)
+    s = np.roll(dft(u.values.astype(np.complex128, copy=False)), grid.N // 2)
+    return SpectralFunction(grid, (grid.dx / SQRT_2PI) * grid.sign * s)
 
 
 def inverse_transform(uh: SpectralFunction) -> GridFunction:
     """Inverse of :func:`forward_transform`; returns complex samples."""
     grid = uh.grid
-    vals = (grid.dp * grid.N / SQRT_2PI) * np.fft.ifft(np.fft.ifftshift(grid.sign * uh.values))
-    return GridFunction(grid, vals)
+    s = np.roll(grid.sign * uh.values, -(grid.N // 2))
+    return GridFunction(grid, (grid.dp * grid.N / SQRT_2PI) * idft(s, grid.N))
 
 
 def dft(values: np.ndarray) -> np.ndarray:
@@ -353,19 +376,21 @@ def transform_at_pm(u: GridFunction, r: float) -> tuple[complex, complex]:
     return complex(plus), complex(minus)
 
 
+def apply_multiplier(u: GridFunction, m: np.ndarray) -> GridFunction:
+    """idft(m * u.spectrum) for m at the N FFT-order frequencies: a real u
+    reads the first N/2 + 1 and gives a real result, exact if m(-p) = conj(m(p))."""
+    return GridFunction(u.grid, idft(m[: len(u.spectrum)] * u.spectrum, u.grid.N))
+
+
 def shift(u: GridFunction, h: float) -> GridFunction:
-    """Periodic translate u(x - h), computed as the inverse transform of
-    u_hat(p) e^{-iph}.  Unitary in L2; exact for band-limited data."""
-    uh = forward_transform(u)
-    shifted = SpectralFunction(u.grid, uh.values * np.exp(-1j * u.grid.p * h))
-    return u.real_like(inverse_transform(shifted).values)
+    """Periodic translate u(x - h), the multiplier e^{-iph}.  Unitary in
+    L2; exact for band-limited data."""
+    return apply_multiplier(u, np.exp(-1j * fft_frequencies(u.grid, u.grid.N) * h))
 
 
 def second_derivative(u: GridFunction) -> GridFunction:
-    """Spectral second derivative: inverse transform of -p^2 u_hat(p)."""
-    uh = forward_transform(u)
-    d2 = SpectralFunction(u.grid, -(u.grid.p**2) * uh.values)
-    return u.real_like(inverse_transform(d2).values)
+    """Spectral second derivative, the multiplier -p^2."""
+    return apply_multiplier(u, -(fft_frequencies(u.grid, u.grid.N) ** 2))
 
 
 def l2_norm(u: GridFunction) -> float:

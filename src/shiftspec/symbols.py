@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularGrid, ShiftSpecError
-from .spectral import fft_frequencies
+from .spectral import MAX_POINTS, fft_frequencies
 
 # Resonant grid bins are identified by a machine-zero symbol modulus
 # relative to the natural scale |lambda(0)|^2 = a^2.  Only the bins at
@@ -177,6 +177,23 @@ def classify(params: ShiftParams, tol: float | None = None) -> FredholmClass:
     return FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=estimate_alpha(params))
 
 
+def alpha_sample_count(params: ShiftParams) -> int:
+    """The number of coarse samples :func:`estimate_alpha` takes on [0, P],
+    P = 2*(1 + sqrt(a)): at least ~8 per oscillation period 2*pi/|h|,
+    and at least 4097.  Raises ValueError, before anything is allocated,
+    when it passes MAX_POINTS: when (1 + sqrt(a))*|h| reaches
+    2**24*pi/8 (about 6.6e6)."""
+    P = 2.0 * (1.0 + params.sqrt_a)
+    n = 8.0 * P * abs(params.h) / (2.0 * np.pi)
+    if not n < MAX_POINTS:
+        raise ValueError(
+            f"estimate_alpha would sample |lambda|^2 at {n:.3g} points, more than 2**24: "
+            f"(1 + sqrt(a))*|h| must stay below 2**24*pi/8 = {MAX_POINTS * np.pi / 8:.7g}, "
+            f"got a = {params.a}, h = {params.h}"
+        )
+    return max(4097, int(n) + 1)
+
+
 def estimate_alpha(params: ShiftParams) -> float:
     """Sampled minimum of |lambda(p)|^2 over the line for non-resonant
     parameters.
@@ -185,7 +202,8 @@ def estimate_alpha(params: ShiftParams) -> float:
     [-P, P] with P = 2*(1 + sqrt(a)), so the search samples [0, P]
     densely (resolving the cos(ph) oscillation) and refines around every
     sampled local minimum.  The returned value is a sampled estimate,
-    not a proven bound.
+    not a proven bound.  Raises ValueError, before any sampling, for
+    parameters that need more than 2**24 samples (:func:`alpha_sample_count`).
     """
     n_star, dist = nearest_resonance(params)
     if n_star != 0 and dist <= default_resonance_tol(params):
@@ -195,8 +213,7 @@ def estimate_alpha(params: ShiftParams) -> float:
         )
     a = params.a
     P = 2.0 * (1.0 + params.sqrt_a)
-    # at least ~8 samples per oscillation period 2*pi/|h|
-    n_coarse = max(4097, int(8.0 * P * abs(params.h) / (2.0 * np.pi)) + 1)
+    n_coarse = alpha_sample_count(params)
     p = np.linspace(0.0, P, n_coarse)
     v = symbol_modulus_sq(p, params)
     interior = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1

@@ -513,6 +513,25 @@ def test_config_number_not_finite_or_out_of_range_exit_1(
          "generator.perturbation.params.freq"),
         ("sequence", SEQUENCE_CFG, "generator", {"name": "shift"}, "generator.name"),
         ("sequence", SEQUENCE_CFG, "generator", {"name": "add"}, "generator.perturbation"),
+        # parameters the builtin itself refuses, or whose samples overflow
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": {"sigma": 0}}, "f"),
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": {"sigma": 1e300}}, "f"),
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": {"sigma": 1e-300}}, "f"),
+        ("solve-linear", LINEAR_CFG, "f", {"name": "sine_packet", "params": {"freq": 1e308}},
+         "f"),
+        ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024}, "G",
+         {"name": "hermite_gaussian", "params": {"scale": -1.0}}, "G"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "params": {"slope": -1}}, "F"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F",
+         {"name": "tanh", "params": {"offset": {"name": "gaussian", "params": {"sigma": 0}}}},
+         "F"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F", {"name": "tanh", "l": 0.01}, "F"),
+        ("sequence", SEQUENCE_CFG, "base", {"name": "sine_packet", "params": {"width": 0}},
+         "base"),
+        ("sequence", SEQUENCE_CFG, "generator",
+         {"name": "add", "perturbation": {"name": "gaussian", "params": {"sigma": -2.0}}},
+         "generator.perturbation"),
+        ("sequence", KERNEL_SEQUENCE_CFG, "F", {"name": "tanh", "params": {"slope": -1}}, "F"),
     ],
 )
 def test_builtin_spec_checked_against_catalog_exit_1(
@@ -567,13 +586,20 @@ def test_run_rejected_after_parsing_leaves_no_output_dir(
         ("solve-linear", LINEAR_CFG, "h", 1e308),
         ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}},
          "h", -1e308),
+        # 2L overflows; at N = 64, p_max^4 = (32*pi/L)^4 overflows below L ~ 8.7e-76
+        ("solve-linear", dict(LINEAR_CFG, N=64), "L", 1e308),
+        ("solve-nonlinear", dict(NONLINEAR_CFG, N=64), "L", 1e-76),
+        ("sequence", dict(SEQUENCE_CFG, N=64), "L", 1e-200),
+        ("constants", {"a": 1.0, "h": 1.0, "N": 64, "G": {"name": "gaussian"}}, "L", 1e-308),
+        ("solve-linear", LINEAR_CFG, "L", 0.0),
     ],
 )
 def test_grid_size_and_shift_range_named_at_parse_time(
     tmp_path, capsys, command, base, field, value
 ):
-    # N must be even and at least 8; (a, h) must leave classify a
-    # resonance tolerance below pi/sqrt(a), which it derives from h
+    # N must be even and at least 8; L must give a finite dx and p_max^4;
+    # (a, h) must leave classify a resonance tolerance below pi/sqrt(a),
+    # which it derives from h
     cfg = write_cfg(tmp_path, dict(base, **{field: value}))
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         parse_config(cfg, command, tmp_path, 0)
@@ -581,6 +607,48 @@ def test_grid_size_and_shift_range_named_at_parse_time(
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-linear", "solve-nonlinear"])
+def test_half_length_just_inside_the_range_solves(tmp_path, command):
+    # at N = 64 the smallest L with a finite p_max^4 is about 8.7e-76
+    base = LINEAR_CFG if command == "solve-linear" else NONLINEAR_CFG
+    cfg = write_cfg(tmp_path, dict(base, N=64, L=1e-75))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    u = read_gridfunction_csv(out / "solution.csv")
+    assert u.grid.N == 64 and np.all(np.isfinite(u.values))
+
+
+CLASSIFYING_CONFIGS = [
+    ("solve-linear", LINEAR_CFG),
+    ("solve-nonlinear", NONLINEAR_CFG),
+    ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}}),
+    ("sequence", SEQUENCE_CFG),
+]
+
+
+@pytest.mark.parametrize("command, base", CLASSIFYING_CONFIGS)
+def test_alpha_sample_count_above_2_24_named_before_any_allocation(
+    tmp_path, monkeypatch, capsys, command, base
+):
+    # estimate_alpha samples (1 + sqrt(a))*|h|*8/pi points: at most 2**24,
+    # so (1 + sqrt(a))*|h| < 2**24*pi/8 ~ 6.588e6, checked at parse time
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocation attempted")
+
+    monkeypatch.setattr(cli, "make_grid", refuse)
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    for field, a, h in (("a", 1e17, 0.7), ("a", 1e14, 1.0), ("h", 1.0, 3.3e6), ("h", 4.0, -2.2e6)):
+        cfg = write_cfg(tmp_path, dict(base, a=a, h=h))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"field '{field}'" in err["message"] and "2**24" in err["message"]
+        assert not out.exists()
+    cfg = write_cfg(tmp_path, dict(base, a=1.0, h=3.29e6))
+    assert parse_config(cfg, command, tmp_path, 0).options["h"] == 3.29e6
 
 
 def test_readme_solve_nonlinear_fft_count(tmp_path, fft_calls):

@@ -1,8 +1,12 @@
 """Module boundaries of the package source."""
 
 import ast
+import functools
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "shiftspec"
 
@@ -104,17 +108,11 @@ def _fft_uses(tree):
     return found
 
 
-def test_fft_only_in_the_two_transforms():
-    # every FFT the package runs goes through one of the two transforms,
-    # each a forward/inverse pair: forward_transform / inverse_transform in
-    # increasing-p order, and dft / idft in FFT order for the solve paths.
-    # Counting those four functions counts them all
-    allowed = {
-        ("spectral.py", "forward_transform"),
-        ("spectral.py", "inverse_transform"),
-        ("spectral.py", "dft"),
-        ("spectral.py", "idft"),
-    }
+def test_fft_only_in_dft_and_idft():
+    # every FFT the package runs goes through the one core, dft / idft in
+    # FFT order; forward_transform / inverse_transform are a view over it.
+    # Counting those two functions counts them all
+    allowed = {("spectral.py", "dft"), ("spectral.py", "idft")}
     found = [
         f"{path.name}:{line} in {func}"
         for path in sorted(SOURCE.rglob("*.py"))
@@ -122,3 +120,26 @@ def test_fft_only_in_the_two_transforms():
         if (path.name, func) not in allowed
     ]
     assert found == []
+
+
+def test_benchmark_trace_names_resolve():
+    # perfbench/tracer.py wraps the functions its TRACED table names, by
+    # (module, attribute) in shiftspec; a renamed or removed one breaks
+    # every traced run.  Read as data, so the tracer is not imported
+    tracer = SOURCE.parent.parent / "perfbench" / "tracer.py"
+    if not tracer.exists():
+        pytest.skip("no perfbench/tracer.py")
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
+    )
+    missing = []
+    for module, attr in ast.literal_eval(table):
+        owner = importlib.import_module(f"shiftspec.{module}")
+        try:
+            functools.reduce(getattr, attr.split("."), owner)
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

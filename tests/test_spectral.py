@@ -13,6 +13,7 @@ import pytest
 
 from shiftspec import spectral
 from shiftspec.linear import resonant_aligned_half_length
+from shiftspec.nonlinear import convolve
 from shiftspec.spectral import (
     SQRT_2PI,
     Grid,
@@ -36,6 +37,7 @@ from shiftspec.spectral import (
     write_gridfunction_csv,
 )
 
+EPS = np.finfo(float).eps
 H2_SQ_GAUSSIAN = 7.0 * np.sqrt(np.pi) / 4.0  # ||u||^2 + ||u''||^2 for e^{-x^2/2}
 
 
@@ -94,7 +96,12 @@ def test_grid_frequencies_increasing_with_unpaired_endpoint():
     assert np.allclose(g.p[1:], -g.p[1:][::-1])
 
 
-@pytest.mark.parametrize("L,N", [(1.0, 7), (1.0, 6), (1.0, 9), (0.0, 8), (-2.0, 8)])
+@pytest.mark.parametrize(
+    "L,N",
+    # dx or p_max^4 not finite: 2L overflows, or (pi/dx)^4 does (at N = 64,
+    # below L ~ 8.7e-76), or dx underflows to 0
+    [(1.0, 7), (1.0, 6), (1.0, 9), (0.0, 8), (-2.0, 8), (1e308, 64), (1e-76, 64), (5e-324, 8)],
+)
 def test_make_grid_rejects(L, N):
     with pytest.raises(ValueError):
         make_grid(L, N)
@@ -298,6 +305,85 @@ def test_transform_at_pm_matches_evaluate_transform_at(complex_input):
     with pytest.warns(RuntimeWarning, match="resolvable band"):
         ref = evaluate_transform_at(u, np.array([2 * g.p_max, -2 * g.p_max]))
     assert np.max(np.abs(np.array(pair) - ref)) <= floor
+
+
+def reference_forward(u):
+    """The increasing-p transform written out with fftshift:
+    (dx/sqrt(2*pi)) * sign * fftshift(fft(u))."""
+    g = u.grid
+    return (g.dx / SQRT_2PI) * g.sign * np.fft.fftshift(np.fft.fft(u.values))
+
+
+def reference_inverse(vals, grid):
+    """Inverse of reference_forward: (dp*N/sqrt(2*pi)) * ifft(ifftshift(sign * vals))."""
+    return (grid.dp * grid.N / SQRT_2PI) * np.fft.ifft(np.fft.ifftshift(grid.sign * vals))
+
+
+# N/2 odd and even
+VIEW_SIZES = [64, 66, 4096, 4098]
+
+
+@pytest.mark.parametrize("N", VIEW_SIZES)
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_transforms_are_the_fftshift_formulas_bit_for_bit(N, complex_input):
+    g = make_grid(17.0, N)
+    u = random_packet(g, complex_input, seed=N)
+    uh = forward_transform(u)
+    assert np.array_equal(uh.values, reference_forward(u))
+    assert np.array_equal(inverse_transform(uh).values, reference_inverse(uh.values, g))
+
+
+@pytest.mark.parametrize("N", VIEW_SIZES)
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_multipliers_match_the_fftshift_formulas(N, complex_input):
+    # shift, second_derivative and convolve against the same products
+    # formed in increasing-p order; real in, real out, which drops the
+    # imaginary part the Nyquist bin gives the full inverse
+    g = make_grid(17.0, N)
+    u = random_packet(g, complex_input, seed=N + 1)
+    G = GridFunction(g, 0.3 * np.exp(-((g.x - 0.5) ** 2)))
+    uh = reference_forward(u)
+    cases = [
+        (shift(u, 0.7), uh * np.exp(-1j * g.p * 0.7), 1.0),
+        (second_derivative(u), -(g.p**2) * uh, g.p_max**2),
+        (convolve(G, u), SQRT_2PI * reference_forward(G) * uh, 1.0),
+        (convolve(u, G), SQRT_2PI * uh * reference_forward(G), 1.0),
+    ]
+    scale = np.max(np.abs(u.values))
+    for got, product, weight in cases:
+        ref = reference_inverse(product, g)
+        ref = ref if complex_input else ref.real
+        assert got.is_real == (not complex_input)
+        assert np.max(np.abs(got.values - ref)) <= 8 * EPS * weight * scale
+
+
+def test_multipliers_take_one_transform_and_one_inverse(fft_calls):
+    # from the cached spectrum: half-length for real data, full-length
+    # for complex data; the increasing-p view takes full-length ones and
+    # leaves the spectrum untaken
+    g = make_grid(20.0, 64)
+    for op in (lambda u: shift(u, 0.3), second_derivative):
+        u = GridFunction(g, np.exp(-g.x**2))
+        op(u)
+        assert fft_calls == [("rfft", 64), ("irfft", 64)]
+        fft_calls.clear()
+        op(u)
+        assert fft_calls == [("irfft", 64)]
+        fft_calls.clear()
+        op(GridFunction(g, u.values + 0j))
+        assert fft_calls == [("fft", 64), ("ifft", 64)]
+        fft_calls.clear()
+    G, w = GridFunction(g, np.exp(-g.x**2)), GridFunction(g, np.exp(-((g.x - 1) ** 2)))
+    convolve(G, w)
+    assert sorted(fft_calls) == [("irfft", 64), ("rfft", 64), ("rfft", 64)]
+    fft_calls.clear()
+    convolve(G, GridFunction(g, w.values * 1j))
+    assert sorted(fft_calls) == [("fft", 64), ("fft", 64), ("ifft", 64)]
+    fft_calls.clear()
+    u = GridFunction(g, np.exp(-g.x**2))
+    inverse_transform(forward_transform(u))
+    assert fft_calls == [("fft", 64), ("ifft", 64)]
+    assert "spectrum" not in vars(u)
 
 
 def test_shift_sine_exact():

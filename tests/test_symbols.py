@@ -130,6 +130,24 @@ def test_estimate_alpha_rejects_resonant():
         estimate_alpha(ShiftParams(4.0, np.pi))
 
 
+def test_estimate_alpha_refuses_more_than_2_24_samples(monkeypatch):
+    # about 4e8 coarse samples for a = 1e17, h = 0.7 (non-resonant): refused
+    # before any array is built; the count just below the cap is allowed
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocation attempted")
+
+    monkeypatch.setattr(symbols.np, "linspace", refuse)
+    for a, h in ((1e17, 0.7), (1.0, 3.3e6)):
+        with pytest.raises(ValueError, match=r"more than 2\*\*24"):
+            estimate_alpha(ShiftParams(a, h))
+    # a count beyond the float range is refused too, not an OverflowError
+    with pytest.raises(ValueError, match=r"more than 2\*\*24"):
+        symbols.alpha_sample_count(ShiftParams(1e300, 1e300))
+    bound = 2**24 * np.pi / 8  # (1 + sqrt(a))*|h| at the cap
+    assert symbols.alpha_sample_count(ShiftParams(1.0, bound / 2 * (1 - 1e-9))) == 2**24
+    assert symbols.alpha_sample_count(ShiftParams(1.0, 1.0)) == 4097
+
+
 def test_estimate_alpha_window_check_raises(monkeypatch):
     # a sampled minimum above (P^2 - a)^2 means the window [0, P] missed
     # the minimum; an internal fault, not an assert that python -O strips
