@@ -4,7 +4,8 @@ Commands: spectrum, solve-linear, solve-nonlinear, constants, sequence.
 Config parsing is strict (unknown keys are fatal).  Exit codes: 0 on
 success, 2 when a solvability/contraction hypothesis is violated, 1 on
 any internal or configuration error.  Failures emit a machine-readable
-JSON error object on stderr.
+JSON error object as the last line of stderr (Python warnings may come
+before it).
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ from .symbols import (
 )
 
 
+# a validated config: options hold each top-level number as a float
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     options: dict
     output_dir: Path
     seed: int
+    params: ShiftParams
 
 
 class ConfigError(ValueError):
@@ -268,43 +271,51 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
             raise ConfigError("kernel sequences require 'F'")
         if raw["kind"] == "kernel" and raw["epsilon"] >= 1:
             raise ConfigError("field 'epsilon' must be below 1 for kernel sequences")
-    return RunConfig(command=command, options=raw, output_dir=Path(output_dir), seed=seed)
+    options = {k: float(v) if keys[k][0] == "number" else v for k, v in raw.items()}
+    return RunConfig(command, options, Path(output_dir), seed, params)
 
 
 @contextlib.contextmanager
 def _building(key):
-    """Turn a failure to build the builtin of config field ``key`` (a
-    parameter out of the builtin's range, or samples that overflow) into
-    a ConfigError naming the field.  numpy's overflow warnings are not
-    printed: GridFunction rejects the samples they would announce."""
+    """Turn a failure to load config field ``key`` (a CSV that cannot be
+    read or does not hold finite samples on the grid, a builtin parameter
+    out of range, samples that overflow) into a ConfigError naming the
+    field.  numpy's overflow warnings are not printed: GridFunction
+    rejects the samples they would announce."""
     try:
         with np.errstate(all="ignore"):
             yield
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         raise ConfigError(f"field {key!r} cannot be built: {exc}") from exc
 
 
 def _load_function(key, spec, grid):
-    if isinstance(spec, str):
-        path = Path(spec)
-        if not path.exists():
-            raise ConfigError(f"input CSV not found: {spec}")
-        return read_gridfunction_csv(path, grid)
     with _building(key):
+        if isinstance(spec, str):
+            return read_gridfunction_csv(spec, grid)
         return catalog.builtin_function(spec["name"], grid, spec.get("params"))
+
+
+def _load_real(key, spec, grid):
+    # a kernel or start of the fixed-point map: F is only defined on real
+    # iterates, so a complex input would fail at the map's second step
+    u = _load_function(key, spec, grid)
+    if not u.is_real:
+        raise ConfigError(f"field {key!r} must be real-valued for the fixed-point map")
+    return u
 
 
 def _load_nonlinearity(key, spec, grid) -> Nonlinearity:
     with _building(key):
         F = catalog.builtin_nonlinearity(spec["name"], grid, spec.get("params"))
-        if "l" in spec or "k" in spec:
-            F = Nonlinearity(
-                eval=F.eval,
-                k=float(spec.get("k", F.k)),
-                envelope=F.envelope,
-                l=float(spec.get("l", F.l)),
-            )
-    return F
+        declared = {c: float(spec[c]) for c in ("l", "k") if c in spec}
+        # replace re-runs the spot check on the declared constants
+        return dataclasses.replace(F, **declared) if declared else F
+
+
+def _given(o, *keys):
+    """The keys the config sets, as keyword arguments: an absent one takes the library default."""
+    return {k: o[k] for k in keys if k in o}
 
 
 # Result fields the JSON reports leave out: u is written to its own CSV,
@@ -352,11 +363,10 @@ def _write_report(cfg: RunConfig, name, result, **extra):
 
 def _cmd_spectrum(cfg: RunConfig):
     o = cfg.options
-    params = ShiftParams(float(o["a"]), float(o["h"]))
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.linspace(float(o["p_min"]), float(o["p_max"]), o["num_points"])
-        lam = symbol(p, params)
-        columns = (p, lam.real, lam.imag, symbol_modulus_sq(p, params))
+        p = np.linspace(o["p_min"], o["p_max"], o["num_points"])
+        lam = symbol(p, cfg.params)
+        columns = (p, lam.real, lam.imag, symbol_modulus_sq(p, cfg.params))
     if not all(np.isfinite(c).all() for c in columns):
         raise ConfigError(
             f"lambda(p) or |lambda(p)|^2 overflows float64 on [{o['p_min']}, {o['p_max']}]"
@@ -371,11 +381,8 @@ def _cmd_spectrum(cfg: RunConfig):
 
 def _cmd_solve_linear(cfg: RunConfig):
     o = cfg.options
-    params = ShiftParams(float(o["a"]), float(o["h"]))
-    grid = make_grid(float(o["L"]), int(o["N"]))
-    f = _load_function("f", o["f"], grid)
-    tol = float(o.get("tol_orth", 1e-8))
-    result = solve_linear(f, params, tol_orth=tol)
+    f = _load_function("f", o["f"], make_grid(o["L"], o["N"]))
+    result = solve_linear(f, cfg.params, **_given(o, "tol_orth"))
     write_gridfunction_csv(result.u, _output(cfg, "solution.csv"))
     rep = result.solvability
     _write_report(cfg, "report.json", rep, residual_l2=result.residual_l2, h2_norm=result.h2_norm_u)
@@ -388,10 +395,8 @@ def _cmd_solve_linear(cfg: RunConfig):
 
 def _cmd_constants(cfg: RunConfig):
     o = cfg.options
-    params = ShiftParams(float(o["a"]), float(o["h"]))
-    grid = make_grid(float(o["L"]), int(o["N"]))
-    G = _load_function("G", o["G"], grid)
-    rep = stability_constant(G, params, tol_orth=float(o.get("tol_orth", 1e-8)))
+    G = _load_function("G", o["G"], make_grid(o["L"], o["N"]))
+    rep = stability_constant(G, cfg.params, **_given(o, "tol_orth"))
     _write_report(cfg, "kernel_report.json", rep)
     n_str = "infinite" if not rep.finite else f"{rep.N:.6g}"
     print(f"constants: finite={rep.finite} N={n_str} -> {cfg.output_dir / 'kernel_report.json'}")
@@ -400,21 +405,13 @@ def _cmd_constants(cfg: RunConfig):
 
 def _cmd_solve_nonlinear(cfg: RunConfig):
     o = cfg.options
-    params = ShiftParams(float(o["a"]), float(o["h"]))
-    grid = make_grid(float(o["L"]), int(o["N"]))
-    G = _load_function("G", o["G"], grid)
+    grid = make_grid(o["L"], o["N"])
+    G = _load_real("G", o["G"], grid)
     F = _load_nonlinearity("F", o["F"], grid)
-    v0 = o.get("v0", "zero")
-    v0_fn = None if v0 == "zero" else _load_function("v0", v0, grid)
-    result = fixed_point_solve(
-        G,
-        F,
-        params,
-        v0=v0_fn,
-        tol_h2=float(o.get("tol_h2", 1e-10)),
-        max_iter=o.get("max_iter"),
-        tol_orth=float(o.get("tol_orth", 1e-8)),
-    )
+    kwargs = _given(o, "tol_h2", "max_iter", "tol_orth")
+    if o.get("v0", "zero") != "zero":
+        kwargs["v0"] = _load_real("v0", o["v0"], grid)
+    result = fixed_point_solve(G, F, cfg.params, **kwargs)
     write_gridfunction_csv(result.u, _output(cfg, "solution.csv"))
     _write_report(cfg, "fixed_point.json", result, h2_norm=h2_norm(result.u))
     print(
@@ -426,33 +423,28 @@ def _cmd_solve_nonlinear(cfg: RunConfig):
 
 def _cmd_sequence(cfg: RunConfig):
     o = cfg.options
-    params = ShiftParams(float(o["a"]), float(o["h"]))
-    grid = make_grid(float(o["L"]), int(o["N"]))
-    base = _load_function("base", o["base"], grid)
+    grid = make_grid(o["L"], o["N"])
     gen = o["generator"]
     kind = SequenceKind.RHS if o["kind"] == "rhs" else SequenceKind.KERNEL
+    # a kernel sequence's inputs are the kernels of fixed-point solves
+    load = _load_function if kind is SequenceKind.RHS else _load_real
+    base = load("base", o["base"], grid)
     perturbation = (
-        _load_function("generator.perturbation", gen["perturbation"], grid)
-        if "perturbation" in gen
-        else None
+        load("generator.perturbation", gen["perturbation"], grid) if "perturbation" in gen else None
     )
     spec = builtin_sequences(
         gen["name"],
         kind=kind,
         base=base,
-        M=int(o.get("M", 12)),
         perturbation=perturbation,
-        shift_params=params,
-        epsilon=float(o["epsilon"]) if "epsilon" in o else None,
+        shift_params=cfg.params,
+        **_given(o, "M", "epsilon"),
     )
-    tol_orth = float(o.get("tol_orth", 1e-8))
     if kind is SequenceKind.RHS:
-        table = run_linear_sequence(spec, params, tol_orth=tol_orth)
+        table = run_linear_sequence(spec, cfg.params, **_given(o, "tol_orth"))
     else:
         F = _load_nonlinearity("F", o["F"], grid)
-        table = run_kernel_sequence(
-            spec, F, params, tol_orth=tol_orth, tol_h2=float(o.get("tol_h2", 1e-10))
-        )
+        table = run_kernel_sequence(spec, F, cfg.params, **_given(o, "tol_orth", "tol_h2"))
     sequences.write_table_csv(table, _output(cfg, "table.csv"))
     _write_report(cfg, "summary.json", table, M=spec.M)
     all_ok = all(table.checks.values())
@@ -501,14 +493,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.command, args.out, args.seed)
         return run(cfg)
-    except HypothesisError as exc:
+    except Exception as exc:  # a violated hypothesis, or config, IO and internal faults
         json.dump(_error_json(exc), sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 2
-    except Exception as exc:  # config, IO, and internal faults
-        json.dump(_error_json(exc), sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, HypothesisError) else 1
 
 
 if __name__ == "__main__":

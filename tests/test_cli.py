@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -701,3 +705,143 @@ def test_sizes_above_2_24_rejected_before_any_allocation(
         assert not out.exists()
     cfg = write_cfg(tmp_path, dict(base, **{field: 2**24}))
     assert parse_config(cfg, command, tmp_path, 0).options[field] == 2**24
+
+
+CONSTANTS_CFG = {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}}
+
+# (command, config, field): every config field that takes a function
+FUNCTION_FIELDS = [
+    ("solve-linear", LINEAR_CFG, "f"),
+    ("constants", CONSTANTS_CFG, "G"),
+    ("solve-nonlinear", NONLINEAR_CFG, "G"),
+    ("solve-nonlinear", NONLINEAR_CFG, "v0"),
+    ("sequence", SEQUENCE_CFG, "base"),
+    ("sequence", SEQUENCE_CFG, "generator.perturbation"),
+]
+
+
+def _field_id(value):
+    # test ids name the command and the field, not the config
+    return value if isinstance(value, str) else "cfg"
+
+
+def _with_function(config, field, value):
+    if field == "generator.perturbation":
+        return dict(config, generator={"name": "add", "perturbation": value})
+    return dict(config, **{field: value})
+
+
+def _bad_csv(tmp_path, case):
+    # a file the CSV reader must refuse, or a path it cannot read
+    path = tmp_path / "in.csv"
+    grid = make_grid(40.0, 1024)
+    if case == "off-grid":
+        write_gridfunction_csv(builtin_function("gaussian", make_grid(20.0, 1024)), path)
+        return path
+    if case == "missing":
+        return tmp_path / "absent.csv"
+    if case == "directory":
+        path.mkdir()
+        return path
+    write_gridfunction_csv(builtin_function("gaussian", grid), path)
+    header, *rows = path.read_text().splitlines()
+    if case == "bad-header":
+        header = "x,real,imag"
+    elif case == "two-fields":
+        rows = [r.rsplit(",", 1)[0] for r in rows]
+    elif case == "nan-cell":
+        rows[5] = rows[5].split(",")[0] + ",nan,0"
+    elif case == "non-numeric-cell":
+        rows[5] = rows[5].split(",")[0] + ",abc,0"
+    elif case == "header-only":
+        rows = []
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["off-grid", "bad-header", "two-fields", "nan-cell", "non-numeric-cell", "header-only",
+     "missing", "directory"],
+)
+@pytest.mark.parametrize("command, base, field", FUNCTION_FIELDS, ids=_field_id)
+def test_bad_csv_input_named_by_field_exit_1(tmp_path, capsys, command, base, field, case):
+    config = _with_function(base, field, str(_bad_csv(tmp_path, case)))
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert f"field '{field}'" in err["message"]
+    assert not out.exists()
+
+
+def _complex_csv(tmp_path):
+    grid = make_grid(40.0, 1024)
+    path = tmp_path / "complex.csv"
+    write_gridfunction_csv(GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2 + 1j * grid.x)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, base, field",
+    [
+        ("solve-nonlinear", NONLINEAR_CFG, "G"),
+        ("solve-nonlinear", NONLINEAR_CFG, "v0"),
+        ("sequence", KERNEL_SEQUENCE_CFG, "base"),
+        ("sequence", KERNEL_SEQUENCE_CFG, "generator.perturbation"),
+    ],
+    ids=_field_id,
+)
+def test_complex_input_to_the_fixed_point_map_named_by_field(
+    tmp_path, capsys, command, base, field
+):
+    # F is defined on real iterates: refused on loading, before the
+    # stability report runs, not at the map's second step
+    config = _with_function(base, field, _complex_csv(tmp_path))
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert f"field '{field}' must be real-valued" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, base, field",
+    [
+        ("constants", CONSTANTS_CFG, "G"),
+        ("sequence", SEQUENCE_CFG, "base"),
+        ("sequence", SEQUENCE_CFG, "generator.perturbation"),
+    ],
+    ids=_field_id,
+)
+def test_complex_input_to_a_linear_command_runs(tmp_path, command, base, field):
+    # as a complex f does (test_solution_csv_bytes_match_percent_g17[complex-csv])
+    config = _with_function(base, field, _complex_csv(tmp_path))
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 0
+
+
+def test_error_object_is_the_last_stderr_line(tmp_path):
+    # Python warnings go to stderr before the error object: here the
+    # band-edge warning of the stability report of an unresolved kernel
+    config = dict(
+        NONLINEAR_CFG,
+        N=64,
+        G={"name": "gaussian", "params": {"sigma": 0.05, "amplitude": 3}},
+        F={"name": "tanh", "params": {"slope": 5}},
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftspec.cli", "solve-nonlinear",
+         "--config", write_cfg(tmp_path, config), "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr.splitlines()[-1])
+    jsonschema.validate(err, schema("error"))
+    assert err["error"]["type"] == "ContractionHypothesisFailed"

@@ -143,3 +143,34 @@ def test_benchmark_trace_names_resolve():
         except AttributeError:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_cli_restates_no_library_default():
+    # the commands pass only the options a config sets: an absent one takes
+    # the default in the library function's signature, kept there alone.
+    # parse_config converts the numbers once, so no command converts one
+    path = SOURCE / "cli.py"
+    found = []
+    for func in ast.parse(path.read_text(), filename=str(path)).body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            site = f"cli.py:{node.lineno} in {func.name}"
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                found += [f"{site}: .get default" for arg in node.args[1:] if _is_number(arg)]
+            found += [f"{site}: {kw.arg}=" for kw in node.keywords if _is_number(kw.value)]
+            if isinstance(node.func, ast.Name) and node.func.id in ("float", "int"):
+                found.append(f"{site}: {node.func.id}()")
+    assert found == []
+
+
+def _is_number(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+    )

@@ -564,3 +564,53 @@ def test_apply_nonlinearity_requires_real(grid):
     v = GridFunction(grid, np.exp(1j * grid.x))
     with pytest.raises(ValueError):
         apply_nonlinearity(F, v)
+
+
+def _random_smooth(rng, grid):
+    # a real sum of broad, slowly modulated bumps: its spectrum sits near
+    # p = 0, and at amplitude 0.1 tanh is nearly linear on it
+    values = np.zeros(grid.N)
+    for _ in range(3):
+        c, w = rng.uniform(-grid.L / 4, grid.L / 4), rng.uniform(grid.L / 8, grid.L / 4)
+        phase = rng.uniform(0.0, 0.5) * grid.x + rng.uniform(0.0, 2 * np.pi)
+        values += rng.uniform(-0.1, 0.1) * np.exp(-(((grid.x - c) / w) ** 2)) * np.cos(phase)
+    return GridFunction(grid, values)
+
+
+@pytest.mark.parametrize("case", ["nonresonant", "near-resonant", "resonant-aligned"])
+def test_contraction_inequality_random_params(case):
+    # ||T v1 - T v2||_H2 <= q ||v1 - v2||_H2 with q = 2 sqrt(pi) N l, for F
+    # of Lipschitz constant l set to give q = 0.5 or 0.9.  The bound leaves
+    # a factor sqrt(2) (N is the larger of two sups): non-resonant pairs
+    # reach 0.70 q, so scaling the map's multiplier c (nonlinear._multiplier)
+    # by 1/q = 2 fails this test
+    rng = np.random.default_rng(["nonresonant", "near-resonant", "resonant-aligned"].index(case))
+    for _ in range(4):
+        a, N = rng.uniform(0.25, 4.0), int(rng.choice([256, 512, 1024, 2048]))
+        if case == "nonresonant":
+            h, L = rng.uniform(0.2, 3.0), rng.uniform(20.0, 50.0)
+        elif case == "near-resonant":
+            h, L = 2 * np.pi * 1.001 / np.sqrt(a), rng.uniform(20.0, 50.0)
+        else:
+            h = 2 * np.pi * int(rng.integers(1, 4)) / np.sqrt(a)
+            L = resonant_aligned_half_length(a, rng.uniform(20.0, 50.0))
+        grid, params = make_grid(L, N), ShiftParams(a, h)
+        if case == "resonant-aligned":
+            # x*exp(-(x*scale)^2/2) at scale = sqrt(a): G_hat vanishes at +-sqrt(a)
+            G = builtin_function("hermite_gaussian", grid, {"scale": np.sqrt(a), "amplitude": 0.5})
+        else:
+            G = builtin_function("gaussian", grid, {"sigma": rng.uniform(1.0, 2.0), "amplitude": 0.3})
+        rep = stability_constant(G, params)
+        assert rep.finite
+        for q in (0.5, 0.9):
+            l = q / (2 * np.sqrt(np.pi) * rep.N)
+            F = Nonlinearity(
+                eval=lambda u, x, l=l: l * np.tanh(u),
+                k=l,
+                envelope=GridFunction(grid, np.zeros(N)),
+                l=l,
+            )
+            for _ in range(3):
+                v1, v2 = _random_smooth(rng, grid), _random_smooth(rng, grid)
+                gap = h2_norm(apply_T(v1, G, F, params) - apply_T(v2, G, F, params))
+                assert gap <= q * h2_norm(v1 - v2) * (1 + 1e-9)
