@@ -33,7 +33,6 @@ from .spectral import (
     h2_norm,
     make_grid,
     read_gridfunction_csv,
-    write_float_rows,
     write_gridfunction_csv,
 )
 from .symbols import (
@@ -43,6 +42,7 @@ from .symbols import (
     symbol,
     symbol_modulus_sq,
 )
+from .textio import write_float_rows
 
 
 # a validated config: options hold each top-level number as a float
@@ -230,12 +230,15 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
             raise ConfigError(f"field {key!r} must be positive")
     if raw.get("num_points", 2) < 2:
         raise ConfigError("num_points must be at least 2")
-    # one config field sizes every array of a run: bound it before any allocation
+    # one config field sizes every array of a run, and M the number of a
+    # sequence's solves: bound them before any allocation or solve
     for key in ("N", "num_points"):
         if raw.get(key, 0) > MAX_POINTS:
             raise ConfigError(
                 f"field {key!r} must be at most 2**24 = {MAX_POINTS}, got {raw[key]}"
             )
+    if raw.get("M", 0) > sequences.MAX_MEMBERS:
+        raise ConfigError(f"field 'M' must be at most {sequences.MAX_MEMBERS}, got {raw['M']}")
     if "N" in raw and (raw["N"] < 8 or raw["N"] % 2):
         raise ConfigError(f"field 'N' must be an even integer >= 8, got {raw['N']}")
     if "L" in raw:

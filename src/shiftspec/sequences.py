@@ -8,7 +8,6 @@ with the inequalities the solution theory predicts between them
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +27,13 @@ from .spectral import (
     weighted_l1_norm,
 )
 from .symbols import ShiftParams, classify
+from .textio import write_float_rows
+
+
+# Largest member count M a sequence run may ask for.  Each member is a
+# full solve on the run's grid, so M sizes a run's time as N sizes its
+# memory; the bound is over 300 times the M = 12 of the shipped configs
+MAX_MEMBERS = 4096
 
 
 class SequenceKind(enum.Enum):
@@ -336,9 +342,10 @@ _CSV_COLUMNS = ["m", "input_gap", "weighted_gap", "solution_gap_h2", "multiplier
 
 def write_table_csv(table: ConvergenceTable, path) -> None:
     """Emit the table as m,input_gap,weighted_gap,solution_gap_h2,
-    multiplier_gap,N_m (kernel-only columns empty for rhs runs)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for row in zip(*map(table.column, _CSV_COLUMNS)):
-            writer.writerow(["" if v is None else f"{v:.17g}" for v in row])
+    multiplier_gap,N_m (kernel-only columns empty for rhs runs), CRLF
+    line ends, each number in 17 significant digits (:func:`write_float_rows`)."""
+    kernel = table.kind is SequenceKind.KERNEL
+    columns = _CSV_COLUMNS if kernel else _CSV_COLUMNS[:4]
+    with open(path, "wb") as fh:
+        fh.write(",".join(_CSV_COLUMNS).encode() + b"\r\n")
+        write_float_rows(fh, list(map(table.column, columns)), b"\r\n" if kernel else b",,\r\n")

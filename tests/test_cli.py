@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from shiftspec import cli
+from shiftspec import cli, sequences
 from shiftspec.cli import ConfigError, main, parse_config
 from shiftspec.linear import resonant_aligned_half_length
 from shiftspec.spectral import GridFunction, make_grid, read_gridfunction_csv, write_gridfunction_csv
@@ -705,6 +705,28 @@ def test_sizes_above_2_24_rejected_before_any_allocation(
         assert not out.exists()
     cfg = write_cfg(tmp_path, dict(base, **{field: 2**24}))
     assert parse_config(cfg, command, tmp_path, 0).options[field] == 2**24
+
+
+@pytest.mark.parametrize("base", [SEQUENCE_CFG, KERNEL_SEQUENCE_CFG], ids=["rhs", "kernel"])
+def test_member_count_above_the_bound_rejected_before_any_solve(
+    tmp_path, monkeypatch, capsys, base
+):
+    # M is checked at parse time: no grid is built and no member solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("work attempted")
+
+    for name in ("make_grid", "run_linear_sequence", "run_kernel_sequence"):
+        monkeypatch.setattr(cli, name, refuse)
+    for value in (sequences.MAX_MEMBERS + 1, 10**9):
+        cfg = write_cfg(tmp_path, dict(base, M=value))
+        out = tmp_path / "out"
+        assert main(["sequence", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"] == f"field 'M' must be at most 4096, got {value}"
+        assert not out.exists()
+    cfg = write_cfg(tmp_path, dict(base, M=sequences.MAX_MEMBERS))
+    assert parse_config(cfg, "sequence", tmp_path, 0).options["M"] == sequences.MAX_MEMBERS
 
 
 CONSTANTS_CFG = {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}}

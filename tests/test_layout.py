@@ -174,3 +174,51 @@ def _is_number(node):
         and isinstance(node.value, (int, float))
         and not isinstance(node.value, bool)
     )
+
+
+def _not_file_text(tree):
+    """ids of the string constants that no file receives: docstrings, and
+    the messages of raise statements."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            skipped.update(id(sub) for sub in ast.walk(node))
+        elif (
+            isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        ):
+            skipped.add(id(node.body[0].value))
+    return skipped
+
+
+def test_float_text_only_in_textio():
+    # textio owns float text: the one '%.17g' formatter and the one CSV
+    # reader.  No other module imports csv, calls numpy's text readers or
+    # writers, or formats a float with 17 significant digits (a %-format
+    # or an f-string spec).  Docstrings may name the format, and an
+    # exception message may show a value in it: neither is written to a file
+    numpy_text = {"loadtxt", "savetxt", "genfromtxt"}
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "textio.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skipped = _not_file_text(tree)
+        for node in ast.walk(tree):
+            site = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                found.append(f"{site} imports csv")
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append(f"{site} imports from csv")
+            elif isinstance(node, ast.Attribute) and node.attr in numpy_text:
+                found.append(f"{site} uses {node.attr}")
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, (str, bytes))
+                and (".17g" in node.value if isinstance(node.value, str) else b".17g" in node.value)
+                and id(node) not in skipped
+            ):
+                found.append(f"{site} formats .17g")
+    assert found == []
