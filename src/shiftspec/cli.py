@@ -31,6 +31,7 @@ from .spectral import (
     MAX_POINTS,
     grid_spacing,
     h2_norm,
+    l2_norm,
     make_grid,
     read_gridfunction_csv,
     write_gridfunction_csv,
@@ -38,6 +39,7 @@ from .spectral import (
 from .symbols import (
     ShiftParams,
     alpha_sample_count,
+    classify,
     default_resonance_tol,
     symbol,
     symbol_modulus_sq,
@@ -295,8 +297,18 @@ def _building(key):
 def _load_function(key, spec, grid):
     with _building(key):
         if isinstance(spec, str):
-            return read_gridfunction_csv(spec, grid)
-        return catalog.builtin_function(spec["name"], grid, spec.get("params"))
+            u = read_gridfunction_csv(spec, grid)
+        else:
+            u = catalog.builtin_function(spec["name"], grid, spec.get("params"))
+        _require_finite_l2(u)
+        return u
+
+
+def _require_finite_l2(u):
+    # every solve path sums squares of the samples and of their transform
+    # (Parseval), so samples whose squares overflow cannot be solved for
+    if not math.isfinite(l2_norm(u)):
+        raise ValueError("the L2 norm of the samples overflows float64")
 
 
 def _load_real(key, spec, grid):
@@ -311,8 +323,10 @@ def _load_real(key, spec, grid):
 def _load_nonlinearity(key, spec, grid) -> Nonlinearity:
     with _building(key):
         F = catalog.builtin_nonlinearity(spec["name"], grid, spec.get("params"))
+        _require_finite_l2(F.envelope)
         declared = {c: float(spec[c]) for c in ("l", "k") if c in spec}
-        # replace re-runs the spot check on the declared constants
+        declared = {c: v for c, v in declared.items() if v != getattr(F, c)}
+        # replace re-runs the spot check, on constants the builtin does not have
         return dataclasses.replace(F, **declared) if declared else F
 
 
@@ -372,7 +386,8 @@ def _cmd_spectrum(cfg: RunConfig):
         columns = (p, lam.real, lam.imag, symbol_modulus_sq(p, cfg.params))
     if not all(np.isfinite(c).all() for c in columns):
         raise ConfigError(
-            f"lambda(p) or |lambda(p)|^2 overflows float64 on [{o['p_min']}, {o['p_max']}]"
+            f"fields 'a', 'h', 'p_min' and 'p_max': lambda(p) or |lambda(p)|^2 overflows "
+            f"float64 on [{o['p_min']}, {o['p_max']}] at a = {o['a']}, h = {o['h']}"
         )
     out = _output(cfg, "spectrum.csv")
     with open(out, "wb") as fh:
@@ -469,6 +484,16 @@ _COMMANDS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
+    if cfg.command != "spectrum":
+        # classified once, first (memoized): an (a, h) whose |lambda|^2 is
+        # at machine zero has no gap alpha
+        try:
+            classify(cfg.params)
+        except ValueError as exc:
+            a, h = cfg.options["a"], cfg.options["h"]
+            raise ConfigError(
+                f"fields 'a' = {a} and 'h' = {h} cannot be classified: {exc}"
+            ) from None
     return _COMMANDS[cfg.command](cfg)
 
 

@@ -264,7 +264,9 @@ def _a_priori_iterations(q: float, first_step: float, tol: float) -> int:
         return 1
     if q <= 0.0:
         return 2
-    k = math.log(tol * (1.0 - q) / first_step) / math.log(q)
+    # a sum of logs: tol * (1 - q) / first_step underflows for a tol near
+    # the subnormal range
+    k = (math.log(tol) + math.log1p(-q) - math.log(first_step)) / math.log(q)
     return max(2, int(math.ceil(k)))
 
 

@@ -227,8 +227,10 @@ def run_kernel_sequence(
             )
         diff = Gm - G
         # the sup-norm gaps of both quotients are the stability components
-        # of the difference kernel (same singular-bin handling)
-        diff_rep = stability_constant(diff, params, tol_orth=2.0 * tol_orth + 1e-15)
+        # of the difference kernel (same singular-bin handling); twice a
+        # tolerance near the float maximum stays at the maximum
+        diff_tol = min(2.0 * tol_orth + 1e-15, np.finfo(np.float64).max)
+        diff_rep = stability_constant(diff, params, tol_orth=diff_tol)
         gap1, gap2 = diff_rep.sup1, diff_rep.sup2
         sup_dGh = diff_rep.ghat_sup
         input_gap = l1_norm(diff)

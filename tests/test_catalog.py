@@ -55,6 +55,11 @@ def test_function_param_validation(grid):
         builtin_function("gaussian", grid, {"sigma": -1.0})
     with pytest.raises(TypeError):
         builtin_function("gaussian", grid, {"sigm": 1.0})
+    # a zero width is refused by its own check, not by the NaN it makes
+    widths = (("gaussian", "sigma"), ("hermite_gaussian", "scale"), ("sine_packet", "width"))
+    for name, key in widths:
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            builtin_function(name, grid, {key: 0.0})
 
 
 def test_tanh_nonlinearity(grid):
@@ -80,16 +85,19 @@ def test_constant_nonlinearity(grid):
 
 @pytest.mark.parametrize("name", ["tanh", "constant"])
 def test_offset_on_own_grid_matches_lookup(grid, name):
-    # the grid's own x skips the index lookup; a copy of it takes the
-    # general path, which must give the same bits
+    # the grid's own x takes the offset's stored samples; a copy of it
+    # evaluates the formula, which must give the same bits.  Off the grid
+    # eval is the builtin formula slope*tanh(u) + r(x), bit for bit
     offset = {"name": "gaussian", "params": {"center": 0.3}}
     F = builtin_nonlinearity(name, grid, {"offset": offset})
     u = np.random.default_rng(41).standard_normal(grid.N)
     fast, general = F.eval(u, grid.x), F.eval(u, grid.x.copy())
     assert fast.shape == general.shape == (grid.N,)
     assert np.array_equal(fast.view(np.uint64), general.view(np.uint64))
-    with pytest.raises(ValueError, match="off its grid"):
-        F.eval(u, grid.x + 0.5 * grid.dx)
+    xo = grid.x + 0.5 * grid.dx
+    slope = {"tanh": 0.1, "constant": 0.0}[name]
+    formula = slope * np.tanh(u) + 1.0 * np.exp(-((xo - 0.3) ** 2) / (2.0 * 1.0**2))
+    assert np.array_equal(F.eval(u, xo).view(np.uint64), formula.view(np.uint64))
 
 
 def test_zero_nonlinearity(grid):

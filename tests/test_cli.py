@@ -12,6 +12,7 @@ import pytest
 from shiftspec import cli, sequences
 from shiftspec.cli import ConfigError, main, parse_config
 from shiftspec.linear import resonant_aligned_half_length
+from shiftspec.nonlinear import Nonlinearity
 from shiftspec.spectral import GridFunction, make_grid, read_gridfunction_csv, write_gridfunction_csv
 from shiftspec.symbols import ShiftParams, symbol, symbol_modulus_sq
 from shiftspec.catalog import builtin_function
@@ -470,6 +471,11 @@ def test_solution_csv_bytes_match_percent_g17(tmp_path, monkeypatch, case):
         ("sequence", KERNEL_SEQUENCE_CFG, "epsilon", 1),
         # an empty interval
         ("spectrum", {"a": 1.0, "h": 1.0, "p_max": -4.0, "num_points": 9}, "p_min", 4.0),
+        # |lambda|^2 at machine zero: no gap alpha to classify with
+        ("solve-linear", LINEAR_CFG, "h", -1e-308),
+        ("constants", {"h": 0.4, "L": 40.0, "N": 64, "G": {"name": "gaussian"}}, "a", 1e-308),
+        # lambda overflows on the range through a
+        ("spectrum", {"h": 1.0, "p_min": -4.0, "p_max": 4.0, "num_points": 9}, "a", 1e308),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -536,6 +542,12 @@ def test_config_number_not_finite_or_out_of_range_exit_1(
          {"name": "add", "perturbation": {"name": "gaussian", "params": {"sigma": -2.0}}},
          "generator.perturbation"),
         ("sequence", KERNEL_SEQUENCE_CFG, "F", {"name": "tanh", "params": {"slope": -1}}, "F"),
+        # finite samples whose squares overflow: no solve path can sum them
+        ("solve-linear", LINEAR_CFG, "f", {"name": "gaussian", "params": {"amplitude": 1e308}},
+         "f"),
+        ("solve-nonlinear", NONLINEAR_CFG, "F",
+         {"name": "tanh", "params": {"offset": {"name": "gaussian",
+                                                "params": {"amplitude": -1e308}}}}, "F"),
     ],
 )
 def test_builtin_spec_checked_against_catalog_exit_1(
@@ -548,6 +560,12 @@ def test_builtin_spec_checked_against_catalog_exit_1(
     assert err["type"] == "ConfigError"
     assert f"field '{named}'" in err["message"]
     assert not out.exists()
+
+
+def test_kernel_sequence_takes_a_tolerance_near_the_float_maximum(tmp_path):
+    # the difference kernels' tolerance 2*tol_orth stays at the float maximum
+    cfg = write_cfg(tmp_path, dict(KERNEL_SEQUENCE_CFG, N=256, M=2, tol_orth=1e308))
+    assert main(["sequence", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_builtin_offset_accepts_a_name_or_a_spec(tmp_path):
@@ -655,9 +673,16 @@ def test_alpha_sample_count_above_2_24_named_before_any_allocation(
     assert parse_config(cfg, command, tmp_path, 0).options["h"] == 3.29e6
 
 
-def test_readme_solve_nonlinear_fft_count(tmp_path, fft_calls):
+def test_readme_solve_nonlinear_fft_count(tmp_path, monkeypatch, fft_calls):
     # the README job at tol_h2 = 1e-8: fixed_point_solve's 2k + 4, as the
-    # report's h2_norm reads the transform that the residual took of u
+    # report's h2_norm reads the transform that the residual took of u.
+    # F restates the builtin's l and k, so it is spot-checked once; a
+    # declared constant that differs is checked again
+    checks = []
+    spot_check = Nonlinearity._spot_check
+    monkeypatch.setattr(
+        Nonlinearity, "_spot_check", lambda F: checks.append(F.l) or spot_check(F)
+    )
     cfg = dict(
         NONLINEAR_CFG,
         N=4096,
@@ -673,6 +698,9 @@ def test_readme_solve_nonlinear_fft_count(tmp_path, fft_calls):
     k = json.loads((out / "fixed_point.json").read_text())["iterations"]
     assert (k, len(fft_calls)) == (9, 2 * k + 4)
     assert {name for name, _ in fft_calls} == {"rfft", "irfft"}
+    assert checks == [0.1]
+    cli._load_nonlinearity("F", dict(cfg["F"], l=0.2), make_grid(40.0, 1024))
+    assert checks == [0.1, 0.1, 0.2]
 
 
 SIZED_CONFIGS = [

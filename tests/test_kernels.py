@@ -183,8 +183,17 @@ def _dense_in_band(u, p):
         (2.0, 8, lambda x: np.exp(-(x**2)), ShiftParams(36.0, 1.0)),
         (resonant_aligned_half_length(1.0, 40.0), 4096, lambda x: x**2 * np.exp(-(x**2) / 2), RESONANT),
         (resonant_aligned_half_length(1.0, 40.0), 4096, lambda x: np.exp(-(x**2) / 2), RESONANT),
+        # |G_hat| peaks at p = -0.5 and |lambda| is least just inside
+        # +-sqrt(a): both sups lie between -sqrt(a) and the next grid point
+        (8.0, 64, lambda x: np.exp(-(x**2) / 2 - 0.5j * x), ShiftParams(1.0, 6.6)),
     ],
-    ids=["nonresonant", "coarse-masked", "resonant-orthogonal", "resonant-not-orthogonal"],
+    ids=[
+        "nonresonant",
+        "coarse-masked",
+        "resonant-orthogonal",
+        "resonant-not-orthogonal",
+        "complex-one-sided",
+    ],
 )
 def test_stability_matches_dense_reference(monkeypatch, L, N, kernel, params):
     g = make_grid(L, N)
@@ -200,6 +209,16 @@ def test_stability_matches_dense_reference(monkeypatch, L, N, kernel, params):
         return
     for name in ("N", "sup1", "sup2"):
         assert getattr(fast, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=0)
+    if not fast.classification.is_resonant:
+        # the documented sample set, rebuilt here: the grid and 65
+        # frequencies over one grid step on either side of +-sqrt(a)
+        away = g.dp / 64 * np.arange(65)
+        r = params.sqrt_a
+        p = np.concatenate([g.p, r + away, r - away, -r + away, -r - away])
+        p = p[np.abs(p) <= g.p_max]
+        q = np.abs(_dense_in_band(G, p)) / np.abs(symbol(p, params))
+        assert fast.sup1 == pytest.approx(q.max(), rel=1e-12, abs=0)
+        assert fast.sup2 == pytest.approx((p**2 * q).max(), rel=1e-12, abs=0)
 
 
 def test_inconsistent_refinement_samples_raise(monkeypatch):

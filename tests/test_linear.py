@@ -320,6 +320,14 @@ def test_aligned_half_length():
     g = make_grid(L, 512)
     # +-sqrt(a) = +-1 lands exactly on the dual grid
     assert np.min(np.abs(g.p - 1.0)) <= 1e-12
+    # for non-integer a too: K*pi/sqrt(a) for the K nearest 40/(pi/sqrt(a))
+    # (19.31 and 7.74)
+    for a, K in ((2.3, 19), (0.37, 8)):
+        L = resonant_aligned_half_length(a, 40.0)
+        assert L == pytest.approx(K * np.pi / np.sqrt(a), rel=1e-15)
+        g = make_grid(L, 512)
+        for root in (np.sqrt(a), -np.sqrt(a)):
+            assert np.min(np.abs(g.p - root)) <= 1e-12
 
 
 def test_resonant_solve_random_projected(aligned_grid):

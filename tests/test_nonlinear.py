@@ -1,10 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from shiftspec import nonlinear
 from shiftspec.catalog import builtin_function, builtin_nonlinearity
 from shiftspec.errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
-from shiftspec.kernels import stability_constant
+from shiftspec.kernels import contraction_margin, stability_constant
 from shiftspec.linear import (
     apply_operator,
     project_solvable,
@@ -79,6 +82,32 @@ def test_nonlinearity_lipschitz_check_fires(grid):
             envelope=GridFunction(grid, np.zeros(grid.N)),
             l=0.5,  # declared too small
         )
+
+
+def test_nonlinearity_checks_allow_the_slack_exactly(grid):
+    # |F| and its differences reach k|u| + envelope + 1e-9 and
+    # l|u1 - u2| + 1e-9 exactly, which both checks allow
+    Nonlinearity(
+        eval=lambda u, x: np.where(u > 0, 1e-9, 0.0),
+        k=0.0,
+        envelope=GridFunction(grid, np.zeros(grid.N)),
+        l=0.0,
+    )
+
+
+@pytest.mark.parametrize("check, k", [("growth", 0.5), ("Lipschitz", 3.0)])
+def test_spot_check_reports_a_violating_pair(grid, check, k):
+    # tanh(3u) breaks |F| <= 0.5|u| and the Lipschitz bound 0.5 near u = 0
+    # only: the pair the message reports must be a violation
+    with pytest.raises(ValueError, match=check) as info:
+        Nonlinearity(
+            eval=lambda u, x: np.tanh(3.0 * u),
+            k=k,
+            envelope=GridFunction(grid, np.zeros(grid.N)),
+            l=0.5 if check == "Lipschitz" else 3.0,
+        )
+    found, bound = re.search(r"= (\S+) > [^=]+= (\S+)", str(info.value)).groups()
+    assert float(found) > float(bound), str(info.value)
 
 
 @pytest.mark.parametrize("field", ["k", "l"])
@@ -441,6 +470,8 @@ def test_fixed_point_builtin_problem(grid):
     assert result.nontrivial
     assert result.iterations <= result.iteration_bound + 2
     assert all(s > 0 for s in result.step_norms[:-1])
+    steps = result.step_norms
+    assert result.observed_ratio == max(b / a for a, b in zip(steps[1:-1], steps[2:]))
     # uniqueness: a second start lands on the same fixed point
     rng = np.random.default_rng(2)
     v0 = GridFunction(grid, rng.standard_normal(grid.N) * np.exp(-grid.x**2 / 10))
@@ -469,6 +500,33 @@ def test_fixed_point_contraction_hypothesis(grid):
     F = tanh_nonlinearity(grid, slope=20.0)  # q far above 1
     with pytest.raises(ContractionHypothesisFailed):
         fixed_point_solve(G, F, NONRESONANT)
+
+
+def test_fixed_point_contraction_boundary_refused(grid):
+    # q = 1 exactly (margin 0.0) does not contract
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    N = stability_constant(G, NONRESONANT).N
+    near = 1.0 / (2.0 * np.sqrt(np.pi) * N) * (1.0 + EPS * np.arange(-8, 9))
+    slope = next(s for s in near if contraction_margin(N, s) == 0.0)
+    with pytest.raises(ContractionHypothesisFailed):
+        fixed_point_solve(G, tanh_nonlinearity(grid, slope=slope), NONRESONANT)
+
+
+def test_fixed_point_tolerance_and_cap_are_inclusive(grid):
+    # a step equal to tol_h2 stops the iteration, and max_iter steps are
+    # allowed: the run that converges in n steps does so with max_iter=n
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    F = tanh_nonlinearity(grid)
+    steps = iterate_fixed_point(G, F, NONRESONANT, tol_h2=1e-10).step_norms
+    n = len(steps)
+    assert len(iterate_fixed_point(G, F, NONRESONANT, tol_h2=1e-10, max_iter=n).step_norms) == n
+    with pytest.raises(MaxIterExceeded):
+        iterate_fixed_point(G, F, NONRESONANT, tol_h2=1e-10, max_iter=n - 1)
+    half = iterate_fixed_point(G, F, NONRESONANT, tol_h2=steps[n // 2])
+    assert half.step_norms == steps[: n // 2 + 1]
+    # a first step at the tolerance needs no more: an a priori bound of 1
+    first = iterate_fixed_point(G, F, NONRESONANT, tol_h2=steps[0])
+    assert first.step_norms == steps[:1] and first.iteration_bound == 1
 
 
 def test_fixed_point_max_iter(grid):
@@ -510,10 +568,35 @@ def test_fixed_point_single_iteration_cap(grid):
         fixed_point_solve(G, F, NONRESONANT, tol_h2=1e-10, max_iter=1)
 
 
+def test_a_priori_iterations_when_the_tolerance_ratio_underflows():
+    # tol*(1 - q) rounds to 0 for a tol at the bottom of the subnormal
+    # range; the bound is still the least k with q^k*first_step/(1 - q)
+    # <= tol, compared here in logs
+    for q, first_step, tol in ((0.5, 1.0, 5e-324), (0.9, 3.0, 5e-324), (0.5, 2.0, 1e-300)):
+        k = nonlinear._a_priori_iterations(q, first_step, tol)
+
+        def excess(k):
+            return k * math.log(q) + math.log(first_step) - math.log1p(-q) - math.log(tol)
+
+        assert excess(k) <= 0 < excess(k - 1), (q, first_step, tol, k)
+
+
 def test_nontriviality_gaussians(grid):
     G = GridFunction(grid, np.exp(-grid.x**2 / 2))
     F = tanh_nonlinearity(grid)
     assert nontriviality_check(G, F, grid)
+    # an explicit threshold is in transform units on every grid (dx =
+    # 0.16 and 1.25): the transform peaks sigma of G (1) and of F(0, .)
+    # (2) lie on either side of 1.5, and both above 0.5
+    # (2) lie on either side of 1.5, and both above 0.5; then the roles
+    # swap, so each transform is the one below 1.5 once
+    for g_sigma, f_sigma in ((1.0, 2.0), (2.0, 1.0)):
+        offset = {"name": "gaussian", "params": {"sigma": f_sigma}}
+        for g in (make_grid(20.0, 256), make_grid(40.0, 64)):
+            G = builtin_function("gaussian", g, {"sigma": g_sigma})
+            F = builtin_nonlinearity("constant", g, {"offset": offset})
+            assert nontriviality_check(G, F, g, threshold=0.5)
+            assert not nontriviality_check(G, F, g, threshold=1.5)
 
 
 def test_nontriviality_rejects_a_kernel_from_another_grid():
@@ -535,6 +618,10 @@ def test_nontriviality_zero_source(grid):
     assert not nontriviality_check(G, F, grid)
     result = fixed_point_solve(G, F, NONRESONANT)
     assert h2_norm(result.u) <= 1e-10
+    # nor does a zero kernel overlap anything, at any threshold
+    zero = GridFunction(grid, np.zeros(grid.N))
+    for threshold in (None, 0.0):
+        assert not nontriviality_check(zero, tanh_nonlinearity(grid), grid, threshold=threshold)
 
 
 def test_nontriviality_disjoint_bands(grid):

@@ -19,8 +19,10 @@ import json
 import numpy as np
 import pytest
 
+from shiftspec.catalog import builtin_function, builtin_nonlinearity
 from shiftspec.cli import main
-from shiftspec.linear import apply_operator, solve_linear
+from shiftspec.linear import apply_operator, resonant_aligned_half_length, solve_linear
+from shiftspec.nonlinear import Nonlinearity, iterate_fixed_point, nontriviality_check
 from shiftspec.spectral import GridFunction, make_grid, read_gridfunction_csv, write_gridfunction_csv
 from shiftspec.symbols import ShiftParams, classify
 
@@ -151,3 +153,110 @@ def test_cli_solve_linear_matches_dense_solve(tmp_path, capsys):
     oracle = np.linalg.solve(_dense_operator(grid, params), f)
     assert np.max(np.abs(u - oracle)) <= 32 * EPS * (1.0 + grid.p_max**2) * np.max(np.abs(oracle))
     capsys.readouterr()
+
+
+def _draw_resonant_case(rng, N):
+    # h = 2*pi*n/sqrt(a) on an aligned L near sqrt(N*pi/(2a)), which puts
+    # +-sqrt(a) on the dual grid and resolves the hermite gaussian of scale
+    # sqrt(a) in x and p alike; h a whole number of grid steps would be a
+    # 0/0 of the periodic sinc, so such draws are skipped
+    while True:
+        a, n = float(rng.uniform(0.3, 3.0)), int(rng.integers(1, 3))
+        params = ShiftParams(a, 2 * np.pi * n / np.sqrt(a))
+        L = np.sqrt(N * np.pi / (2.0 * a)) * rng.uniform(0.9, 1.1)
+        grid = make_grid(resonant_aligned_half_length(a, L), N)
+        steps = params.h / grid.dx
+        if abs(steps - round(steps)) > 0.1:
+            return params, grid
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_resonant_solve_linear_matches_minimum_norm_lstsq(N):
+    # A is singular at the bins +-sqrt(a); an f orthogonal there is in its
+    # range, and the solve's u is the minimum-norm solution: measured at
+    # most 3.3 of eps*(1 + p_max^2)*max|u|
+    rng = np.random.default_rng([2030, N])
+    for _ in range(3):
+        params, grid = _draw_resonant_case(rng, N)
+        assert classify(params).is_resonant
+        spec = {"scale": params.sqrt_a, "amplitude": float(rng.standard_normal())}
+        f = _without_nyquist_mode(builtin_function("hermite_gaussian", grid, spec).values)
+        u = solve_linear(GridFunction(grid, f), params).u.values
+        oracle = np.linalg.lstsq(_dense_operator(grid, params), f, rcond=1e-10)[0]
+        tol = 32 * EPS * (1.0 + grid.p_max**2) * np.max(np.abs(oracle))
+        assert np.max(np.abs(u - oracle)) <= tol, (params, grid.L)
+
+
+def _circulant(G):
+    # C[j, k] = dx*G(x_j - x_k) = dx*G[(j - k + N/2) mod N]: the periodic
+    # convolution with G as a dense matrix
+    N = G.grid.N
+    m = np.subtract.outer(np.arange(N), np.arange(N)) + N // 2
+    return G.grid.dx * G.values[m % N]
+
+
+# at N = 32 the kernels' transforms reach the band edge above 1e-14
+@pytest.mark.filterwarnings("ignore:kernel transform has not decayed:RuntimeWarning")
+@pytest.mark.parametrize("N", [32, 64, 128, 256])
+def test_iterate_fixed_point_matches_dense_picard(N):
+    # u <- A^{-1} C F(u) from zero, as many steps as the iteration took,
+    # with the README tanh F written out: measured at most 0.74 of
+    # eps*(1 + p_max^2)*max|u|
+    rng = np.random.default_rng([2031, N])
+    offset = {"name": "gaussian", "params": {"sigma": 0.7071067811865476}}
+    for _ in range(3):
+        params, grid = _draw_case(rng, N)
+        kernel = {"amplitude": 0.1, "sigma": rng.uniform(0.7, 1.3), "center": rng.uniform(-1, 1)}
+        G = builtin_function("gaussian", grid, {k: float(v) for k, v in kernel.items()})
+        F = builtin_nonlinearity("tanh", grid, {"slope": 0.1, "offset": offset})
+        result = iterate_fixed_point(G, F, params)
+        A, C = _dense_operator(grid, params), _circulant(G)
+        r = np.exp(-(grid.x**2) / (2.0 * 0.7071067811865476**2))
+        v = np.zeros(N)
+        for _ in result.step_norms:
+            v = np.linalg.solve(A, C @ (0.1 * np.tanh(v) + r))
+        tol = 32 * EPS * (1.0 + grid.p_max**2) * np.max(np.abs(v))
+        assert np.max(np.abs(result.u.values - v)) <= tol, (params, grid.L)
+
+
+def _dense_overlap(G, f0, threshold):
+    # nontriviality_check's rule on |DFT| from the dense matrix e^{-2 pi i jk/N}
+    N = G.grid.N
+    W = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
+    gh, fh = np.abs(W @ G.values), np.abs(W @ f0)
+    if threshold is None:
+        thr_g, thr_f = 1e-12 * gh.max(), 1e-12 * fh.max()
+    else:
+        thr_g = thr_f = threshold * np.sqrt(2.0 * np.pi) / G.grid.dx
+    return bool(np.any((gh > thr_g) & (fh > thr_f)))
+
+
+@pytest.mark.parametrize("N", [32, 64, 128, 256])
+def test_nontriviality_check_matches_dense_dft(N):
+    rng = np.random.default_rng([2032, N])
+    grid = _draw_case(rng, N)[1]
+    # overlapping gaussians: G and F(0, .) = r; an explicit threshold
+    # between their transform peaks (1 and 2) separates them
+    G = builtin_function("gaussian", grid, {"center": float(rng.uniform(-1, 1))})
+    r = {"name": "gaussian", "params": {"sigma": 2.0, "center": float(rng.uniform(-1, 1))}}
+    F = builtin_nonlinearity("tanh", grid, {"offset": r})
+    f0 = builtin_function("gaussian", grid, r["params"]).values
+    for threshold, expected in ((None, True), (0.5, True), (1.5, False)):
+        assert _dense_overlap(G, f0, threshold) is expected
+        assert nontriviality_check(G, F, grid, threshold) is expected
+    # disjoint to round-off: cosines of bins 1..3 against bins 5..7
+    k = np.arange(1, 4)
+    G = GridFunction(grid, np.cos(np.outer(grid.x, k) * grid.dp) @ rng.standard_normal(3))
+    c = rng.standard_normal(3)
+
+    def offset(x):
+        return np.cos(np.multiply.outer(x, k + 4) * grid.dp) @ c
+
+    F = Nonlinearity(
+        eval=lambda u, x: 0.0 * u + offset(x),
+        k=0.0,
+        envelope=GridFunction(grid, np.abs(offset(grid.x))),
+        l=0.0,
+    )
+    assert _dense_overlap(G, offset(grid.x), None) is False
+    assert nontriviality_check(G, F, grid) is False
