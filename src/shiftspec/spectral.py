@@ -98,12 +98,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if self.N != int(self.N) or self.N < 8:
-            raise ValueError(f"N must be an integer >= 8, got {self.N}")
-        if self.N % 2 != 0:
-            raise ValueError(f"N must be even, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
         dx = grid_spacing(self.L, self.N)
+        object.__setattr__(self, "N", int(self.N))
         x = -self.L + dx * np.arange(self.N)
         j = np.arange(-self.N // 2, self.N // 2)
         p = (np.pi / self.L) * j
@@ -156,11 +152,14 @@ class Grid:
 def grid_spacing(L: float, N: int) -> float:
     """The spacing dx = 2L/N of the grid over [-L, L) with N samples.
 
-    Raises ValueError unless L is positive and finite and both dx and
-    p_max^4 = (pi/dx)^4, the largest weight of :func:`parseval_weight`,
-    are finite: L = 1e308 overflows 2L, and at N = 64 an L below about
-    8.7e-76 overflows p_max^4.  Allocates nothing.
+    Raises ValueError unless N is an even integer >= 8, L is positive
+    and finite, and both dx and p_max^4 = (pi/dx)^4, the largest weight
+    of :func:`parseval_weight`, are finite: L = 1e308 overflows 2L, and
+    at N = 64 an L below about 8.7e-76 overflows p_max^4.  Allocates
+    nothing.
     """
+    if N != int(N) or N < 8 or N % 2:
+        raise ValueError(f"N must be an even integer >= 8, got {N}")
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"half-length L must be positive, got {L}")
     dx = 2.0 * L / N
@@ -176,7 +175,7 @@ def grid_spacing(L: float, N: int) -> float:
 
 def make_grid(L: float, N: int) -> Grid:
     """Build the grid for the box [-L, L) with N samples (even, >= 8)."""
-    return Grid(L=float(L), N=int(N))
+    return Grid(L=float(L), N=N)
 
 
 def _canonical_values(values, N):

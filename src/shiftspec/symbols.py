@@ -23,6 +23,10 @@ from .spectral import MAX_POINTS, fft_frequencies
 # exactly +-sqrt(a) (aligned grids) fall below this.
 RESONANT_BIN_GUARD = 1e-16
 
+# estimate_alpha refines at most this many sampled minima at once, as
+# (rows, 33) arrays: a few MB however many minima |lambda|^2 has
+_REFINE_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class ShiftParams:
@@ -33,9 +37,9 @@ class ShiftParams:
 
     def __post_init__(self):
         if not np.isfinite(self.a) or self.a <= 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+            raise ValueError(f"'a' must be positive and finite, got {self.a}")
         if not np.isfinite(self.h) or self.h == 0:
-            raise ValueError(f"h must be nonzero, got {self.h}")
+            raise ValueError(f"'h' must be nonzero and finite, got {self.h}")
 
     @property
     def sqrt_a(self) -> float:
@@ -161,13 +165,22 @@ def nearest_resonance(params: ShiftParams):
 def classify(params: ShiftParams, tol: float | None = None) -> FredholmClass:
     """Classify (a, h) as Resonant (with index n) or NonResonant (with a
     sampled alpha).  tol is the absolute tolerance on |h - 2*pi*n/sqrt(a)|
-    and must stay below pi/sqrt(a) so at most one index is a candidate.
+    and must stay below pi/sqrt(a) so at most one index is a candidate;
+    for the default tolerance that is max(1, |h|)*sqrt(a) < 1e9*pi.
+    Raises ValueError before anything is sampled when it does not, or
+    when a NonResonant (a, h) needs more than 2**24 samples
+    (:func:`alpha_sample_count`); a Resonant one samples nothing.
 
     Memoized (128 entries): ShiftParams and FredholmClass are frozen.
     """
     if tol is None:
         tol = default_resonance_tol(params)
-    if not 0 < tol < np.pi / params.sqrt_a:
+        if not tol < np.pi / params.sqrt_a:
+            raise ValueError(
+                "max(1, |h|)*sqrt(a) must be below 1e9*pi, so that the resonance tolerance "
+                f"1e-9*max(1, |h|) stays below pi/sqrt(a); got a = {params.a}, h = {params.h}"
+            )
+    elif not 0 < tol < np.pi / params.sqrt_a:
         raise ValueError(
             f"tol must lie in (0, pi/sqrt(a)) = (0, {np.pi / params.sqrt_a:.6g}), got {tol}"
         )
@@ -218,18 +231,14 @@ def estimate_alpha(params: ShiftParams) -> float:
     v = symbol_modulus_sq(p, params)
     interior = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
     candidates = np.unique(np.concatenate(([0, n_coarse - 1], interior)))
-    lo = p[np.maximum(candidates - 1, 0)]
-    hi = p[np.minimum(candidates + 1, n_coarse - 1)]
     best = float(np.min(v))
-    for _ in range(6):
-        grids = np.linspace(lo, hi, 33, axis=1)
-        vals = symbol_modulus_sq(grids, params)
-        idx = np.argmin(vals, axis=1)
-        best = min(best, float(vals[np.arange(len(lo)), idx].min()))
-        centers = grids[np.arange(len(lo)), idx]
-        width = (hi - lo) / 16.0
-        lo = np.maximum(centers - width, 0.0)
-        hi = np.minimum(centers + width, P)
+    # each window is refined on its own and min is exact, so the blocks
+    # bound the memory and leave the result's bits as they are
+    for start in range(0, len(candidates), _REFINE_BLOCK):
+        block = candidates[start : start + _REFINE_BLOCK]
+        lo = p[np.maximum(block - 1, 0)]
+        hi = p[np.minimum(block + 1, n_coarse - 1)]
+        best = min(best, _refined_minimum(lo, hi, params, P))
     if best < 1e-18 * max(1.0, a * a):
         raise ValueError(
             "sampled minimum of |lambda|^2 is at machine zero; "
@@ -242,4 +251,22 @@ def estimate_alpha(params: ShiftParams) -> float:
             f"sampled minimum {best:.17g} of |lambda|^2 exceeds (P^2-a)^2 at the "
             f"window edge P={P:.17g}; the search window misses the minimum"
         )
+    return best
+
+
+def _refined_minimum(lo, hi, params: ShiftParams, P: float) -> float:
+    """The smallest |lambda|^2 that six rounds of 33-point samples find,
+    each round zooming 8x into every window [lo, hi] around its best
+    point, inside [0, P]."""
+    rows = np.arange(len(lo))
+    best = np.inf
+    for _ in range(6):
+        grids = np.linspace(lo, hi, 33, axis=1)
+        vals = symbol_modulus_sq(grids, params)
+        idx = np.argmin(vals, axis=1)
+        best = min(best, float(vals[rows, idx].min()))
+        centers = grids[rows, idx]
+        width = (hi - lo) / 16.0
+        lo = np.maximum(centers - width, 0.0)
+        hi = np.minimum(centers + width, P)
     return best

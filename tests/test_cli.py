@@ -83,6 +83,24 @@ def test_spectrum_run(tmp_path, capsys):
     assert float(at_one[0].split(",")[3]) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_spectrum_of_a_single_frequency_runs(tmp_path):
+    # p_min may equal p_max: every sample is the same frequency
+    cfg = write_cfg(tmp_path, {"a": 1.0, "h": 1.0, "p_min": 1.5, "p_max": 1.5, "num_points": 3})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    assert len(rows) == 4 and rows[1] == rows[2] == rows[3]
+    assert float(rows[1].split(",")[0]) == 1.5
+
+
+def test_config_number_at_the_float_maximum_is_accepted(tmp_path):
+    # the float range is closed: its largest value is a number like any other
+    top = sys.float_info.max
+    cfg = write_cfg(tmp_path, dict(LINEAR_CFG, tol_orth=top))
+    assert parse_config(cfg, "solve-linear", tmp_path, 0).options["tol_orth"] == top
+    cfg = write_cfg(tmp_path, dict(LINEAR_CFG, tol_orth=int(top)))
+    assert parse_config(cfg, "solve-linear", tmp_path, 0).options["tol_orth"] == top
+
+
 def _spectrum_reference(config):
     p = np.linspace(config["p_min"], config["p_max"], config["num_points"])
     params = ShiftParams(config["a"], config["h"])
@@ -604,10 +622,6 @@ def test_run_rejected_after_parsing_leaves_no_output_dir(
         ("solve-linear", LINEAR_CFG, "N", 15),
         ("solve-linear", LINEAR_CFG, "N", 6),
         ("sequence", SEQUENCE_CFG, "N", 0),
-        ("solve-nonlinear", NONLINEAR_CFG, "a", 1e308),
-        ("solve-linear", LINEAR_CFG, "h", 1e308),
-        ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}},
-         "h", -1e308),
         # 2L overflows; at N = 64, p_max^4 = (32*pi/L)^4 overflows below L ~ 8.7e-76
         ("solve-linear", dict(LINEAR_CFG, N=64), "L", 1e308),
         ("solve-nonlinear", dict(NONLINEAR_CFG, N=64), "L", 1e-76),
@@ -615,13 +629,23 @@ def test_run_rejected_after_parsing_leaves_no_output_dir(
         ("constants", {"a": 1.0, "h": 1.0, "N": 64, "G": {"name": "gaussian"}}, "L", 1e-308),
         ("solve-linear", LINEAR_CFG, "L", 0.0),
     ],
+    # fixed ids, so that a case keeps its id when another is added or removed
+    ids=[
+        "solve-linear-base0-N-15",
+        "solve-linear-base1-N-6",
+        "sequence-base2-N-0",
+        "solve-linear-base6-L-1e+308",
+        "solve-nonlinear-base7-L-1e-76",
+        "sequence-base8-L-1e-200",
+        "constants-base9-L-1e-308",
+        "solve-linear-base10-L-0.0",
+    ],
 )
 def test_grid_size_and_shift_range_named_at_parse_time(
     tmp_path, capsys, command, base, field, value
 ):
-    # N must be even and at least 8; L must give a finite dx and p_max^4;
-    # (a, h) must leave classify a resonance tolerance below pi/sqrt(a),
-    # which it derives from h
+    # N must be even and at least 8 and L must give a finite dx and
+    # p_max^4 (spectral.grid_spacing); the message names both fields
     cfg = write_cfg(tmp_path, dict(base, **{field: value}))
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         parse_config(cfg, command, tmp_path, 0)
@@ -654,23 +678,47 @@ CLASSIFYING_CONFIGS = [
 def test_alpha_sample_count_above_2_24_named_before_any_allocation(
     tmp_path, monkeypatch, capsys, command, base
 ):
-    # estimate_alpha samples (1 + sqrt(a))*|h|*8/pi points: at most 2**24,
-    # so (1 + sqrt(a))*|h| < 2**24*pi/8 ~ 6.588e6, checked at parse time
+    # classify refuses, before it samples anything, a non-resonant (a, h)
+    # that estimate_alpha would sample at more than 2**24 points,
+    # (1 + sqrt(a))*|h| >= 2**24*pi/8 ~ 6.588e6, and any (a, h) whose
+    # resonance tolerance 1e-9*max(1, |h|) reaches pi/sqrt(a); run asks
+    # it before any grid, and names both fields
     def refuse(*args, **kwargs):
         raise AssertionError("allocation attempted")
 
     monkeypatch.setattr(cli, "make_grid", refuse)
     monkeypatch.setattr(cli.np, "linspace", refuse)
-    for field, a, h in (("a", 1e17, 0.7), ("a", 1e14, 1.0), ("h", 1.0, 3.3e6), ("h", 4.0, -2.2e6)):
+    for a, h, rule in (
+        (1e17, 0.7, "2**24"),
+        (1e14, 1.0, "2**24"),
+        (1.0, 3.3e6, "2**24"),
+        (4.0, -2.2e6, "2**24"),
+        (1e308, 1.0, "1e9*pi"),
+        (1.0, 1e308, "1e9*pi"),
+        (1.0, -1e308, "1e9*pi"),
+    ):
         cfg = write_cfg(tmp_path, dict(base, a=a, h=h))
+        assert parse_config(cfg, command, tmp_path, 0).params == ShiftParams(a, h)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConfigError"
-        assert f"field '{field}'" in err["message"] and "2**24" in err["message"]
+        assert err["message"].startswith(f"field 'a' = {float(a)} and field 'h' = {float(h)}")
+        assert rule in err["message"]
         assert not out.exists()
     cfg = write_cfg(tmp_path, dict(base, a=1.0, h=3.29e6))
     assert parse_config(cfg, command, tmp_path, 0).options["h"] == 3.29e6
+
+
+def test_resonant_shift_beyond_the_sample_bound_solves(tmp_path):
+    # a resonant (a, h) samples nothing, so (1 + sqrt(a))*|h| = 1.3e8 is
+    # not bound by estimate_alpha's 2**24 samples
+    cfg = dict(LINEAR_CFG, h=2 * np.pi * 10**7, f={"name": "hermite_gaussian"})
+    out = tmp_path / "out"
+    assert main(["solve-linear", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["classification"] == {"kind": "Resonant", "n": 10**7, "alpha": None}
+    assert report["solvable"] and report["residual_l2"] < 1e-11
 
 
 def test_readme_solve_nonlinear_fft_count(tmp_path, monkeypatch, fft_calls):

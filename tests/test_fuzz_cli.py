@@ -10,10 +10,14 @@ ValueError, OverflowError, KeyError, MemoryError or anything else.
 Each config is drawn valid (N <= 256, M <= 4), and most then have one
 field broken: a range edge (0, +-1e+-308, subnormals, integers beyond
 the float range), a wrong type (booleans too), a size above its bound, a
-missing or an unknown key.  A ConfigError must then name the broken
-field.  A size (N, num_points, M) above its bound runs with the grid,
-the spectrum's frequencies and both sequence runners patched to refuse,
-so a missing bound fails fast instead of allocating.  Every fourth run
+missing or an unknown key.  In about a quarter of the runs instead, a
+function field (f, G, base, generator.perturbation or v0) reads a CSV:
+valid, real or complex, or broken in one way (CSV_DEFECTS).  A
+ConfigError must then name the broken field, and a complex input to the
+fixed-point map must be refused as such.  A size (N, num_points, M)
+above its bound runs with the grid, the spectrum's frequencies and both
+sequence runners patched to refuse, so a missing bound fails fast
+instead of allocating.  Every fourth run
 that exits 0 runs again and must leave the same bytes.  (Miller,
 Fredriksen & So, CACM 33(12), 1990; Claessen & Hughes, QuickCheck, ICFP
 2000.)
@@ -28,12 +32,16 @@ import warnings
 import numpy as np
 
 from shiftspec import catalog, cli, errors, sequences
-from shiftspec.spectral import MAX_POINTS
+from shiftspec.spectral import MAX_POINTS, GridFunction, make_grid, write_gridfunction_csv
 
 RUNS = 300
 SIZE_BOUNDS = {"N": MAX_POINTS, "num_points": MAX_POINTS, "M": sequences.MAX_MEMBERS}
 EDGES = [0, 0.0, -0.0, 1e308, -1e308, 1e-308, -1e-308, 5e-324, -5e-324, 10**309, -(10**400)]
 WRONG = [True, False, "1", None, [], {}]
+# one way each to break a CSV input: its header, a row's field count, a
+# non-number, an x off the grid, a sample that is nan or whose square
+# overflows, no rows
+CSV_DEFECTS = ["header", "fields", "non-number", "off-grid", "nan", "1e308", "header-only"]
 # valid draws of each number: top-level keys and builtin parameters
 VALID = {
     "a": (0.3, 3.0),
@@ -151,6 +159,51 @@ class Draw:
             cfg["h"] = 2 * np.pi * int(self.rng.integers(1, 3)) / np.sqrt(cfg["a"])  # resonant
         return cfg
 
+    # CSV inputs
+
+    def csv_field(self, command, cfg):
+        """A function field of cfg that can read a CSV."""
+        keys = cli._CONFIG_KEYS[command]
+        fields = [k for k in keys if keys[k][0] in ("function", "v0")]
+        if "perturbation" in cfg.get("generator", {}):
+            fields.append("generator.perturbation")
+        return self.pick(fields)
+
+    def csv_input(self, command, cfg, field, path):
+        """Point field at a CSV written to path on cfg's grid: valid, real
+        or complex, or broken in one way.  The text a refusal must hold,
+        or None when the input is valid for field."""
+        grid = make_grid(cfg["L"], cfg["N"])
+        values = self.rng.uniform(-0.5, 0.5) * np.exp(-((grid.x - self.rng.uniform(-2, 2)) ** 2))
+        if self.chance(0.3):
+            values = values * np.exp(1j * self.rng.uniform(0.5, 2.0) * grid.x)
+        write_gridfunction_csv(GridFunction(grid, values), path)
+        if field == "generator.perturbation":
+            cfg["generator"]["perturbation"] = str(path)
+        else:
+            cfg[field] = str(path)
+        if self.chance(0.5):
+            header, *rows = path.read_text().splitlines()
+            j = int(self.rng.integers(len(rows)))
+            x, re_, im = rows[j].split(",")
+            defect = self.pick(CSV_DEFECTS)
+            if defect == "header":
+                header = "x,real,imag"
+            elif defect == "fields":
+                rows[j] = f"{x},{re_}"
+            elif defect == "header-only":
+                rows = []
+            else:
+                x = repr(float(x) + 0.5 * grid.dx) if defect == "off-grid" else x
+                re_ = {"non-number": "abc", "nan": "nan", "1e308": "1e308"}.get(defect, re_)
+                rows[j] = f"{x},{re_},{im}"
+            path.write_text("\n".join([header, *rows]) + "\n")
+            return f"field '{field}' cannot be built"
+        fixed_point_map = command == "solve-nonlinear" or cfg.get("kind") == "kernel"
+        if fixed_point_map and np.iscomplexobj(values):
+            return f"field '{field}' must be real-valued"
+        return None
+
     # broken values
 
     def bad_number(self):
@@ -246,7 +299,13 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
     for i in range(RUNS):
         command = draw.pick(commands)
         cfg = draw.config(command)
-        broken = draw.break_one(command, cfg) if draw.chance(0.65) else None
+        broken = refusal = None
+        if command != "spectrum" and draw.chance(0.25):
+            field = draw.csv_field(command, cfg)
+            refusal = draw.csv_input(command, cfg, field, tmp_path / f"in{i}.csv")
+            broken = field if refusal else None
+        if refusal is None and draw.chance(0.65):
+            broken = draw.break_one(command, cfg)
         path = tmp_path / f"cfg{i}.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / f"out{i}"
@@ -259,7 +318,7 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
             rc, stdout, stderr = _run(argv)
         case = f"run {i}: {command} {json.dumps(cfg)} ({broken})\n-> exit {rc}: {stderr[-400:]}"
         if rc == 0:
-            assert stderr == "", case
+            assert stderr == "" and refusal is None, case
             if len(outcomes) % 4 == 0:
                 again = _run([*argv[:-1], str(tmp_path / f"rerun{i}")])
                 assert again[0] == 0 and _files(tmp_path / f"rerun{i}") == _files(out), case
@@ -273,6 +332,8 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
             # the broken field, or for a valid config some field of it
             named = [broken.split(".")[0]] if broken else list(cfg)
             assert any(_names(error["message"], key) for key in named), case
+        if refusal:
+            assert error["type"] == "ConfigError" and refusal in error["message"], case
         assert not out.exists(), case
         outcomes.append(error["type"])
     # every outcome class is reached

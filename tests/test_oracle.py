@@ -48,12 +48,21 @@ def _second_derivative_matrix(grid):
 
 def _shift_matrix(grid, h):
     # S[j, k] = S_N(t), t = (x_j - h - x_k)*pi/L, with the periodic sinc
-    # S_N(t) = sin(N t/2) / (N tan(t/2)).  Since N t/2 = pi*m - p_max*h for
-    # m = j - k, the numerator is -(-1)^m sin(p_max h), with no large argument
+    # S_N(t) = sin(N t/2) / (N tan(t/2)).  With h = (s + delta)*dx, s the
+    # nearest whole number of steps, N t/2 = pi*(m - delta) for m = j - k - s,
+    # so the numerator is -(-1)^m sin(pi*delta), with no large argument.
+    # S_N has period N in m, so m is taken in [-N/2, N/2): tan(t/2) is
+    # then small only near m = 0, where pi*(m - delta)/N has no
+    # cancellation.  A whole step (delta = 0) takes the on-grid limit: 1 at
+    # m = 0 and 0 at the other whole steps, a permutation
     N = grid.N
-    m = np.subtract.outer(np.arange(N), np.arange(N))
-    half_t = np.pi * m / N - np.pi * h / (2.0 * grid.L)
-    return -np.where(m % 2, -1.0, 1.0) * np.sin(grid.p_max * h) / (N * np.tan(half_t))
+    s = round(h / grid.dx)
+    delta = h / grid.dx - s
+    m = (np.subtract.outer(np.arange(N), np.arange(N)) - s + N // 2) % N - N // 2
+    if delta == 0.0:
+        return (m == 0).astype(float)
+    sign = np.where(m % 2, -1.0, 1.0)
+    return -sign * np.sin(np.pi * delta) / (N * np.tan(np.pi * (m - delta) / N))
 
 
 def _dense_operator(grid, params):
@@ -155,26 +164,32 @@ def test_cli_solve_linear_matches_dense_solve(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_whole_step_shift_is_a_permutation():
+    # at h = s*dx the periodic sinc takes its on-grid limit, (S f)_j = f_(j-s);
+    # a hair off the whole step the closed form is within O(delta) of it
+    grid = make_grid(10.0, 64)
+    f = np.random.default_rng(2033).standard_normal(64)
+    for s in (1, -3, 40, 69):
+        assert np.array_equal(_shift_matrix(grid, s * grid.dx) @ f, np.roll(f, s))
+        near = _shift_matrix(grid, (s + 1e-9) * grid.dx) @ f
+        assert np.max(np.abs(near - np.roll(f, s))) <= 1e-6 * np.max(np.abs(f))
+
+
 def _draw_resonant_case(rng, N):
     # h = 2*pi*n/sqrt(a) on an aligned L near sqrt(N*pi/(2a)), which puts
     # +-sqrt(a) on the dual grid and resolves the hermite gaussian of scale
-    # sqrt(a) in x and p alike; h a whole number of grid steps would be a
-    # 0/0 of the periodic sinc, so such draws are skipped
-    while True:
-        a, n = float(rng.uniform(0.3, 3.0)), int(rng.integers(1, 3))
-        params = ShiftParams(a, 2 * np.pi * n / np.sqrt(a))
-        L = np.sqrt(N * np.pi / (2.0 * a)) * rng.uniform(0.9, 1.1)
-        grid = make_grid(resonant_aligned_half_length(a, L), N)
-        steps = params.h / grid.dx
-        if abs(steps - round(steps)) > 0.1:
-            return params, grid
+    # sqrt(a) in x and p alike
+    a, n = float(rng.uniform(0.3, 3.0)), int(rng.integers(1, 3))
+    params = ShiftParams(a, 2 * np.pi * n / np.sqrt(a))
+    L = np.sqrt(N * np.pi / (2.0 * a)) * rng.uniform(0.9, 1.1)
+    return params, make_grid(resonant_aligned_half_length(a, L), N)
 
 
 @pytest.mark.parametrize("N", [64, 128, 256])
 def test_resonant_solve_linear_matches_minimum_norm_lstsq(N):
     # A is singular at the bins +-sqrt(a); an f orthogonal there is in its
     # range, and the solve's u is the minimum-norm solution: measured at
-    # most 3.3 of eps*(1 + p_max^2)*max|u|
+    # most 2.2 of eps*(1 + p_max^2)*max|u|
     rng = np.random.default_rng([2030, N])
     for _ in range(3):
         params, grid = _draw_resonant_case(rng, N)
@@ -185,6 +200,28 @@ def test_resonant_solve_linear_matches_minimum_norm_lstsq(N):
         oracle = np.linalg.lstsq(_dense_operator(grid, params), f, rcond=1e-10)[0]
         tol = 32 * EPS * (1.0 + grid.p_max**2) * np.max(np.abs(oracle))
         assert np.max(np.abs(u - oracle)) <= tol, (params, grid.L)
+
+
+def test_cli_resonant_solve_linear_matches_minimum_norm_lstsq(tmp_path, capsys):
+    # the resonant path through cli.main: f through a CSV, solution.csv read
+    # back; measured at most 1.2 of eps*(1 + p_max^2)*max|u|
+    rng = np.random.default_rng(2034)
+    for N in (128, 256):
+        params, grid = _draw_resonant_case(rng, N)
+        spec = {"scale": params.sqrt_a, "amplitude": float(rng.standard_normal())}
+        f = _without_nyquist_mode(builtin_function("hermite_gaussian", grid, spec).values)
+        write_gridfunction_csv(GridFunction(grid, f), tmp_path / "f.csv")
+        cfg = {"a": params.a, "h": params.h, "L": grid.L, "N": N, "f": str(tmp_path / "f.csv")}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / f"out{N}"
+        assert main(["solve-linear", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["classification"]["kind"] == "Resonant"
+        u = read_gridfunction_csv(out / "solution.csv", grid).values
+        oracle = np.linalg.lstsq(_dense_operator(grid, params), f, rcond=1e-10)[0]
+        tol = 32 * EPS * (1.0 + grid.p_max**2) * np.max(np.abs(oracle))
+        assert np.max(np.abs(u - oracle)) <= tol, (params, grid.L)
+    capsys.readouterr()
 
 
 def _circulant(G):
@@ -200,7 +237,7 @@ def _circulant(G):
 @pytest.mark.parametrize("N", [32, 64, 128, 256])
 def test_iterate_fixed_point_matches_dense_picard(N):
     # u <- A^{-1} C F(u) from zero, as many steps as the iteration took,
-    # with the README tanh F written out: measured at most 0.74 of
+    # with the README tanh F written out: measured at most 0.62 of
     # eps*(1 + p_max^2)*max|u|
     rng = np.random.default_rng([2031, N])
     offset = {"name": "gaussian", "params": {"sigma": 0.7071067811865476}}
@@ -217,6 +254,39 @@ def test_iterate_fixed_point_matches_dense_picard(N):
             v = np.linalg.solve(A, C @ (0.1 * np.tanh(v) + r))
         tol = 32 * EPS * (1.0 + grid.p_max**2) * np.max(np.abs(v))
         assert np.max(np.abs(result.u.values - v)) <= tol, (params, grid.L)
+
+
+def test_cli_solve_nonlinear_matches_dense_picard(tmp_path, capsys):
+    # the fixed-point path through cli.main, with builtin G and the README
+    # tanh F: as many dense Picard steps as fixed_point.json reports;
+    # measured at most 0.47 of eps*(1 + p_max^2)*max|u|
+    rng = np.random.default_rng(2035)
+    offset = {"name": "gaussian", "params": {"sigma": 0.7071067811865476}}
+    for N in (128, 256):
+        params, grid = _draw_case(rng, N)
+        kernel = {"amplitude": 0.1, "sigma": rng.uniform(0.7, 1.3), "center": rng.uniform(-1, 1)}
+        cfg = {
+            "a": params.a,
+            "h": params.h,
+            "L": grid.L,
+            "N": N,
+            "G": {"name": "gaussian", "params": {k: float(v) for k, v in kernel.items()}},
+            "F": {"name": "tanh", "params": {"slope": 0.1, "offset": offset}},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / f"out{N}"
+        assert main(["solve-nonlinear", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+        steps = json.loads((out / "fixed_point.json").read_text())["iterations"]
+        u = read_gridfunction_csv(out / "solution.csv", grid).values
+        G = builtin_function("gaussian", grid, cfg["G"]["params"])
+        A, C = _dense_operator(grid, params), _circulant(G)
+        r = np.exp(-(grid.x**2) / (2.0 * 0.7071067811865476**2))
+        v = np.zeros(N)
+        for _ in range(steps):
+            v = np.linalg.solve(A, C @ (0.1 * np.tanh(v) + r))
+        tol = 32 * EPS * (1.0 + grid.p_max**2) * np.max(np.abs(v))
+        assert np.max(np.abs(u - v)) <= tol, (params, grid.L)
+    capsys.readouterr()
 
 
 def _dense_overlap(G, f0, threshold):

@@ -19,6 +19,7 @@ from shiftspec.spectral import (
     dft,
     evaluate_transform_at,
     forward_transform,
+    grid_spacing,
     h2_norm,
     inverse_transform,
     l1_norm,
@@ -102,6 +103,42 @@ def test_grid_frequencies_increasing_with_unpaired_endpoint():
 def test_make_grid_rejects(L, N):
     with pytest.raises(ValueError):
         make_grid(L, N)
+
+
+def test_grid_spacing_owns_the_rule_for_N():
+    # Grid, make_grid and the CLI leave the check of N to grid_spacing
+    for N in (7, 6, 9, 8.5, 0, -8):
+        with pytest.raises(ValueError, match=f"N must be an even integer >= 8, got {N}"):
+            grid_spacing(1.0, N)
+        with pytest.raises(ValueError, match=f"N must be an even integer >= 8, got {N}"):
+            make_grid(1.0, N)
+    assert grid_spacing(1.0, 8) == 0.25 and Grid(1.0, 8.0).N == 8
+
+
+def test_grid_spacing_names_the_rule_that_fails():
+    # the sign of L is checked before the range of dx and p_max^4
+    for L in (0.0, -2.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="half-length L must be positive"):
+            grid_spacing(L, 8)
+    with pytest.raises(ValueError, match="out of range for N = 64"):
+        grid_spacing(1e-76, 64)
+
+
+def test_gridfunction_arithmetic_acts_on_the_samples():
+    g = make_grid(5.0, 16)
+    u = GridFunction(g, np.exp(-g.x**2))
+    w = GridFunction(g, np.sin(g.x) + 1j * g.x)
+    for got, want in (
+        (u + w, u.values + w.values),
+        (u - w, u.values - w.values),
+        (w - u, w.values - u.values),
+        (2.5 * w, 2.5 * w.values),
+        (u * -3.0, -3.0 * u.values),
+        (-w, -w.values),
+    ):
+        assert got.grid == g and np.array_equal(got.values, want)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        u + GridFunction(make_grid(5.0, 32), np.zeros(32))
 
 
 def test_gridfunction_rejects_nan_and_wrong_length():
@@ -272,6 +309,12 @@ def test_evaluate_transform_gaussian_values():
     assert abs(evaluate_transform_at(herm, 1.0)) <= 1e-10
     zero = GridFunction(g, np.zeros(g.N))
     assert evaluate_transform_at(zero, 0.731) == 0
+    # a subnormal sample counts as zero; the smallest normal one does not
+    tiny = np.finfo(np.float64).tiny
+    for sample, counted in ((tiny / 2, False), (tiny, True)):
+        v = np.zeros(g.N)
+        v[g.N // 2] = sample
+        assert (evaluate_transform_at(GridFunction(g, v), 0.0) != 0) is counted
 
 
 def test_evaluate_transform_warns_beyond_band():
@@ -279,6 +322,13 @@ def test_evaluate_transform_warns_beyond_band():
     u = gaussian_on(g)
     with pytest.warns(RuntimeWarning):
         evaluate_transform_at(u, 2 * g.p_max)
+    # the band includes its edge, with a relative slack of 1e-12
+    edge = g.p_max * (1.0 + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluate_transform_at(u, [edge, -edge])
+    with pytest.warns(RuntimeWarning):
+        evaluate_transform_at(u, np.nextafter(edge, np.inf))
 
 
 @pytest.mark.parametrize("complex_input", [False, True])
@@ -495,6 +545,20 @@ def test_gridfunction_csv_reads_lf_repr_rows(tmp_path):
     back = read_gridfunction_csv(path)
     assert back.grid == g and back.is_real
     assert np.array_equal(back.values, u.values)
+
+
+def test_gridfunction_csv_x_column_tolerance_scales_with_L(tmp_path):
+    # x may be off the grid by up to 1e-9*max(1, L): 4e-8 at L = 40
+    g = make_grid(40.0, 64)
+    path = tmp_path / "u.csv"
+    for offset, accepted in ((3e-8, True), (6e-8, False)):
+        rows = [f"{xj + offset!r},{vj!r},0" for xj, vj in zip(g.x.tolist(), np.cos(g.x).tolist())]
+        path.write_text("\n".join(["x,re,im"] + rows) + "\n")
+        if accepted:
+            assert np.array_equal(read_gridfunction_csv(path, g).values, np.cos(g.x))
+        else:
+            with pytest.raises(ValueError, match="x column does not match"):
+                read_gridfunction_csv(path, g)
 
 
 @pytest.mark.parametrize(

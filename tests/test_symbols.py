@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from shiftspec import symbols
-from shiftspec.errors import ShiftSpecError
+from shiftspec.errors import NearSingularGrid, ShiftSpecError
 from shiftspec.linear import resonant_aligned_half_length
 from shiftspec.spectral import make_grid
 from shiftspec.symbols import (
+    FredholmClass,
     FredholmKind,
     ShiftParams,
     classify,
@@ -18,6 +19,30 @@ from shiftspec.symbols import (
 # dense-grid oracle minima of |lambda|^2 (step 1e-5 over [-4, 4], refined)
 ALPHA_1_PI = 0.900738893197  # minimizer near p = +-0.3217
 ALPHA_1_1 = 0.489257962441  # minimizer near p = +-0.7185
+
+
+def test_fredholm_class_requires_its_constant():
+    with pytest.raises(ValueError, match="alpha > 0"):
+        FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=0.0)
+    with pytest.raises(ValueError, match="nonzero index"):
+        FredholmClass(kind=FredholmKind.RESONANT, n=0)
+    assert FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=5e-324).alpha == 5e-324
+
+
+def test_inverse_symbol_near_singular_bound_is_strict(monkeypatch):
+    # a non-resonant classification whose alpha/2 equals the grid's
+    # smallest |lambda|^2 exactly divides; a larger alpha is refused
+    params = ShiftParams(1.0, 1.0)
+    g = make_grid(20.0, 64)
+    smallest = float(np.min(symbol_modulus_sq(g.p, params)))
+    for alpha, refused in ((2.0 * smallest, False), (np.nextafter(2.0 * smallest, np.inf), True)):
+        fake = FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=alpha)
+        monkeypatch.setattr(symbols, "classify", lambda p, fake=fake: fake)
+        if refused:
+            with pytest.raises(NearSingularGrid):
+                inverse_symbol(g.p, params)
+        else:
+            assert np.array_equal(inverse_symbol(g.p, params), 1.0 / symbol(g.p, params))
 
 
 def test_params_validation():
@@ -77,6 +102,14 @@ def test_inverse_symbol_drops_only_resonant_bins():
     np.testing.assert_allclose(inv[~zero], 1.0 / symbol(g.p[~zero], params), rtol=1e-14)
     off = ShiftParams(4.0, 1.0)
     np.testing.assert_allclose(inverse_symbol(g.p, off), 1.0 / symbol(g.p, off), rtol=1e-14)
+    # the guard scales with a^2: at a = 1e4 the rounded |lambda(+-100)|^2
+    # is 1.3e-23, far below 1e-16*a^2 though above 1e-16/a^2
+    params = ShiftParams(1e4, 2 * np.pi / 100.0)
+    g = make_grid(resonant_aligned_half_length(1e4, 0.2), 256)
+    inv = inverse_symbol(g.p, params)
+    zero = np.abs(np.abs(g.p) - 100.0) <= 1e-9
+    assert np.count_nonzero(zero) == 2 and np.all(inv[zero] == 0)
+    np.testing.assert_allclose(inv[~zero], 1.0 / symbol(g.p[~zero], params), rtol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -102,6 +135,26 @@ def test_classify_tol_precondition():
         classify(ShiftParams(1.0, 1.0), tol=np.pi)
     with pytest.raises(ValueError):
         classify(ShiftParams(1.0, 1.0), tol=0.0)
+    # the bound pi/sqrt(a) is pi/2 at a = 4
+    with pytest.raises(ValueError, match=r"\(0, 1.5708\)"):
+        classify(ShiftParams(4.0, 1.0), tol=1.6)
+    assert not classify(ShiftParams(4.0, 1.0), tol=1.5).is_resonant
+    # a shift at exactly tol from a resonance is resonant
+    params = ShiftParams(1.0, 2 * np.pi + 1e-3)
+    dist = symbols.nearest_resonance(params)[1]
+    assert classify(params, tol=dist).n == 1
+    assert not classify(params, tol=np.nextafter(dist, 0.0)).is_resonant
+
+
+def test_classify_default_tolerance_bound_is_strict():
+    # 1e-9*h equals pi/sqrt(a) exactly at a = 1, h = pi/1e-9: refused, as
+    # it would leave two resonance indices within the tolerance; one ulp
+    # below is classified (Resonant, n = 5e8)
+    h = np.pi / 1e-9
+    assert symbols.default_resonance_tol(ShiftParams(1.0, h)) == np.pi
+    with pytest.raises(ValueError):
+        classify(ShiftParams(1.0, h))
+    assert classify(ShiftParams(1.0, np.nextafter(h, 0.0))).n == 500_000_000
 
 
 def test_classify_shift_by_period():
@@ -117,6 +170,11 @@ def test_classify_shift_by_period():
 def test_estimate_alpha_oracle_values():
     assert estimate_alpha(ShiftParams(1.0, np.pi)) == pytest.approx(ALPHA_1_PI, abs=1e-6)
     assert estimate_alpha(ShiftParams(1.0, 1.0)) == pytest.approx(ALPHA_1_1, abs=1e-6)
+    # six rounds of 8x zoom reach the oracle's 12 digits: measured errors
+    # 6.3e-12 and 4.2e-13, against 1.5e-10 and 1.8e-9 with windows that
+    # do not shrink as designed
+    assert abs(estimate_alpha(ShiftParams(1.0, np.pi)) - ALPHA_1_PI) <= 1e-11
+    assert abs(estimate_alpha(ShiftParams(1.0, 1.0)) - ALPHA_1_1) <= 1e-11
 
 
 def test_estimate_alpha_upper_bound_at_origin():
@@ -128,6 +186,18 @@ def test_estimate_alpha_upper_bound_at_origin():
 def test_estimate_alpha_rejects_resonant():
     with pytest.raises(ValueError):
         estimate_alpha(ShiftParams(4.0, np.pi))
+    # h exactly at the default tolerance 1e-9 below the resonance
+    # 2*pi/sqrt(a) = 2.5e-9 counts as resonant, for classify too
+    params = ShiftParams(6.25e18, 2.0 * np.pi / 2.5e9 - 1e-9)
+    assert symbols.nearest_resonance(params) == (1, symbols.default_resonance_tol(params))
+    with pytest.raises(ValueError, match="resonant parameters"):
+        estimate_alpha(params)
+    assert classify(params).n == 1
+    # 1.5 tolerances away at a = 3 the sampled minimum, 7.5e-18, is below
+    # the machine-zero floor 1e-18*a^2
+    h = 2.0 * np.pi / np.sqrt(3.0)
+    with pytest.raises(ValueError, match="machine zero"):
+        estimate_alpha(ShiftParams(3.0, h + 1.5e-9 * h))
 
 
 def test_estimate_alpha_refuses_more_than_2_24_samples(monkeypatch):
@@ -144,17 +214,73 @@ def test_estimate_alpha_refuses_more_than_2_24_samples(monkeypatch):
     with pytest.raises(ValueError, match=r"more than 2\*\*24"):
         symbols.alpha_sample_count(ShiftParams(1e300, 1e300))
     bound = 2**24 * np.pi / 8  # (1 + sqrt(a))*|h| at the cap
+    # exactly 2**24 samples are refused: the bound is strict
+    at_cap = ShiftParams(1.0, 2**24 * 2 * np.pi / 32)
+    with pytest.raises(ValueError, match=r"at 1.68e\+07 points"):
+        symbols.alpha_sample_count(at_cap)
     assert symbols.alpha_sample_count(ShiftParams(1.0, bound / 2 * (1 - 1e-9))) == 2**24
     assert symbols.alpha_sample_count(ShiftParams(1.0, 1.0)) == 4097
+
+
+def test_estimate_alpha_refines_in_blocks_bit_identically(monkeypatch):
+    # each sampled minimum is refined on its own and min is exact, so the
+    # block size bounds the refinement's memory and leaves alpha's bits
+    default = symbols._REFINE_BLOCK
+    blocks = []
+    refine = symbols._refined_minimum
+    monkeypatch.setattr(
+        symbols, "_refined_minimum", lambda lo, *args: blocks.append(len(lo)) or refine(lo, *args)
+    )
+    rng = np.random.default_rng(23)
+    cases = [(rng.uniform(0.1, 20.0), rng.uniform(-60.0, 60.0), (1, 10**9)) for _ in range(6)]
+    # about 4*h/(2*pi) = 19099 sampled minima: more than one default block
+    cases.append((1.0, 3e4, (1000, 10**9)))
+    for a, h, sizes in cases:
+        params = ShiftParams(float(a), float(h))
+        monkeypatch.setattr(symbols, "_REFINE_BLOCK", default)
+        blocks.clear()
+        alpha = estimate_alpha(params)
+        assert max(blocks) <= default and (h != 3e4 or len(blocks) == 2)
+        for size in sizes:
+            monkeypatch.setattr(symbols, "_REFINE_BLOCK", size)
+            assert estimate_alpha(params).hex() == alpha.hex(), (a, h, size)
 
 
 def test_estimate_alpha_window_check_raises(monkeypatch):
     # a sampled minimum above (P^2 - a)^2 means the window [0, P] missed
     # the minimum; an internal fault, not an assert that python -O strips
     real = symbols.symbol_modulus_sq
-    monkeypatch.setattr(symbols, "symbol_modulus_sq", lambda p, params: real(p, params) + 1e6)
-    with pytest.raises(ShiftSpecError, match="window"):
-        estimate_alpha(ShiftParams(1.0, 1.0))
+    # at a = 1, P = 4 and (P^2 - a)^2 = 225: a minimum lifted by 250 is
+    # above it, though below (P^2 + a)^2 = 289
+    for lift in (1e6, 250.0):
+        monkeypatch.setattr(
+            symbols, "symbol_modulus_sq", lambda p, params, lift=lift: real(p, params) + lift
+        )
+        with pytest.raises(ShiftSpecError, match="window"):
+            estimate_alpha(ShiftParams(1.0, 1.0))
+
+
+def test_thresholds_on_a_patched_modulus(monkeypatch):
+    # |lambda|^2 replaced by functions that sit exactly on the rules' edges
+    real = symbols.symbol_modulus_sq
+
+    def patch(f):
+        monkeypatch.setattr(symbols, "symbol_modulus_sq", f)
+
+    # flat samples count as local minima: a dip narrower than the coarse
+    # spacing 2**-10, between two samples that all read 3.0, is refined
+    c = 1000.5 / 1024
+    patch(lambda p, params: 3.0 - 2.0 * np.exp(-(((p - c) * 2**15) ** 2)))
+    assert estimate_alpha(ShiftParams(1.0, 1.0)) == 1.0
+    # a sampled minimum at the machine-zero floor 1e-18*max(1, a^2) is kept
+    patch(lambda p, params: np.full(np.shape(p), 1e-18))
+    assert estimate_alpha(ShiftParams(1.0, 1.0)) == 1e-18
+    # a resonant bin at the guard RESONANT_BIN_GUARD*a^2 itself is divided
+    params = ShiftParams(4.0, np.pi)
+    g = make_grid(resonant_aligned_half_length(4.0, 20.0), 256)
+    at_root = np.abs(np.abs(g.p) - 2.0) <= 1e-12
+    patch(lambda p, params: np.where(at_root, 1e-16 * 16.0, real(p, params)))
+    assert np.all(inverse_symbol(g.p, params)[at_root] != 0)
 
 
 def test_alpha_is_lower_bound_on_samples():
