@@ -622,6 +622,10 @@ def test_run_rejected_after_parsing_leaves_no_output_dir(
         ("solve-linear", LINEAR_CFG, "N", 15),
         ("solve-linear", LINEAR_CFG, "N", 6),
         ("sequence", SEQUENCE_CFG, "N", 0),
+        ("solve-nonlinear", NONLINEAR_CFG, "a", 1e308),
+        ("solve-linear", LINEAR_CFG, "h", 1e308),
+        ("constants", {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}},
+         "h", -1e308),
         # 2L overflows; at N = 64, p_max^4 = (32*pi/L)^4 overflows below L ~ 8.7e-76
         ("solve-linear", dict(LINEAR_CFG, N=64), "L", 1e308),
         ("solve-nonlinear", dict(NONLINEAR_CFG, N=64), "L", 1e-76),
@@ -634,6 +638,9 @@ def test_run_rejected_after_parsing_leaves_no_output_dir(
         "solve-linear-base0-N-15",
         "solve-linear-base1-N-6",
         "sequence-base2-N-0",
+        "solve-nonlinear-base3-a-1e+308",
+        "solve-linear-base4-h-1e+308",
+        "constants-base5-h--1e+308",
         "solve-linear-base6-L-1e+308",
         "solve-nonlinear-base7-L-1e-76",
         "sequence-base8-L-1e-200",
@@ -645,13 +652,21 @@ def test_grid_size_and_shift_range_named_at_parse_time(
     tmp_path, capsys, command, base, field, value
 ):
     # N must be even and at least 8 and L must give a finite dx and
-    # p_max^4 (spectral.grid_spacing); the message names both fields
+    # p_max^4 (spectral.grid_spacing); the message names both fields.
+    # (a, h) must leave classify a resonance tolerance below pi/sqrt(a):
+    # parse_config accepts such a pair, and run refuses it when it
+    # classifies, naming 'a' and 'h'
     cfg = write_cfg(tmp_path, dict(base, **{field: value}))
-    with pytest.raises(ConfigError, match=f"field '{field}'"):
-        parse_config(cfg, command, tmp_path, 0)
+    if field in ("a", "h"):
+        assert parse_config(cfg, command, tmp_path, 0).options[field] == value
+    else:
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            parse_config(cfg, command, tmp_path, 0)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert f"field '{field}'" in err["message"]
     assert not out.exists()
 
 
