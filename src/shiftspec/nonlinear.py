@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
 from .kernels import KernelReport, contraction_margin, stability_constant
@@ -28,6 +29,12 @@ from .spectral import (
     parseval_weight,
 )
 from .symbols import ShiftParams, inverse_symbol_on_grid
+
+# The direct sum's blocked Toeplitz products: square tiles of _TILE_ROWS
+# samples a side, _TILE_BLOCKS output blocks per product, so that one
+# product's operands and result take about 1 MB at most, at any N
+_TILE_ROWS = 128
+_TILE_BLOCKS = 256
 
 
 @dataclass(frozen=True)
@@ -166,13 +173,36 @@ def convolve_direct(G: GridFunction, w: GridFunction) -> GridFunction:
 
 
 def _convolve_on_window(G: GridFunction, w: GridFunction, window) -> GridFunction:
-    """:func:`convolve_direct` over a window from :func:`_direct_sum_window`."""
+    """:func:`convolve_direct` over a window from :func:`_direct_sum_window`.
+
+    The circular sum y[n] = sum_k g[k] w[(n - k) mod N] over the window's
+    K samples g runs as blocked Toeplitz products through BLAS, not an FFT.
+    With B = _TILE_ROWS, row j of the matrix X holds the B samples
+    w[((j - Q + 1)*B + s) mod N], s < B, and y's block b of B samples is
+    sum_q X[b + q] @ T_q over Q = ceil((K - 1)/B) + 1 square tiles
+    T_q[s, i] = g[(Q - 1 - q)*B - s + i] (zero off the window).  Each tile
+    is built once and multiplies the rows X[q : q + nb], a view, at most
+    _TILE_BLOCKS of them at a time.
+    """
     N = G.grid.N
     start, K, _ = window
-    full = np.convolve(np.roll(G.values, -start)[:K], w.values)  # direct sliding sum, not FFT
-    circ = full[:N].copy()
-    circ[: K - 1] += full[N:]
-    return GridFunction(G.grid, G.grid.dx * np.roll(circ, start - N // 2))
+    B = _TILE_ROWS
+    Q = -(-(K - 1) // B) + 1
+    nb = -(-N // B)
+    dtype = np.result_type(G.values, w.values)
+    # the window after B - 1 zeros: its length-B windows, last first, are
+    # the rows of T_0, T_1, ...
+    g = np.zeros(Q * B + B - 1, dtype)
+    g[B - 1 : B - 1 + K] = np.roll(G.values, -start)[:K]
+    tiles = sliding_window_view(g, B)[::-1]
+    X = np.take(w.values, np.arange((1 - Q) * B, nb * B), mode="wrap").reshape(-1, B)
+    y = np.zeros((nb, B), dtype)
+    for q in range(Q):
+        tile = np.ascontiguousarray(tiles[q * B : (q + 1) * B])
+        for r in range(0, nb, _TILE_BLOCKS):
+            n = min(_TILE_BLOCKS, nb - r)
+            y[r : r + n] += X[q + r : q + r + n] @ tile
+    return GridFunction(G.grid, G.grid.dx * np.roll(y.ravel()[:N], start - N // 2))
 
 
 def apply_nonlinearity(F: Nonlinearity, v: GridFunction) -> GridFunction:

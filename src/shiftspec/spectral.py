@@ -451,8 +451,7 @@ def read_gridfunction_csv(path, grid: Grid | None = None) -> GridFunction:
     """Read the x,re,im format (CRLF or LF line ends); reconstructs the
     grid from the x column unless one is supplied (then the x column must
     match it).  Every row must hold exactly 3 fields."""
-    with open(path) as fh:
-        x, real, imag = read_float_rows(fh, _CSV_HEADER)
+    x, real, imag = read_float_rows(path, _CSV_HEADER)
     if grid is None:
         grid = make_grid(-x[0], len(x))
     if len(x) != grid.N or not np.allclose(x, grid.x, rtol=0, atol=1e-9 * max(1.0, grid.L)):

@@ -23,9 +23,9 @@ from .spectral import MAX_POINTS, fft_frequencies
 # exactly +-sqrt(a) (aligned grids) fall below this.
 RESONANT_BIN_GUARD = 1e-16
 
-# estimate_alpha refines at most this many sampled minima at once, as
-# (rows, 33) arrays: a few MB however many minima |lambda|^2 has
-_REFINE_BLOCK = 2**14
+# estimate_alpha samples |lambda|^2 and refines the sampled minima this
+# many coarse samples at a time: a few MB however many samples it takes
+_ALPHA_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -227,18 +227,30 @@ def estimate_alpha(params: ShiftParams) -> float:
     a = params.a
     P = 2.0 * (1.0 + params.sqrt_a)
     n_coarse = alpha_sample_count(params)
-    p = np.linspace(0.0, P, n_coarse)
-    v = symbol_modulus_sq(p, params)
-    interior = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
-    candidates = np.unique(np.concatenate(([0, n_coarse - 1], interior)))
-    best = float(np.min(v))
-    # each window is refined on its own and min is exact, so the blocks
-    # bound the memory and leave the result's bits as they are
-    for start in range(0, len(candidates), _REFINE_BLOCK):
-        block = candidates[start : start + _REFINE_BLOCK]
-        lo = p[np.maximum(block - 1, 0)]
-        hi = p[np.minimum(block + 1, n_coarse - 1)]
-        best = min(best, _refined_minimum(lo, hi, params, P))
+    step = P / (n_coarse - 1)
+    best = np.inf
+    # the samples of np.linspace(0.0, P, n_coarse), block by block, with
+    # the neighbour on each side that the local-minimum test and the
+    # refinement windows read; each window is refined on its own and min
+    # is exact, so the blocks bound the memory and leave the result's bits
+    for start in range(0, n_coarse, _ALPHA_BLOCK):
+        stop = min(start + _ALPHA_BLOCK, n_coarse)
+        first, last = max(start - 1, 0), min(stop + 1, n_coarse)
+        p = np.arange(first, last) * step
+        if last == n_coarse:
+            p[-1] = P
+        v = symbol_modulus_sq(p, params)
+        # the end points 0 and P and every local minimum; the block's own
+        # first and last samples have both neighbours unless they are 0 or P
+        lowest = np.ones(len(v), bool)
+        lowest[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
+        own = slice(start - first, stop - first)
+        best = min(best, float(v[own].min()))
+        block = np.flatnonzero(lowest[own]) + own.start
+        if len(block):
+            lo = p[np.maximum(block - 1, 0)]
+            hi = p[np.minimum(block + 1, len(p) - 1)]
+            best = min(best, _refined_minimum(lo, hi, params, P))
     if best < 1e-18 * max(1.0, a * a):
         raise ValueError(
             "sampled minimum of |lambda|^2 is at machine zero; "

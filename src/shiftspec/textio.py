@@ -210,21 +210,22 @@ def write_float_rows(fh, columns, row_end: bytes) -> None:
         fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def read_float_rows(fh, header: list[str]) -> np.ndarray:
-    """Parse the seekable text file ``fh``: a first line of the names in
+def read_float_rows(path, header: list[str]) -> np.ndarray:
+    """Parse the text file at ``path``: a first line of the names in
     ``header`` (spaces around them allowed), then rows of exactly
     len(header) comma-separated numbers (CRLF or LF line ends), at least
     one.  Returns the columns, one float64 row of the result each; raises
     ValueError on any other text."""
-    names = [c.strip() for c in fh.readline().split(",")]
-    if names != header:
-        raise ValueError(f"expected header {header}, got {names}")
-    if not any(line.strip() for line in fh):
-        raise ValueError("empty CSV")
-    fh.seek(0)
-    # numpy's C parser; it raises ValueError on a row whose field count
-    # differs from the first row's
-    data = np.loadtxt(fh, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    with open(path) as fh:
+        names = [c.strip() for c in fh.readline().split(",")]
+        if names != header:
+            raise ValueError(f"expected header {header}, got {names}")
+        if not any(line.strip() for line in fh):
+            raise ValueError("empty CSV")
+    # numpy's C parser, which reads a path in chunks but an open file one
+    # Python line at a time; it raises ValueError on a row whose field
+    # count differs from the first row's
+    data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"expected {len(header)} fields per row, got {data.shape[1]}")
     return data.T

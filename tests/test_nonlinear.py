@@ -225,6 +225,45 @@ def test_convolve_direct_window_matches_full_sum(name):
         assert K < g.N // 2
 
 
+# (N, complex kernel, complex w, tile constants or None for the module's):
+# the output ends inside a block (N % rows != 0), the window fills its
+# first tile only in part ((K - 1) % rows != 0) and spans many tiles, and,
+# with shrunk constants, the products run over several row blocks, the
+# last one short
+TILE_EDGE_CASES = {
+    "real": (4100, False, False, None),
+    "complex-kernel": (4100, True, False, None),
+    "row-blocks-real": (202, False, False, (8, 3)),
+    "row-blocks-complex": (202, True, True, (8, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILE_EDGE_CASES))
+def test_convolve_direct_crosses_tile_edges(name, monkeypatch):
+    N, complex_G, complex_w, constants = TILE_EDGE_CASES[name]
+    if constants is not None:
+        for attr, value in zip(("_TILE_ROWS", "_TILE_BLOCKS"), constants):
+            monkeypatch.setattr(nonlinear, attr, value)
+    rows, blocks = nonlinear._TILE_ROWS, nonlinear._TILE_BLOCKS
+    g = make_grid(10.0, N)
+    rng = np.random.default_rng(N + 2 * complex_G + complex_w)
+
+    def draw(is_complex):
+        v = rng.standard_normal(N)
+        return v + 1j * rng.standard_normal(N) if is_complex else v
+
+    # a random kernel has no negligible samples: the window keeps all N
+    G = GridFunction(g, draw(complex_G))
+    w = GridFunction(g, draw(complex_w))
+    K = _direct_sum_window(G)[1]
+    n_blocks = -(-N // rows)
+    assert K == N and N % rows != 0 and (K - 1) % rows != 0
+    assert constants is None or (n_blocks > 2 * blocks and n_blocks % blocks != 0)
+    got = convolve_direct(G, w)
+    assert got.is_real == (not complex_G and not complex_w)
+    assert l2_norm(got - _full_direct_sum(G, w)) <= 2.0 * EPS * l1_norm(G) * l2_norm(w)
+
+
 def test_direct_sum_window_is_greedy():
     # the window drops the smaller of its two outer samples, one at a
     # time, while the dropped total stays within eps*sum|G|
@@ -251,7 +290,7 @@ def test_convolve_direct_uses_no_fft(grid, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("convolve_direct must not use an FFT")
 
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, refuse)
     G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
     w = GridFunction(grid, np.exp(-grid.x**2))

@@ -223,9 +223,10 @@ def test_estimate_alpha_refuses_more_than_2_24_samples(monkeypatch):
 
 
 def test_estimate_alpha_refines_in_blocks_bit_identically(monkeypatch):
-    # each sampled minimum is refined on its own and min is exact, so the
-    # block size bounds the refinement's memory and leaves alpha's bits
-    default = symbols._REFINE_BLOCK
+    # the coarse samples are np.linspace's, block by block, each minimum
+    # is refined on its own and min is exact, so the block size bounds the
+    # memory and leaves alpha's bits
+    default = symbols._ALPHA_BLOCK
     blocks = []
     refine = symbols._refined_minimum
     monkeypatch.setattr(
@@ -233,16 +234,22 @@ def test_estimate_alpha_refines_in_blocks_bit_identically(monkeypatch):
     )
     rng = np.random.default_rng(23)
     cases = [(rng.uniform(0.1, 20.0), rng.uniform(-60.0, 60.0), (1, 10**9)) for _ in range(6)]
-    # about 4*h/(2*pi) = 19099 sampled minima: more than one default block
+    # about 4*h/(2*pi) = 19099 sampled minima over 152790 samples: more
+    # than one default block
     cases.append((1.0, 3e4, (1000, 10**9)))
     for a, h, sizes in cases:
         params = ShiftParams(float(a), float(h))
-        monkeypatch.setattr(symbols, "_REFINE_BLOCK", default)
+        monkeypatch.setattr(symbols, "_ALPHA_BLOCK", default)
         blocks.clear()
         alpha = estimate_alpha(params)
-        assert max(blocks) <= default and (h != 3e4 or len(blocks) == 2)
-        for size in sizes:
-            monkeypatch.setattr(symbols, "_REFINE_BLOCK", size)
+        n = symbols.alpha_sample_count(params)
+        assert max(blocks) <= default and (h != 3e4 or len(blocks) == -(-n // default) > 1)
+        # a sampled minimum as the first and as the last sample of a block
+        v = symbol_modulus_sq(np.linspace(0.0, 2.0 * (1.0 + params.sqrt_a), n), params)
+        minima = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
+        middle = int(minima[np.argmin(np.abs(minima - n // 2))])
+        for size in (*sizes, middle, middle + 1):
+            monkeypatch.setattr(symbols, "_ALPHA_BLOCK", size)
             assert estimate_alpha(params).hex() == alpha.hex(), (a, h, size)
 
 

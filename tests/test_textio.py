@@ -170,15 +170,18 @@ def test_table_csv_bytes_match_csv_writer(tmp_path, kind):
     assert lines[1].endswith(b",,") != kernel
 
 
-def test_read_float_rows_returns_the_columns():
+def test_read_float_rows_returns_the_columns(tmp_path):
     # spaces around the names, CRLF and LF line ends; the header given
     # sets the names and the field count (the x,re,im cases are in
     # test_spectral.py)
-    text = "x, re ,im\r\n1.5,-0,2e-3\n-2.5,1e308,-inf\r\n"
-    x, re, im = textio.read_float_rows(io.StringIO(text), ["x", "re", "im"])
+    text = b"x, re ,im\r\n1.5,-0,2e-3\n-2.5,1e308,-inf\r\n"
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text)
+    x, re, im = textio.read_float_rows(path, ["x", "re", "im"])
     assert x.tolist() == [1.5, -2.5] and re.tolist() == [0.0, 1e308]
     assert im.tolist() == [2e-3, -np.inf] and np.signbit(re[0])
     with pytest.raises(ValueError, match=r"expected header \['x', 're'\], got \['x', 're', 'im'\]"):
-        textio.read_float_rows(io.StringIO(text), ["x", "re"])
+        textio.read_float_rows(path, ["x", "re"])
+    path.write_bytes(text.replace(b"x, re ,im", b"x,re"))
     with pytest.raises(ValueError, match="expected 2 fields per row, got 3"):
-        textio.read_float_rows(io.StringIO(text.replace("x, re ,im", "x,re")), ["x", "re"])
+        textio.read_float_rows(path, ["x", "re"])
