@@ -223,15 +223,14 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
     for key in ("tol_orth", "tol_h2", "epsilon", "max_iter", "M"):
         if key in raw and raw[key] <= 0:
             raise ConfigError(f"field {key!r} must be positive")
-    if raw.get("num_points", 2) < 2:
+    points = raw.get("num_points", 2)
+    if points < 2:
         raise ConfigError("num_points must be at least 2")
     # one config field sizes every array of a run, and M the number of a
-    # sequence's solves: bound them before any allocation or solve
-    for key in ("N", "num_points"):
-        if raw.get(key, 0) > MAX_POINTS:
-            raise ConfigError(
-                f"field {key!r} must be at most 2**24 = {MAX_POINTS}, got {raw[key]}"
-            )
+    # sequence's solves: bound them before any allocation or solve (the
+    # grid_spacing guard below bounds N)
+    if points > MAX_POINTS:
+        raise ConfigError(f"field 'num_points' must be at most 2**24 = {MAX_POINTS}, got {points}")
     if raw.get("M", 0) > sequences.MAX_MEMBERS:
         raise ConfigError(f"field 'M' must be at most {sequences.MAX_MEMBERS}, got {raw['M']}")
     if "L" in raw:

@@ -30,6 +30,7 @@ from .spectral import (
 )
 from .errors import ShiftSpecError
 from .symbols import (
+    DEFAULT_TOL_ORTH,
     FredholmClass,
     ShiftParams,
     check_orthogonality_tol,
@@ -63,19 +64,21 @@ class KernelReport:
     ghat_sup: float
 
 
-def kernel_orthogonality(G: GridFunction, a: float, tol: float = 1e-8):
+def kernel_orthogonality(G: GridFunction, a: float, tol: float = DEFAULT_TOL_ORTH):
     """Transform of G at +-sqrt(a) and whether both are at most tol
-    (positive and finite, or ValueError before any work)."""
+    (positive and finite, or ValueError before any work, as for a)."""
     check_orthogonality_tol(tol)
     if a <= 0:
         raise ValueError("a must be positive")
+    if not np.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     r = float(np.sqrt(a))
     gp, gm = transform_at_pm(G, r)
     return gp, gm, (abs(gp) <= tol and abs(gm) <= tol)
 
 
 def stability_constant(
-    G: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
+    G: GridFunction, params: ShiftParams, tol_orth: float = DEFAULT_TOL_ORTH
 ) -> KernelReport:
     """Compute the stability constant of G for the shift parameters.
 
@@ -161,7 +164,11 @@ def stability_constant(
 
 
 def contraction_margin(N: float, l: float) -> float:
-    """1 - 2*sqrt(pi)*N*l; positive iff the fixed-point map contracts."""
+    """1 - 2*sqrt(pi)*N*l; positive iff the fixed-point map contracts.
+    Raises ValueError unless N and l are finite and nonnegative."""
     if N < 0 or l < 0:
         raise ValueError("N and l must be nonnegative")
+    for name, value in (("N", N), ("l", l)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return 1.0 - 2.0 * np.sqrt(np.pi) * N * l

@@ -30,6 +30,7 @@ from .spectral import (
     weighted_l1_norm,
 )
 from .symbols import (
+    DEFAULT_TOL_ORTH,
     FredholmClass,
     ShiftParams,
     check_orthogonality_tol,
@@ -85,7 +86,7 @@ def apply_operator(u: GridFunction, params: ShiftParams) -> GridFunction:
 
 
 def check_solvability(
-    f: GridFunction, params: ShiftParams, tol: float = 1e-8
+    f: GridFunction, params: ShiftParams, tol: float = DEFAULT_TOL_ORTH
 ) -> SolvabilityReport:
     """Evaluate the transform of f at +-sqrt(a) and decide solvability.
 
@@ -109,7 +110,7 @@ def check_solvability(
 
 
 def divide_by_symbol(
-    f: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
+    f: GridFunction, params: ShiftParams, tol_orth: float = DEFAULT_TOL_ORTH
 ) -> SymbolDivision:
     """Solve -u'' - a*u(x-h) = f by symbol division on the grid: 2 FFTs
     (half-length when f is real) and the solvability check, no
@@ -135,7 +136,7 @@ def divide_by_symbol(
 
 
 def solve_linear(
-    f: GridFunction, params: ShiftParams, tol_orth: float = 1e-8
+    f: GridFunction, params: ShiftParams, tol_orth: float = DEFAULT_TOL_ORTH
 ) -> LinearSolveResult:
     """:func:`divide_by_symbol`, plus the residual ||Lu - f||_L2 (the
     operator applied to u again, 2 more FFTs) and the H2 norm of u."""
@@ -200,7 +201,13 @@ def derivative_bound_check(f: GridFunction, p: float, step: float = 1e-5):
 
 def resonant_aligned_half_length(a: float, target_L: float) -> float:
     """Half-length K*pi/sqrt(a) nearest to target_L (integer K >= 1), so
-    the frequencies +-sqrt(a) fall exactly on the dual grid."""
+    the frequencies +-sqrt(a) fall exactly on the dual grid.  Raises
+    ValueError unless a is positive and both are finite."""
+    for name, value in (("a", a), ("target_L", target_L)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if a <= 0:
+        raise ValueError(f"a must be positive, got {a}")
     unit = np.pi / np.sqrt(a)
     K = max(1, int(round(target_L / unit)))
     return K * unit

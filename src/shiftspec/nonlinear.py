@@ -28,13 +28,17 @@ from .spectral import (
     parseval_norm,
     parseval_weight,
 )
-from .symbols import ShiftParams, inverse_symbol_on_grid
+from .symbols import DEFAULT_TOL_ORTH, ShiftParams, inverse_symbol_on_grid
 
 # The direct sum's blocked Toeplitz products: square tiles of _TILE_ROWS
 # samples a side, _TILE_BLOCKS output blocks per product, so that one
 # product's operands and result take about 1 MB at most, at any N
 _TILE_ROWS = 128
 _TILE_BLOCKS = 256
+
+# Default H2 step norm at which the fixed-point iteration stops: the tol_h2
+# of every solver signature
+DEFAULT_TOL_H2 = 1e-10
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ def _step(c: np.ndarray, F: Nonlinearity, v: np.ndarray, G: GridFunction):
     return uh, u
 
 
-def _multiplier(G: GridFunction, params: ShiftParams, tol_orth: float = 1e-8):
+def _multiplier(G: GridFunction, params: ShiftParams, tol_orth: float):
     """The map's gate and multiplier: G's stability report, NotFinite
     unless it is finite (G_hat vanishing at +-sqrt(a) when resonant), and
     c = dx * (-1)^k * G.spectrum / lambda (see :func:`inverse_symbol`),
@@ -258,7 +262,7 @@ def apply_T(
     Gated on a finite stability report, as :func:`iterate_fixed_point` is.
     """
     G.require_same_grid(v)
-    c = _multiplier(G, params)[1]
+    c = _multiplier(G, params, DEFAULT_TOL_ORTH)[1]
     return GridFunction(G.grid, _step(c, F, v.values, G)[1])
 
 
@@ -274,8 +278,10 @@ def nontriviality_check(
     With no overlap the zero function is the fixed point.  threshold is
     absolute for both transforms; by default each uses 1e-12 times its
     own maximum magnitude.  On half of real spectra: both magnitudes are
-    even in p.
+    even in p.  Raises ValueError for a threshold that is not finite.
     """
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     f0 = GridFunction(grid, _evaluate(F, np.zeros(grid.N), grid.x))
     G.require_same_grid(f0)
     gh = np.abs(G.spectrum)
@@ -305,9 +311,9 @@ def iterate_fixed_point(
     F: Nonlinearity,
     params: ShiftParams,
     v0: GridFunction | None = None,
-    tol_h2: float = 1e-10,
+    tol_h2: float = DEFAULT_TOL_H2,
     max_iter: int | None = None,
-    tol_orth: float = 1e-8,
+    tol_orth: float = DEFAULT_TOL_ORTH,
 ) -> FixedPointIteration:
     """Iterate the map from v0 (default zero) until the H2 step norm
     drops to tol_h2: G's transform ``G.spectrum`` (1 FFT, which the
@@ -377,9 +383,9 @@ def fixed_point_solve(
     F: Nonlinearity,
     params: ShiftParams,
     v0: GridFunction | None = None,
-    tol_h2: float = 1e-10,
+    tol_h2: float = DEFAULT_TOL_H2,
     max_iter: int | None = None,
-    tol_orth: float = 1e-8,
+    tol_orth: float = DEFAULT_TOL_ORTH,
 ) -> FixedPointResult:
     """:func:`iterate_fixed_point`, plus the report's diagnostics: the
     observed step ratios, the residual, its tail bound and the

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractionHypothesisFailed, NotFinite, ResonantNotSolvable
 from .kernels import stability_constant
 from .linear import divide_by_symbol, project_solvable
-from .nonlinear import Nonlinearity, iterate_fixed_point
+from .nonlinear import DEFAULT_TOL_H2, Nonlinearity, iterate_fixed_point
 from .spectral import (
     SQRT_2PI,
     GridFunction,
@@ -26,7 +26,7 @@ from .spectral import (
     second_derivative_norm,
     weighted_l1_norm,
 )
-from .symbols import ShiftParams, classify
+from .symbols import DEFAULT_TOL_ORTH, ShiftParams, classify
 from .textio import write_float_rows
 
 
@@ -58,6 +58,9 @@ class SequenceSpec:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be at least 1")
+        # NaN and inf fail this, and every int passes
+        if not self.M < np.inf:
+            raise ValueError(f"M must be finite, got {self.M}")
         if self.kind is SequenceKind.KERNEL:
             if self.epsilon is None or not 0.0 < self.epsilon < 1.0:
                 raise ValueError("kernel sequences require epsilon in (0, 1)")
@@ -113,7 +116,7 @@ def _solution_gaps(diff_u: GridFunction) -> dict:
 def run_linear_sequence(
     spec: SequenceSpec,
     params: ShiftParams,
-    tol_orth: float = 1e-8,
+    tol_orth: float = DEFAULT_TOL_ORTH,
 ) -> ConvergenceTable:
     """Solve the family -u_m'' - a u_m(x-h) = f_m and its limit problem.
 
@@ -176,8 +179,8 @@ def run_kernel_sequence(
     spec: SequenceSpec,
     F: Nonlinearity,
     params: ShiftParams,
-    tol_orth: float = 1e-8,
-    tol_h2: float = 1e-10,
+    tol_orth: float = DEFAULT_TOL_ORTH,
+    tol_h2: float = DEFAULT_TOL_H2,
 ) -> ConvergenceTable:
     """Solve the nonlocal problem for the limit G, then for every kernel G_m.
 

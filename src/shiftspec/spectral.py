@@ -69,7 +69,7 @@ class Grid:
     L : float
         Half-length of the box.
     N : int
-        Number of samples; even, at least 8.
+        Number of samples; even, in [8, 2**24] (:func:`grid_spacing`).
     dx : float
         Spacing 2L/N.
     x : ndarray
@@ -146,20 +146,20 @@ class Grid:
     @staticmethod
     def from_json(text: str) -> "Grid":
         meta = json.loads(text)
-        return make_grid(float(meta["L"]), int(meta["N"]))
+        return make_grid(meta["L"], meta["N"])
 
 
 def grid_spacing(L: float, N: int) -> float:
     """The spacing dx = 2L/N of the grid over [-L, L) with N samples.
 
-    Raises ValueError unless N is an even integer >= 8, L is positive
-    and finite, and both dx and p_max^4 = (pi/dx)^4, the largest weight
-    of :func:`parseval_weight`, are finite: L = 1e308 overflows 2L, and
-    at N = 64 an L below about 8.7e-76 overflows p_max^4.  Allocates
-    nothing.
+    Raises ValueError unless N is an even integer in [8, MAX_POINTS], L
+    is positive and finite, and both dx and p_max^4 = (pi/dx)^4, the
+    largest weight of :func:`parseval_weight`, are finite: L = 1e308
+    overflows 2L, and at N = 64 an L below about 8.7e-76 overflows
+    p_max^4.  Allocates nothing; every grid is built through it.
     """
-    if N != int(N) or N < 8 or N % 2:
-        raise ValueError(f"N must be an even integer >= 8, got {N}")
+    if N != int(N) or not 8 <= N <= MAX_POINTS or N % 2:
+        raise ValueError(f"N must be an even integer in [8, 2**24], got {N}")
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"half-length L must be positive, got {L}")
     dx = 2.0 * L / N
@@ -174,7 +174,7 @@ def grid_spacing(L: float, N: int) -> float:
 
 
 def make_grid(L: float, N: int) -> Grid:
-    """Build the grid for the box [-L, L) with N samples (even, >= 8)."""
+    """Build the grid for the box [-L, L) with N samples (even, in [8, 2**24])."""
     return Grid(L=float(L), N=N)
 
 
@@ -334,7 +334,8 @@ def evaluate_transform_at(u: GridFunction, p):
     (1/sqrt(2*pi)) int u(x) e^{-ipx} dx over the periodic box.
 
     Accepts a scalar (gives a complex) or an array of P frequencies
-    (gives a flat array).  Warns when |p| exceeds the resolvable band.
+    (gives a flat array).  Warns when |p| exceeds the resolvable band,
+    and raises ValueError when a frequency is not finite.
     The samples, zero-padded to Q rows of B (:func:`_offgrid_tables`),
     are summed over b by one BLAS product and then over q against the
     row phases: O(N*P) time, O((B + Q)*P) memory, no FFT.  The grid
@@ -344,7 +345,10 @@ def evaluate_transform_at(u: GridFunction, p):
     """
     p_arr = np.asarray(p, dtype=np.float64).ravel()
     grid = u.grid
-    if np.any(np.abs(p_arr) > grid.p_max * (1.0 + 1e-12)):
+    # one comparison finds both: NaN is not in the band either
+    if not np.all(np.abs(p_arr) <= grid.p_max * (1.0 + 1e-12)):
+        if not np.all(np.isfinite(p_arr)):
+            raise ValueError(f"frequencies p must be finite, got {p}")
         warnings.warn(
             f"frequency beyond the resolvable band |p| <= {grid.p_max:.6g}; "
             "quadrature values there alias",

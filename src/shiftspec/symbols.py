@@ -23,7 +23,7 @@ from .spectral import MAX_POINTS, fft_frequencies
 # exactly +-sqrt(a) (aligned grids) fall below this.
 RESONANT_BIN_GUARD = 1e-16
 
-# estimate_alpha samples |lambda|^2 and refines the sampled minima this
+# _sampled_alpha samples |lambda|^2 and refines the sampled minima this
 # many coarse samples at a time: a few MB however many samples it takes
 _ALPHA_BLOCK = 2**14
 
@@ -142,6 +142,11 @@ def _inverse(lam, p, params: ShiftParams):
     return 1.0 / lam
 
 
+# Default bound on |transform(+-sqrt(a))| of the orthogonality checks: the
+# tol or tol_orth of every solver signature
+DEFAULT_TOL_ORTH = 1e-8
+
+
 def check_orthogonality_tol(tol: float) -> None:
     """Raise ValueError unless tol, the bound on |transform(+-sqrt(a))|
     that the orthogonality checks compare with, is positive and finite."""
@@ -164,9 +169,12 @@ def nearest_resonance(params: ShiftParams):
 @functools.lru_cache
 def classify(params: ShiftParams, tol: float | None = None) -> FredholmClass:
     """Classify (a, h) as Resonant (with index n) or NonResonant (with a
-    sampled alpha).  tol is the absolute tolerance on |h - 2*pi*n/sqrt(a)|
-    and must stay below pi/sqrt(a) so at most one index is a candidate;
-    for the default tolerance that is max(1, |h|)*sqrt(a) < 1e9*pi.
+    sampled alpha).  The only place resonance is decided.  tol is the
+    absolute tolerance on |h - 2*pi*n/sqrt(a)| (default
+    :func:`default_resonance_tol`); a pair beyond it is NonResonant and
+    sampled, so an explicit tol below the default can return a tiny
+    alpha.  tol must stay below pi/sqrt(a) so at most one index is a
+    candidate; for the default tolerance that is max(1, |h|)*sqrt(a) < 1e9*pi.
     Raises ValueError before anything is sampled when it does not, or
     when a NonResonant (a, h) needs more than 2**24 samples
     (:func:`alpha_sample_count`); a Resonant one samples nothing.
@@ -187,7 +195,7 @@ def classify(params: ShiftParams, tol: float | None = None) -> FredholmClass:
     n_star, dist = nearest_resonance(params)
     if n_star != 0 and dist <= tol:
         return FredholmClass(kind=FredholmKind.RESONANT, n=n_star)
-    return FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=estimate_alpha(params))
+    return FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=_sampled_alpha(params))
 
 
 def alpha_sample_count(params: ShiftParams) -> int:
@@ -209,21 +217,27 @@ def alpha_sample_count(params: ShiftParams) -> int:
 
 def estimate_alpha(params: ShiftParams) -> float:
     """Sampled minimum of |lambda(p)|^2 over the line for non-resonant
-    parameters.
+    parameters: ``classify(params).alpha``, memoized with it.
 
     |lambda|^2 is even in p and dominated by (p^2 - a)^2 outside
     [-P, P] with P = 2*(1 + sqrt(a)), so the search samples [0, P]
     densely (resolving the cos(ph) oscillation) and refines around every
     sampled local minimum.  The returned value is a sampled estimate,
-    not a proven bound.  Raises ValueError, before any sampling, for
-    parameters that need more than 2**24 samples (:func:`alpha_sample_count`).
+    not a proven bound.  Raises ValueError when classify says Resonant,
+    and whatever classify refuses, such as parameters that need more
+    than 2**24 samples (:func:`alpha_sample_count`).
     """
-    n_star, dist = nearest_resonance(params)
-    if n_star != 0 and dist <= default_resonance_tol(params):
+    cls = classify(params)
+    if cls.is_resonant:
         raise ValueError(
-            f"resonant parameters (n={n_star}): |lambda|^2 vanishes at +-sqrt(a), "
+            f"resonant parameters (n={cls.n}): |lambda|^2 vanishes at +-sqrt(a), "
             "no positive lower bound exists"
         )
+    return cls.alpha
+
+
+def _sampled_alpha(params: ShiftParams) -> float:
+    """The sampled minimum of :func:`estimate_alpha`, for classify."""
     a = params.a
     P = 2.0 * (1.0 + params.sqrt_a)
     n_coarse = alpha_sample_count(params)

@@ -9,13 +9,16 @@ import pytest
 
 import shiftspec
 from shiftspec import kernels, linear
+from shiftspec.catalog import builtin_function
 from shiftspec.errors import ShiftSpecError
 from shiftspec.kernels import contraction_margin, kernel_orthogonality, stability_constant
 from shiftspec.linear import check_solvability, resonant_aligned_half_length, solve_linear
-from shiftspec.nonlinear import Nonlinearity, fixed_point_solve
+from shiftspec.nonlinear import Nonlinearity, fixed_point_solve, nontriviality_check
+from shiftspec.sequences import SequenceKind, SequenceSpec
 from shiftspec.spectral import (
     SQRT_2PI,
     GridFunction,
+    evaluate_transform_at,
     forward_transform,
     l1_norm,
     make_grid,
@@ -98,6 +101,55 @@ def test_orthogonality_tolerance_must_be_positive_and_finite(grid, monkeypatch, 
     assert calls == []
 
 
+def _gaussian(N=64):
+    g = make_grid(10.0, N)
+    return GridFunction(g, np.exp(-(g.x**2)))
+
+
+def _rhs_spec(M):
+    f = _gaussian()
+    return SequenceSpec(SequenceKind.RHS, lambda m: f, f, M)
+
+
+def _nontriviality(threshold):
+    G = _gaussian()
+    return nontriviality_check(G, zero_source(G.grid), G.grid, threshold)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# a public entry point, the name of one of its scalar arguments, a call
+# that passes that argument a value, and values out of range: each is
+# refused by name, not carried into the result
+NON_FINITE_SCALARS = [
+    ("nontriviality_check", "threshold", _nontriviality, (NAN, INF)),
+    ("evaluate_transform_at", "p", lambda v: evaluate_transform_at(_gaussian(), v), (NAN,)),
+    ("evaluate_transform_at", "p", lambda v: evaluate_transform_at(_gaussian(), [0, v]), (-INF,)),
+    ("kernel_orthogonality", "a", lambda v: kernel_orthogonality(_gaussian(), v), (NAN, INF)),
+    ("contraction_margin", "N", lambda v: contraction_margin(v, 0.1), (NAN, INF)),
+    ("contraction_margin", "l", lambda v: contraction_margin(0.1, v), (NAN, INF)),
+    ("SequenceSpec", "M", _rhs_spec, (NAN, INF)),
+    ("resonant_aligned_half_length", "a", lambda v: resonant_aligned_half_length(v, 4.0), (NAN, 0)),
+    (
+        "resonant_aligned_half_length",
+        "target_L",
+        lambda v: resonant_aligned_half_length(1.0, v),
+        (NAN, INF),
+    ),
+]
+SCALAR_CASES = [(e, arg, call, v) for e, arg, call, values in NON_FINITE_SCALARS for v in values]
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [case[1:] for case in SCALAR_CASES],
+    ids=[f"{entry}-{name}-{value}" for entry, name, _, value in SCALAR_CASES],
+)
+def test_non_finite_scalars_are_refused_by_name(name, call, value):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(value)
+
+
 def test_orthogonality_hermite(grid):
     G = GridFunction(grid, grid.x**2 * np.exp(-grid.x**2 / 2))
     gp, gm, ok = kernel_orthogonality(G, 1.0)
@@ -117,6 +169,72 @@ def test_orthogonality_zero(grid):
     z = GridFunction(grid, np.zeros(grid.N))
     gp, gm, ok = kernel_orthogonality(z, 1.0)
     assert ok and gp == 0 and gm == 0
+
+
+def test_orthogonality_bound_is_inclusive_at_each_root():
+    # a transform exactly at tol passes and one an ulp above it fails, at
+    # +sqrt(a) and at -sqrt(a) alike, in kernel_orthogonality,
+    # check_solvability and the resonant stability constant: a wave packet
+    # e^{ikx} e^{-x^2/2} peaks at p = k, so the larger value is on k's side
+    g = make_grid(resonant_aligned_half_length(1.0, 20.0), 512)
+    for k in (0.3, -0.3):
+        G = GridFunction(g, np.exp(-(g.x**2) / 2 + 1j * k * g.x))
+        gp, gm, _ = kernel_orthogonality(G, 1.0)
+        top = max(abs(gp), abs(gm))
+        assert top == (abs(gp) if k > 0 else abs(gm)) > min(abs(gp), abs(gm))
+        assert kernel_orthogonality(G, 1.0, tol=top)[2]
+        assert not kernel_orthogonality(G, 1.0, tol=np.nextafter(top, 0.0))[2]
+        assert check_solvability(G, RESONANT, tol=top).solvable
+        assert not check_solvability(G, RESONANT, tol=np.nextafter(top, 0.0)).solvable
+        rep = stability_constant(G, RESONANT, tol_orth=1.0)
+        top = max(abs(rep.Ghat_plus), abs(rep.Ghat_minus))
+        assert stability_constant(G, RESONANT, tol_orth=top).finite
+        assert not stability_constant(G, RESONANT, tol_orth=np.nextafter(top, 0.0)).finite
+    with pytest.raises(ValueError, match="a must be positive"):
+        kernel_orthogonality(G, 0.0)
+
+
+@pytest.fixture
+def requested(monkeypatch):
+    """The frequencies of each evaluate_transform_at call in kernels."""
+    calls = []
+    original = kernels.evaluate_transform_at
+    monkeypatch.setattr(
+        kernels, "evaluate_transform_at", lambda u, p: calls.append(p) or original(u, p)
+    )
+    return calls
+
+
+def test_refinement_samples_lead_away_from_each_root(requested):
+    # stability_constant asks for G_hat at [sqrt(a), -sqrt(a)] and at 65
+    # equispaced distances on either side of each root, from e_min (1e-4
+    # sqrt(a) when resonant, so the zero itself is left to the caps, and 0
+    # otherwise) to one grid step
+    g = make_grid(resonant_aligned_half_length(4.0, 20.0), 256)
+    G = GridFunction(g, np.exp(-(g.x**2) / 2))
+    for params, e_min in ((ShiftParams(4.0, np.pi), 2e-4), (ShiftParams(4.0, 1.0), 0.0)):
+        requested.clear()
+        stability_constant(G, params)
+        p = requested[0]
+        assert list(p[:2]) == [2.0, -2.0]
+        distances = e_min + (g.dp - e_min) * np.arange(65) / 64
+        expected = np.sort(np.concatenate([-distances, distances]))
+        for root in (2.0, -2.0):
+            near = p[2:][np.sign(p[2:]) == np.sign(root)]
+            np.testing.assert_allclose(np.sort(near - root), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:kernel transform has not decayed:RuntimeWarning")
+def test_refinement_keeps_the_band_edge(requested):
+    # the band |p| <= p_max is closed: at L = 3, N = 16 and
+    # sqrt(a) = p_max - dp/64, the first refinement sample beyond sqrt(a)
+    # lands on p_max exactly and is kept; the 63 beyond it are dropped
+    g = make_grid(3.0, 16)
+    r = g.p_max - g.dp / 64
+    assert np.sqrt(r * r) == r
+    stability_constant(GridFunction(g, np.exp(-(g.x**2) / 2)), ShiftParams(r * r, 1.0))
+    p = requested[0]
+    assert np.max(np.abs(p)) == g.p_max and len(p) == 2 + 4 * 65 - 2 * 63
 
 
 def test_stability_nonresonant_gaussian(grid):
@@ -150,6 +268,20 @@ def test_stability_resonant_orthogonal_kernel():
     assert rep.finite
     # the singular bins are capped by the difference-quotient bound
     assert rep.sup1 >= rep.weighted_l1_G / (SQRT_2PI * 1.0) - 1e-12
+
+
+@pytest.mark.parametrize("a", [4.0, 0.25])
+def test_stability_resonant_caps_are_the_sups(a):
+    # for the hermite gaussian of scale sqrt(a) the difference-quotient caps
+    # ||x G||_L1/(sqrt(2*pi)*sqrt(a)) and max|G_hat| + a*cap1 exceed every
+    # sampled quotient, so they are the sups; sup2 then sits on the
+    # consistency bound max|G_hat| + a*sup1, inside its round-off slack
+    g = make_grid(resonant_aligned_half_length(a, 20.0), 1024)
+    G = builtin_function("hermite_gaussian", g, {"scale": float(np.sqrt(a))})
+    rep = stability_constant(G, ShiftParams(a, 2 * np.pi / np.sqrt(a)))
+    assert rep.finite
+    assert rep.sup1 == rep.weighted_l1_G / (SQRT_2PI * np.sqrt(a))
+    assert rep.sup2 == rep.ghat_sup + a * rep.sup1
 
 
 def test_stability_resonant_weighted_l1_once(monkeypatch):
@@ -311,6 +443,35 @@ def test_tail_certificate_warning():
     G = GridFunction(g, np.exp(-g.x**2 * 400))
     with pytest.warns(RuntimeWarning):
         stability_constant(G, NONRESONANT)
+
+
+def test_tail_certificate_threshold_is_strict():
+    # the Nyquist mode c*(-1)^j is all band edge: |G_hat| there is
+    # (dx/sqrt(2*pi))*N*c, and c is stepped an ulp at a time until that
+    # equals the threshold 1e-14*max(1, max|G_hat|) exactly.  At the
+    # threshold nothing is warned; at twice it, the warning is given
+    g = make_grid(8.0, 64)
+    alt = np.where(np.arange(64) % 2, -1.0, 1.0)
+    c = 1e-14 / (g.dx / SQRT_2PI) / 64
+    for _ in range(200):
+        gh = (g.dx / SQRT_2PI) * np.abs(GridFunction(g, c * alt).spectrum)
+        if gh[32] == 1e-14 == gh.max():
+            break
+        c = np.nextafter(c, np.inf if gh[32] < 1e-14 else 0.0)
+    else:
+        pytest.fail("no amplitude puts the band edge on the threshold")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stability_constant(GridFunction(g, c * alt), NONRESONANT)
+    with pytest.warns(RuntimeWarning, match="band edge"):
+        stability_constant(GridFunction(g, 2 * c * alt), NONRESONANT)
+    # above max|G_hat| = 1 the threshold scales with it: an edge of 1e-13
+    # under a peak of 100 is not warned
+    peak = 100.0 / 0.7 * np.exp(-(g.x**2) / (2 * 0.7**2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = stability_constant(GridFunction(g, peak + 10 * c * alt), NONRESONANT)
+    assert rep.ghat_sup == pytest.approx(100.0) and rep.tail_sup == pytest.approx(1e-13)
 
 
 @pytest.mark.parametrize("params", [NONRESONANT, RESONANT])

@@ -42,6 +42,26 @@ def test_no_function_takes_a_classification():
     assert found == []
 
 
+def test_only_classify_decides_resonance():
+    # one function compares the distance to the nearest resonance with a
+    # tolerance; estimate_alpha and every check read its classification
+    callers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef):
+                callers.update(
+                    (path.name, func.name, node.func.id)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("nearest_resonance", "default_resonance_tol")
+                )
+    assert callers == {
+        ("symbols.py", "classify", "nearest_resonance"),
+        ("symbols.py", "classify", "default_resonance_tol"),
+    }
+
+
 def test_no_solver_function_takes_a_spectrum():
     # a grid function carries its own transform, GridFunction.spectrum;
     # no solver function takes one in beside it
@@ -221,4 +241,25 @@ def test_float_text_only_in_textio():
                 and id(node) not in skipped
             ):
                 found.append(f"{site} formats .17g")
+    assert found == []
+
+
+def test_tolerance_defaults_are_named_constants():
+    # each solver tolerance default is written once, as
+    # symbols.DEFAULT_TOL_ORTH or nonlinear.DEFAULT_TOL_H2, and every
+    # signature that takes tol, tol_orth or tol_h2 refers to it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [
+                f"{path.name}:{node.lineno} {node.name}({arg.arg}={ast.unparse(default)})"
+                for arg, default in pairs
+                if arg.arg in ("tol", "tol_orth", "tol_h2") and _is_number(default)
+            ]
     assert found == []

@@ -19,6 +19,7 @@ from shiftspec.nonlinear import Nonlinearity, apply_T
 from shiftspec.spectral import (
     GridFunction,
     evaluate_transform_at,
+    forward_transform,
     h2_norm,
     idft,
     l2_norm,
@@ -266,6 +267,19 @@ def test_project_solvable_gaussian(grid):
     assert out.is_real
 
 
+def test_project_solvable_subtracts_the_gaussian_windows():
+    # the correction f - P(f) is c+ w e^{+i sqrt(a) x} + c- w e^{-i sqrt(a) x}
+    # with the window w = e^{-x^2/2} that the docstring names, here at a = 4
+    params = ShiftParams(4.0, np.pi)
+    g = make_grid(resonant_aligned_half_length(4.0, 20.0), 512)
+    f = GridFunction(g, np.exp(-((g.x - 0.5) ** 2)))
+    correction = f.values - project_solvable(f, params).values
+    w = np.exp(-(g.x**2) / 2)
+    basis = np.stack([w * np.exp(2j * g.x), w * np.exp(-2j * g.x)], axis=1)
+    c = np.linalg.lstsq(basis, correction.astype(complex), rcond=None)[0]
+    assert np.max(np.abs(basis @ c - correction)) <= 1e-12 * np.max(np.abs(correction))
+
+
 def test_project_solvable_idempotent(grid):
     f = GridFunction(grid, grid.x**2 * np.exp(-grid.x**2 / 2))
     out = project_solvable(f, RESONANT)
@@ -312,6 +326,45 @@ def test_derivative_bound_diagnostic(grid):
         lhs, rhs, ok = derivative_bound_check(f, p)
         assert ok
         assert lhs <= rhs * (1 + 1e-6) + 1e-12
+
+
+def test_derivative_bound_values(grid):
+    # lhs is the central difference of f_hat: |p| e^{-p^2/2} for the unit
+    # gaussian, whose rhs ||x f||_L1/sqrt(2*pi) is 2/sqrt(2*pi).  A positive
+    # bump on x > 0 meets the bound at p = 0 (x f has one phase), a
+    # relative 1e-10 below it, well inside the check's 1e-6 slack.  The
+    # kink of |x| at 0 costs the grid's rhs a relative O(dx^2), 3e-5 here
+    f = GridFunction(grid, np.exp(-(grid.x**2) / 2))
+    for p in (0.7, 1.0, 2.3):
+        lhs, rhs, _ = derivative_bound_check(f, p)
+        assert lhs == pytest.approx(p * np.exp(-(p**2) / 2), rel=1e-8)
+        assert rhs == pytest.approx(2.0 / np.sqrt(2.0 * np.pi), rel=1e-4)
+    bump = GridFunction(grid, np.exp(-(((grid.x - 3.0) / 0.2) ** 2) / 2))
+    lhs, rhs, ok = derivative_bound_check(bump, 0.0)
+    assert ok and rhs * (1 - 1e-8) <= lhs <= rhs
+    # scaled down to rhs = 6e-11, the slack is the absolute 1e-12
+    assert derivative_bound_check(bump * 1e-10, 0.0)[2]
+
+
+def test_resonance_quotient_masses_follow_their_grids(monkeypatch):
+    # level r's box has half-length (K*2^r + 1/2)*pi/sqrt(a), so +-sqrt(a)
+    # sits half a step from the nearest frequency, and the mass is
+    # dp*sum |f_hat/lambda|^2 over the bins within 0.15*sqrt(a) of either
+    # root; at a = 4, where the factors of sqrt(a) show
+    grids = []
+    real = shiftspec.linear.make_grid
+    record = lambda L, N: grids.append(real(L, N)) or grids[-1]
+    monkeypatch.setattr(shiftspec.linear, "make_grid", record)
+    params = ShiftParams(4.0, np.pi)
+    f_of_x = lambda x: np.exp(-(x**2) / 2)
+    masses = resonance_quotient_masses(f_of_x, params, levels=2, K=5)
+    for level, (g, mass) in enumerate(zip(grids, masses)):
+        assert g.L == pytest.approx((5 * 2**level + 0.5) * np.pi / 2.0, rel=1e-15)
+        assert np.min(np.abs(np.abs(g.p) - 2.0)) == pytest.approx(g.dp / 2, rel=1e-12)
+        quotient = forward_transform(GridFunction(g, f_of_x(g.x))).values / symbol(g.p, params)
+        near = np.abs(np.abs(g.p) - 2.0) <= 0.3
+        assert np.count_nonzero(near) >= 4
+        assert mass == pytest.approx(g.dp * np.sum(np.abs(quotient[near]) ** 2), rel=1e-12)
 
 
 def test_aligned_half_length():

@@ -114,6 +114,38 @@ def test_solve_linear_matches_dense_solve(N, complex_values):
         assert np.max(np.abs(u - oracle)) <= tol, (params, grid.L)
 
 
+NEAR_CASES = [case for case in CASES if case[0] >= 64]
+
+
+@pytest.mark.parametrize(
+    "N, complex_values",
+    NEAR_CASES,
+    ids=[f"N{N}-{'complex' if c else 'real'}" for N, c in NEAR_CASES],
+)
+def test_solve_linear_near_resonance_matches_dense_solve(N, complex_values):
+    # h a relative 1e-7..1e-2 off the resonance 2*pi*n/sqrt(a), on a grid
+    # that holds +-sqrt(a): classify still says NonResonant, and the dense
+    # operator's 2-norm condition number kappa reaches 3e8 (|lambda(sqrt(a))|
+    # ~ a^1.5 |h - 2*pi*n/sqrt(a)|).  Both solves lose digits in proportion
+    # to kappa, so the tolerance is eps*kappa*max|u|, not eps*p_max^2:
+    # measured at most 0.42 of it, where eps*(1 + p_max^2)*max|u| is
+    # exceeded up to 2.4e5 times
+    rng = np.random.default_rng([2036, N, complex_values])
+    for _ in range(4):
+        a, n = float(rng.uniform(0.3, 3.0)), int(rng.integers(1, 3))
+        resonance = 2 * np.pi * n / np.sqrt(a)
+        params = ShiftParams(a, resonance * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-7, -2)))
+        assert not classify(params).is_resonant
+        L = np.sqrt(N * np.pi / (2.0 * a)) * rng.uniform(0.9, 1.1)
+        grid = make_grid(resonant_aligned_half_length(a, L), N)
+        f = _without_nyquist_mode(_decaying(rng, grid, complex_values))
+        u = solve_linear(GridFunction(grid, f), params).u.values
+        A = _dense_operator(grid, params)
+        oracle = np.linalg.solve(A, f)
+        tol = 4 * EPS * np.linalg.cond(A) * np.max(np.abs(oracle))
+        assert np.max(np.abs(u - oracle)) <= tol, (params, grid.L)
+
+
 @pytest.mark.parametrize(
     "N, complex_values", CASES, ids=[f"N{N}-{'complex' if c else 'real'}" for N, c in CASES]
 )

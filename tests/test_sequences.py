@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -285,7 +286,7 @@ def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
     # difference kernel; one classification for the whole run
     symbols.classify.cache_clear()
     reports = count_calls(monkeypatch, kernels, "stability_constant")
-    alphas = count_calls(monkeypatch, symbols, "estimate_alpha")
+    alphas = count_calls(monkeypatch, symbols, "_sampled_alpha")
     run_kernel_sequence(kernel_scale_spec(grid), tanh_F(grid), ShiftParams(1.0, 0.9))
     assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)
 
@@ -384,3 +385,116 @@ def test_write_table_csv(tmp_path, grid):
     assert len(lines) == 4
     # kernel-only columns are empty in rhs runs
     assert lines[1].endswith(",,")
+
+
+def test_kernel_epsilon_interval_is_open(grid):
+    f = GridFunction(grid, np.exp(-(grid.x**2)))
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"epsilon in \(0, 1\)"):
+            SequenceSpec(SequenceKind.KERNEL, lambda m: f, f, M=2, epsilon=eps)
+    assert SequenceSpec(SequenceKind.KERNEL, lambda m: f, f, M=2, epsilon=0.999).M == 2
+
+
+def _rows(*gaps):
+    # (input_gap, solution_gap_h2) per row; the other fields do not enter
+    Row = sequences.ConvergenceRow
+    return [Row(m, g_in, 0.0, g_sol, 0.0, 0.0) for m, (g_in, g_sol) in enumerate(gaps)]
+
+
+@pytest.mark.parametrize(
+    "gaps, expected",
+    [
+        # the net decrease allows 1e-15 and the no-input ratio 1e-12, inclusive
+        (((1.0, 0.0), (1.0, 1e-15)), (True, True)),
+        (((1.0, 0.0), (1.0, 2e-15)), (False, True)),
+        (((0.0, 1.0), (1.0, 1e-12)), (True, True)),
+        (((0.0, 1.0), (1.0, 2e-12)), (True, False)),
+        (((0.0, 0.0), (1.0, 1.0)), (False, True)),
+        # otherwise the solution gaps may shrink 10x less than the input gaps
+        (((2.0, 4.0), (0.1, 3.0)), (True, False)),
+        (((2.0, 4.0), (0.5, 2.0)), (True, True)),
+        (((2.0, 4.0), (1.0, 8.0)), (False, True)),
+        (((2.0, 4.0), (0.2, 0.4)), (True, True)),
+        # the ratio rule allows 1e-15 too, inclusive
+        (((1.0, 1.0), (0.05, 0.5 + 1e-15)), (True, True)),
+        (((1.0, 1.0), (0.05, 0.5 + 2e-15)), (True, False)),
+    ],
+)
+def test_trend_checks(gaps, expected):
+    assert sequences._trend_checks(_rows(*gaps)) == expected
+
+
+def test_stability_bound_holds_for_a_packet_at_the_gap(grid):
+    # members f + g/m with g a wave packet at p ~ 0.7185, where |lambda|^2
+    # takes its minimum alpha: each solution gap reaches 0.956 of the bound
+    # ||f_m - f||_L2/sqrt(alpha), inside the check's 1.1 margin
+    alpha = symbols.classify(NONRESONANT).alpha
+    base = GridFunction(grid, np.exp(-(grid.x**2)))
+    packet = GridFunction(grid, np.cos(0.7185 * grid.x) * np.exp(-(grid.x**2) / 72.0))
+    spec = builtin_sequences("add", kind=SequenceKind.RHS, base=base, perturbation=packet, M=3)
+    table = run_linear_sequence(spec, NONRESONANT)
+    assert table.checks["stability_bound"]
+    for row in table.rows:
+        assert row.solution_gap_l2 >= 0.95 * row.input_gap / np.sqrt(alpha)
+
+
+def test_kernel_sequence_gates_each_member_on_the_uniform_margin(grid):
+    # q_m = 2*sqrt(pi)*N_m*l grows to q_limit = 0.1248 as 1 - 1/m: with
+    # epsilon = 0.9, member m = 6 (q = 0.104) is the first past 1 - epsilon
+    params = ShiftParams(1.0, 0.9)
+    table = run_kernel_sequence(kernel_scale_spec(grid), tanh_F(grid), params)
+    assert table.q_limit == pytest.approx(2.0 * np.sqrt(np.pi) * 0.1 * table.N_limit, rel=1e-15)
+    spec = dataclasses.replace(kernel_scale_spec(grid), epsilon=0.9)
+    with pytest.raises(ContractionHypothesisFailed, match=r"member m=6: .* > 1 - epsilon = 0\.1"):
+        run_kernel_sequence(spec, tanh_F(grid), params)
+
+
+def test_kernel_sequence_limit_margin_is_checked_apart(grid):
+    # every member has q_m <= q_12 = 0.1144 but the limit q = 0.1248: with
+    # 1 - epsilon = 0.12 the run completes and reports the limit's miss
+    spec = dataclasses.replace(kernel_scale_spec(grid), epsilon=0.88)
+    table = run_kernel_sequence(spec, tanh_F(grid), ShiftParams(1.0, 0.9))
+    assert table.checks["uniform_margin"] and not table.checks["limit_margin"]
+
+
+def test_kernel_sequence_multiplier_bounds_near_their_limit(grid):
+    # a perturbation cos(p* x) e^{-x^2/8} at p* = 0.7528, where |lambda|^2
+    # takes its minimum alpha at (1, 0.9): both multiplier gaps reach 0.7
+    # of the bound 1.1*||G_m - G||_L1/sqrt(2*pi*alpha), with L1 gaps of
+    # 3.2/m, above 1
+    params = ShiftParams(1.0, 0.9)
+    alpha = symbols.classify(params).alpha
+    G = GridFunction(grid, 0.3 * np.exp(-(grid.x**2) / 2))
+    packet = GridFunction(grid, np.cos(0.7528 * grid.x) * np.exp(-(grid.x**2) / 8))
+    spec = builtin_sequences(
+        "add", kind=SequenceKind.KERNEL, base=G, perturbation=packet, M=3, epsilon=0.3
+    )
+    table = run_kernel_sequence(spec, tanh_F(grid), params)
+    assert table.checks["multiplier_bound"] and table.checks["N_gap_bound"]
+    bound = 1.1 / np.sqrt(2.0 * np.pi * alpha)
+    for row in table.rows:
+        assert row.input_gap > 1.0
+        assert row.multiplier_gap >= 0.7 * bound * row.input_gap
+        assert abs(row.N_m - table.N_limit) >= 0.69 * bound * row.input_gap
+
+
+def test_resonant_kernel_sequence_with_gaps_below_the_tolerance(aligned_grid):
+    # members G + g/m with ||g||_L1 = 2.5e-9, below tol_orth*sqrt(2*pi):
+    # the limit's transform at +-1 still meets input_gap/sqrt(2*pi) + tol_orth
+    herm = aligned_grid.x**2 * np.exp(-(aligned_grid.x**2) / 2)
+    G, g = GridFunction(aligned_grid, 0.05 * herm), GridFunction(aligned_grid, 1e-9 * herm)
+    spec = builtin_sequences(
+        "add", kind=SequenceKind.KERNEL, base=G, perturbation=g, M=3, epsilon=0.5
+    )
+    table = run_kernel_sequence(spec, tanh_F(aligned_grid), RESONANT)
+    assert all(row.input_gap < 1e-8 * np.sqrt(2 * np.pi) for row in table.rows)
+    assert table.checks["limit_orthogonality"]
+
+
+def test_builtin_add_members(grid):
+    # member m is base + perturbation/m, not a member at the same distance
+    base = GridFunction(grid, np.exp(-(grid.x**2)))
+    g = GridFunction(grid, np.exp(-((grid.x - 1) ** 2)))
+    spec = builtin_sequences("add", kind=SequenceKind.RHS, base=base, perturbation=g, M=4)
+    for m in (1, 4):
+        np.testing.assert_allclose(spec.generator(m).values, base.values + g.values / m, rtol=1e-15)

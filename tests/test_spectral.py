@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import warnings
 from importlib import resources
 
@@ -8,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from shiftspec import textio
+from shiftspec import spectral, textio
 from shiftspec.linear import resonant_aligned_half_length
 from shiftspec.nonlinear import convolve
 from shiftspec.spectral import (
@@ -107,12 +108,42 @@ def test_make_grid_rejects(L, N):
 
 def test_grid_spacing_owns_the_rule_for_N():
     # Grid, make_grid and the CLI leave the check of N to grid_spacing
-    for N in (7, 6, 9, 8.5, 0, -8):
-        with pytest.raises(ValueError, match=f"N must be an even integer >= 8, got {N}"):
+    for N in (7, 6, 9, 8.5, 0, -8, 2**24 + 2):
+        message = re.escape(f"N must be an even integer in [8, 2**24], got {N}")
+        with pytest.raises(ValueError, match=message):
             grid_spacing(1.0, N)
-        with pytest.raises(ValueError, match=f"N must be an even integer >= 8, got {N}"):
+        with pytest.raises(ValueError, match=message):
             make_grid(1.0, N)
     assert grid_spacing(1.0, 8) == 0.25 and Grid(1.0, 8.0).N == 8
+
+
+def test_from_json_passes_N_as_given():
+    # no int() truncates N on the way to grid_spacing
+    with pytest.raises(ValueError, match=re.escape("[8, 2**24], got 8.9")):
+        Grid.from_json('{"L": 1, "N": 8.9}')
+    assert Grid.from_json(make_grid(2.5, 16).to_json()) == make_grid(2.5, 16)
+
+
+def test_every_grid_builder_refuses_N_above_2_24_before_allocating(monkeypatch, tmp_path):
+    # grid_spacing bounds N for every caller, not only parse_config: a
+    # 2**25-point grid would allocate 768 MB of x, p and sign
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocation attempted")
+
+    big = 2**24 + 2
+    # a CSV of big rows, as the reader would return its columns
+    columns = [np.broadcast_to(v, (big,)) for v in (-1.0, 0.0, 0.0)]
+    monkeypatch.setattr(spectral, "read_float_rows", lambda path, header: columns)
+    monkeypatch.setattr(np, "arange", refuse)
+    builders = (
+        lambda: make_grid(1.0, big),
+        lambda: Grid(1.0, big),
+        lambda: Grid.from_json(json.dumps({"L": 1.0, "N": big})),
+        lambda: read_gridfunction_csv(tmp_path / "big.csv"),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match=re.escape(f"[8, 2**24], got {big}")):
+            build()
 
 
 def test_grid_spacing_names_the_rule_that_fails():

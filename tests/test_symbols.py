@@ -21,6 +21,15 @@ ALPHA_1_PI = 0.900738893197  # minimizer near p = +-0.3217
 ALPHA_1_1 = 0.489257962441  # minimizer near p = +-0.7185
 
 
+@pytest.fixture(autouse=True)
+def fresh_classify_cache():
+    # estimate_alpha reads the memoized classify: a test that patches the
+    # modulus must sample afresh, and must leave no patched alpha cached
+    classify.cache_clear()
+    yield
+    classify.cache_clear()
+
+
 def test_fredholm_class_requires_its_constant():
     with pytest.raises(ValueError, match="alpha > 0"):
         FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=0.0)
@@ -146,6 +155,34 @@ def test_classify_tol_precondition():
     assert not classify(params, tol=np.nextafter(dist, 0.0)).is_resonant
 
 
+def test_classify_alone_decides_resonance():
+    # h = 200*pi + 5e-8 is within the default tolerance 6.3e-7 of the
+    # resonance n = 100, but not within an explicit tol = 1e-12: classify
+    # then samples the gap (about 2.4e-15), which estimate_alpha, at the
+    # default tolerance, refuses as resonant
+    params = ShiftParams(1.0, 200 * np.pi + 5e-8)
+    cls = classify(params, tol=1e-12)
+    assert not cls.is_resonant
+    assert 1e-15 < cls.alpha <= symbol_modulus_sq(1.0, params)
+    assert classify(params).n == 100
+    with pytest.raises(ValueError, match=r"resonant parameters \(n=100\)"):
+        estimate_alpha(params)
+
+
+def test_estimate_alpha_is_the_memoized_classify_alpha(monkeypatch):
+    # one sampling serves classify and estimate_alpha; classify's own
+    # refusals pass through unchanged
+    calls = []
+    sample = symbols._sampled_alpha
+    monkeypatch.setattr(symbols, "_sampled_alpha", lambda p: calls.append(p) or sample(p))
+    params = ShiftParams(2.0, 1.0)
+    assert estimate_alpha(params) == classify(params).alpha == estimate_alpha(params)
+    assert calls == [params]
+    for h in (1e308, np.pi / 1e-9):
+        with pytest.raises(ValueError, match=r"1e9\*pi"):
+            estimate_alpha(ShiftParams(1.0, h))
+
+
 def test_classify_default_tolerance_bound_is_strict():
     # 1e-9*h equals pi/sqrt(a) exactly at a = 1, h = pi/1e-9: refused, as
     # it would leave two resonance indices within the tolerance; one ulp
@@ -250,6 +287,7 @@ def test_estimate_alpha_refines_in_blocks_bit_identically(monkeypatch):
         middle = int(minima[np.argmin(np.abs(minima - n // 2))])
         for size in (*sizes, middle, middle + 1):
             monkeypatch.setattr(symbols, "_ALPHA_BLOCK", size)
+            classify.cache_clear()
             assert estimate_alpha(params).hex() == alpha.hex(), (a, h, size)
 
 
@@ -273,6 +311,7 @@ def test_thresholds_on_a_patched_modulus(monkeypatch):
 
     def patch(f):
         monkeypatch.setattr(symbols, "symbol_modulus_sq", f)
+        classify.cache_clear()
 
     # flat samples count as local minima: a dip narrower than the coarse
     # spacing 2**-10, between two samples that all read 3.0, is refined
