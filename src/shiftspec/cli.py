@@ -220,7 +220,7 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
                 raise ConfigError(f"missing required field {key!r}")
             continue
         _check_type(key, raw[key], kind)
-    for key in ("tol_orth", "tol_h2", "epsilon", "max_iter", "M"):
+    for key in ("tol_orth", "tol_h2", "epsilon", "max_iter"):
         if key in raw and raw[key] <= 0:
             raise ConfigError(f"field {key!r} must be positive")
     points = raw.get("num_points", 2)
@@ -231,8 +231,12 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
     # grid_spacing guard below bounds N)
     if points > MAX_POINTS:
         raise ConfigError(f"field 'num_points' must be at most 2**24 = {MAX_POINTS}, got {points}")
-    if raw.get("M", 0) > sequences.MAX_MEMBERS:
-        raise ConfigError(f"field 'M' must be at most {sequences.MAX_MEMBERS}, got {raw['M']}")
+    if "M" in raw:
+        try:
+            sequences.check_member_count(raw["M"])
+        except ValueError as exc:
+            # the owner's message starts with the field's name, 'M'
+            raise ConfigError(f"field {exc}") from None
     if "L" in raw:
         try:
             grid_spacing(float(raw["L"]), raw["N"])

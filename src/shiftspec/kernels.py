@@ -141,10 +141,11 @@ def stability_constant(
 
     if p_ref.size:
         gh_ref = np.abs(values[2:])
+        # lambda's only real zeros are the resonant +-sqrt(a), which the
+        # samples stay 1e-4*sqrt(a) away from
         lam_ref = np.abs(symbol(p_ref, params))
-        keep = lam_ref > 0
-        sup1 = max(sup1, float((gh_ref[keep] / lam_ref[keep]).max()))
-        sup2 = max(sup2, float((p_ref[keep] ** 2 * gh_ref[keep] / lam_ref[keep]).max()))
+        sup1 = max(sup1, float((gh_ref / lam_ref).max()))
+        sup2 = max(sup2, float((p_ref**2 * gh_ref / lam_ref).max()))
 
     if cls.is_resonant:
         cap1 = weighted_l1_G / (SQRT_2PI * r)

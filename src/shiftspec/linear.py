@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantNotSolvable
+from .kernels import kernel_orthogonality
 from .spectral import (
     SQRT_2PI,
     Grid,
@@ -33,7 +34,6 @@ from .symbols import (
     DEFAULT_TOL_ORTH,
     FredholmClass,
     ShiftParams,
-    check_orthogonality_tol,
     classify,
     inverse_symbol_on_grid,
     symbol,
@@ -91,20 +91,17 @@ def check_solvability(
     """Evaluate the transform of f at +-sqrt(a) and decide solvability.
 
     Non-resonant parameters are always solvable; resonant ones require
-    |f_hat(+-sqrt(a))| <= tol.  Raises ValueError, before any work, unless
-    tol is positive and finite.
+    the verdict of :func:`kernel_orthogonality`, |f_hat(+-sqrt(a))| <= tol.
+    Raises ValueError, before any work, unless tol is positive and finite.
     """
-    check_orthogonality_tol(tol)
+    fp, fm, orthogonal = kernel_orthogonality(f, params.a, tol)
     cls = classify(params)
-    r = params.sqrt_a
-    fp, fm = transform_at_pm(f, r)
-    solvable = (not cls.is_resonant) or (abs(fp) <= tol and abs(fm) <= tol)
     return SolvabilityReport(
         classification=cls,
         fhat_plus=fp,
         fhat_minus=fm,
         weighted_l1=weighted_l1_norm(f),
-        solvable=solvable,
+        solvable=orthogonal or not cls.is_resonant,
         tolerance_used=tol,
     )
 
@@ -185,13 +182,14 @@ def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
     return f.real_like(f.values - correction)
 
 
-def derivative_bound_check(f: GridFunction, p: float, step: float = 1e-5):
-    """Diagnostic: |d f_hat / dp| at p, by central difference of the
-    off-grid transform, against the bound ||x f||_L1 / sqrt(2*pi).
+def derivative_bound_check(f: GridFunction, p: float):
+    """Diagnostic: |d f_hat / dp| at p, by central difference (step 1e-5)
+    of the off-grid transform, against the bound ||x f||_L1 / sqrt(2*pi).
 
     Returns (lhs, rhs, ok).  A hypothesis sanity check, not part of any
     solve path.
     """
+    step = 1e-5
     lhs = abs(
         (evaluate_transform_at(f, p + step) - evaluate_transform_at(f, p - step)) / (2 * step)
     )

@@ -67,7 +67,9 @@ class Nonlinearity:
             raise ValueError("envelope must be real and nonnegative")
         self._spot_check()
 
-    def _spot_check(self, n_u: int = 48, n_x: int = 96):
+    def _spot_check(self):
+        # 48 values of u (and u = 0) at 96 grid points, or every point
+        n_u, n_x = 48, 96
         rng = np.random.default_rng(20240817)
         x = self.envelope.grid.x
         idx = rng.choice(len(x), size=min(n_x, len(x)), replace=False)
@@ -326,12 +328,16 @@ def iterate_fixed_point(
     Raises MaxIterExceeded past the a priori bound plus 2, or max_iter.
 
     Raises ValueError, before any work, unless tol_h2 and tol_orth are
-    positive and finite and max_iter (when given) is at least 1.
+    positive and finite and max_iter (when given) is an integer, not a
+    bool, of at least 1.
     """
     if not (math.isfinite(tol_h2) and tol_h2 > 0.0):
         raise ValueError(f"tol_h2 must be positive and finite, got {tol_h2}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if max_iter is not None:
+        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = G.grid
     report, c = _multiplier(G, params, tol_orth)
     q = 2.0 * np.sqrt(np.pi) * report.N * F.l
@@ -401,11 +407,8 @@ def fixed_point_solve(
     """
     it = iterate_fixed_point(G, F, params, v0, tol_h2, max_iter, tol_orth)
     u, step_norms = it.u, it.step_norms
-    ratios = [
-        step_norms[i + 1] / step_norms[i]
-        for i in range(1, len(step_norms) - 1)
-        if step_norms[i] > 0.0
-    ]
+    # the interior steps, each above tol_h2 > 0 or the loop would have stopped
+    ratios = [s2 / s1 for s1, s2 in zip(step_norms[1:-1], step_norms[2:])]
     Fu = apply_nonlinearity(F, u)
     window = _direct_sum_window(G)
     residual = l2_norm(apply_operator(u, params) - _convolve_on_window(G, Fu, window))

@@ -167,30 +167,23 @@ def nearest_resonance(params: ShiftParams):
 
 
 @functools.lru_cache
-def classify(params: ShiftParams, tol: float | None = None) -> FredholmClass:
+def classify(params: ShiftParams) -> FredholmClass:
     """Classify (a, h) as Resonant (with index n) or NonResonant (with a
-    sampled alpha).  The only place resonance is decided.  tol is the
-    absolute tolerance on |h - 2*pi*n/sqrt(a)| (default
-    :func:`default_resonance_tol`); a pair beyond it is NonResonant and
-    sampled, so an explicit tol below the default can return a tiny
-    alpha.  tol must stay below pi/sqrt(a) so at most one index is a
-    candidate; for the default tolerance that is max(1, |h|)*sqrt(a) < 1e9*pi.
-    Raises ValueError before anything is sampled when it does not, or
-    when a NonResonant (a, h) needs more than 2**24 samples
-    (:func:`alpha_sample_count`); a Resonant one samples nothing.
+    sampled alpha).  The only place resonance is decided, at the one
+    tolerance :func:`default_resonance_tol` on |h - 2*pi*n/sqrt(a)|.  That
+    tolerance must stay below pi/sqrt(a) so at most one index is a
+    candidate: max(1, |h|)*sqrt(a) < 1e9*pi.  Raises ValueError before
+    anything is sampled when it does not, or when a NonResonant (a, h)
+    needs more than 2**24 samples (:func:`alpha_sample_count`); a
+    Resonant one samples nothing.
 
     Memoized (128 entries): ShiftParams and FredholmClass are frozen.
     """
-    if tol is None:
-        tol = default_resonance_tol(params)
-        if not tol < np.pi / params.sqrt_a:
-            raise ValueError(
-                "max(1, |h|)*sqrt(a) must be below 1e9*pi, so that the resonance tolerance "
-                f"1e-9*max(1, |h|) stays below pi/sqrt(a); got a = {params.a}, h = {params.h}"
-            )
-    elif not 0 < tol < np.pi / params.sqrt_a:
+    tol = default_resonance_tol(params)
+    if not tol < np.pi / params.sqrt_a:
         raise ValueError(
-            f"tol must lie in (0, pi/sqrt(a)) = (0, {np.pi / params.sqrt_a:.6g}), got {tol}"
+            "max(1, |h|)*sqrt(a) must be below 1e9*pi, so that the resonance tolerance "
+            f"1e-9*max(1, |h|) stays below pi/sqrt(a); got a = {params.a}, h = {params.h}"
         )
     n_star, dist = nearest_resonance(params)
     if n_star != 0 and dist <= tol:

@@ -4,7 +4,7 @@ import pytest
 import shiftspec.linear
 import shiftspec.symbols
 from shiftspec.errors import NearSingularGrid, ResonantNotSolvable
-from shiftspec.kernels import stability_constant
+from shiftspec.kernels import kernel_orthogonality, stability_constant
 from shiftspec.linear import (
     apply_operator,
     check_solvability,
@@ -27,7 +27,7 @@ from shiftspec.spectral import (
     second_derivative,
     shift,
 )
-from shiftspec.symbols import FredholmClass, FredholmKind, ShiftParams, symbol
+from shiftspec.symbols import FredholmClass, FredholmKind, ShiftParams, classify, symbol
 
 RESONANT = ShiftParams(1.0, 2 * np.pi)
 NONRESONANT = ShiftParams(1.0, 1.0)
@@ -66,6 +66,37 @@ def test_check_solvability_nonresonant_always(grid):
     rep = check_solvability(f, NONRESONANT, tol=1e-8)
     assert rep.solvable
     assert rep.classification.kind is FredholmKind.NON_RESONANT
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_check_solvability_agrees_with_kernel_orthogonality(complex_input):
+    # one orthogonality test: check_solvability's transform values are
+    # kernel_orthogonality's bit for bit, and solvable is its verdict or
+    # NonResonant, at the tie tol = max|f_hat(+-sqrt(a))| and one ulp below
+    rng = np.random.default_rng(2707)
+    for trial in range(8):
+        a = float(rng.uniform(0.3, 3.0))
+        if trial % 2:
+            h = 2 * np.pi * int(rng.choice([-2, -1, 1, 2])) / np.sqrt(a)
+        else:
+            h = float(rng.uniform(0.2, 3.0))
+        params = ShiftParams(a, h)
+        assert classify(params).is_resonant == bool(trial % 2)
+        grid = make_grid(resonant_aligned_half_length(a, 12.0), 256)
+        center, width = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+        values = np.exp(-(((grid.x - center) / width) ** 2))
+        if complex_input:
+            values = values * np.exp(1j * rng.uniform(-2.0, 2.0) * grid.x)
+        f = GridFunction(grid, values)
+        fp, fm, _ = kernel_orthogonality(f, a)
+        tie = max(abs(fp), abs(fm))
+        for tol in (tie, np.nextafter(tie, 0.0)):
+            report = check_solvability(f, params, tol)
+            gp, gm, orthogonal = kernel_orthogonality(f, a, tol)
+            assert orthogonal == (tol == tie)
+            assert (report.fhat_plus, report.fhat_minus) == (gp, gm) == (fp, fm)
+            assert report.solvable == (orthogonal or not classify(params).is_resonant)
+            assert report.tolerance_used == tol
 
 
 def test_manufactured_round_trip(grid):

@@ -1,6 +1,6 @@
 """The mutant enumeration of tools/mutate.py: deterministic per seed, and
 each mutant a module that parses and differs from its source at exactly
-one operator token.  Runs no mutant and starts no subprocess."""
+one operator or boolean keyword token.  Runs no mutant and starts no subprocess."""
 
 import ast
 import importlib.util
@@ -50,15 +50,28 @@ def test_mutants_are_seeded_single_operator_swaps(mutate, monkeypatch, path):
         assert source.splitlines()[m.line - 1][m.col :].startswith(m.old)
     # unary minus, star-args and keyword defaults are not operator sites
     assert all(m.old in mutate.SWAPS for m in every)
+    # the comparison and boolean swaps are among them
+    assert {"==", "or"} <= {m.old for m in every}
     assert len({(m.line, m.col) for m in every}) == len(every)
 
 
 def test_enumeration_skips_non_binary_tokens(mutate, tmp_path, monkeypatch):
     monkeypatch.setattr(mutate, "ROOT", tmp_path)
     path = tmp_path / "m.py"
-    path.write_text("def f(*a, **k):\n    return -a[0] + k['x'] * 2 < 3  # 1 - 2\n")
+    path.write_text(
+        "def f(*a, **k):\n"
+        "    return -a[0] + k['x'] * 2 < 3  # 1 - 2\n"
+        "def g(order, x=1):\n"
+        "    return order == x or not (order != 2 and x) or 'and'\n"
+    )
     labels = [m.label for m in mutate.mutants(path, seed=0)]
-    assert labels == ["m.py:2 + -> -", "m.py:2 * -> /", "m.py:2 < -> <="]
+    assert labels == [
+        "m.py:2 + -> -", "m.py:2 * -> /", "m.py:2 < -> <=",
+        "m.py:4 == -> !=", "m.py:4 or -> and", "m.py:4 != -> ==", "m.py:4 and -> or",
+        "m.py:4 or -> and",
+    ]  # fmt: skip
+    for m in mutate.mutants(path, seed=0):
+        ast.parse(m.source)
 
 
 def test_copy_holds_every_path_the_tests_read(mutate, tmp_path, monkeypatch):

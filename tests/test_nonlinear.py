@@ -132,6 +132,18 @@ def test_nonlinearity_envelope_must_be_nonnegative(grid):
         )
 
 
+def test_negative_real_envelope_is_refused_by_the_envelope_check(grid):
+    # refused as an envelope, not later by the growth spot check that a
+    # negative envelope also fails
+    with pytest.raises(ValueError, match="envelope must be real and nonnegative"):
+        Nonlinearity(
+            eval=lambda u, x: np.zeros_like(u),
+            k=0.0,
+            envelope=GridFunction(grid, -np.ones(grid.N)),
+            l=0.0,
+        )
+
+
 def test_convolve_zero(grid):
     G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
     z = GridFunction(grid, np.zeros(grid.N))

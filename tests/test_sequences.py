@@ -88,6 +88,42 @@ def test_builtin_unknown_name(grid):
         builtin_sequences("nope", kind=SequenceKind.RHS, base=f)
 
 
+# a member count or iteration cap that is not an integer (a bool is not
+# one) or lies out of range, given to a library entry point: (the name the
+# refusal must give, the call on a Gaussian f of the grid)
+COUNT_CASES = {
+    "spec-M-2.5": ("M", lambda f: SequenceSpec(SequenceKind.RHS, lambda m: f, f, M=2.5)),
+    "spec-M-True": ("M", lambda f: SequenceSpec(SequenceKind.RHS, lambda m: f, f, M=True)),
+    "builtin-M-float64": (
+        "M", lambda f: builtin_sequences("scale", SequenceKind.RHS, f, M=np.float64(3.0))
+    ),
+    "builtin-M-above-bound": (
+        "M", lambda f: builtin_sequences("scale", SequenceKind.RHS, f, M=sequences.MAX_MEMBERS + 1)
+    ),
+    "iterate-max_iter-2.5": (
+        "max_iter",
+        lambda f: nonlinear.iterate_fixed_point(0.3 * f, tanh_F(f.grid), NONRESONANT, max_iter=2.5),
+    ),
+    "iterate-max_iter-True": (
+        "max_iter",
+        lambda f: nonlinear.iterate_fixed_point(0.3 * f, tanh_F(f.grid), NONRESONANT, max_iter=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, call", COUNT_CASES.values(), ids=COUNT_CASES.keys())
+def test_counts_are_integers_in_range_refused_by_name_before_any_solve(
+    grid, monkeypatch, name, call
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work attempted")
+
+    monkeypatch.setattr(nonlinear, "stability_constant", refuse)
+    f = GridFunction(grid, np.exp(-grid.x**2))
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(f)
+
+
 def test_sequence_spec_validation(grid):
     f = GridFunction(grid, np.exp(-grid.x**2))
     with pytest.raises(ValueError):

@@ -132,38 +132,30 @@ def test_inverse_symbol_drops_only_resonant_bins():
     ],
 )
 def test_classify_examples(a, h, kind, n):
-    cls = classify(ShiftParams(a, h), tol=1e-12)
+    cls = classify(ShiftParams(a, h))
     assert cls.kind is kind
     assert cls.n == n
     if kind is FredholmKind.NON_RESONANT:
         assert cls.alpha > 0
 
 
-def test_classify_tol_precondition():
-    with pytest.raises(ValueError):
-        classify(ShiftParams(1.0, 1.0), tol=np.pi)
-    with pytest.raises(ValueError):
-        classify(ShiftParams(1.0, 1.0), tol=0.0)
-    # the bound pi/sqrt(a) is pi/2 at a = 4
-    with pytest.raises(ValueError, match=r"\(0, 1.5708\)"):
-        classify(ShiftParams(4.0, 1.0), tol=1.6)
-    assert not classify(ShiftParams(4.0, 1.0), tol=1.5).is_resonant
-    # a shift at exactly tol from a resonance is resonant
+def test_classify_tol_precondition(monkeypatch):
+    # a shift at exactly the resonance tolerance from a resonance is
+    # resonant, one ulp of tolerance less is not
     params = ShiftParams(1.0, 2 * np.pi + 1e-3)
     dist = symbols.nearest_resonance(params)[1]
-    assert classify(params, tol=dist).n == 1
-    assert not classify(params, tol=np.nextafter(dist, 0.0)).is_resonant
+    for tol, n in ((dist, 1), (np.nextafter(dist, 0.0), None)):
+        monkeypatch.setattr(symbols, "default_resonance_tol", lambda p, tol=tol: tol)
+        classify.cache_clear()
+        assert classify(params).n == n
+        classify.cache_clear()
 
 
 def test_classify_alone_decides_resonance():
     # h = 200*pi + 5e-8 is within the default tolerance 6.3e-7 of the
-    # resonance n = 100, but not within an explicit tol = 1e-12: classify
-    # then samples the gap (about 2.4e-15), which estimate_alpha, at the
-    # default tolerance, refuses as resonant
+    # resonance n = 100: classify calls it Resonant, and estimate_alpha,
+    # which reads classify, refuses it
     params = ShiftParams(1.0, 200 * np.pi + 5e-8)
-    cls = classify(params, tol=1e-12)
-    assert not cls.is_resonant
-    assert 1e-15 < cls.alpha <= symbol_modulus_sq(1.0, params)
     assert classify(params).n == 100
     with pytest.raises(ValueError, match=r"resonant parameters \(n=100\)"):
         estimate_alpha(params)

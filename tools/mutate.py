@@ -1,7 +1,8 @@
 """Seeded single-site mutation testing of shiftspec modules.
 
-Each mutant swaps one binary operator token of one module: ``+``/``-``,
-``*``/``/`` (their augmented forms too), ``<``/``<=`` and ``>``/``>=``.
+Each mutant swaps one operator token of one module: ``+``/``-``,
+``*``/``/`` (their augmented forms too), ``<``/``<=``, ``>``/``>=``,
+``==``/``!=`` and the boolean keywords ``and``/``or``.
 The mutants run one at a time: the tier-1 suite runs with ``-x -q`` on a
 temporary copy of the repository (all but ``.git`` and what runs leave
 behind) holding the mutant, under a per-mutant timeout.  A mutant is
@@ -40,10 +41,14 @@ SWAPS = {
     "+": "-", "-": "+", "*": "/", "/": "*",
     "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*=",
     "<": "<=", "<=": "<", ">": ">=", ">=": ">",
+    "==": "!=", "!=": "==", "and": "or", "or": "and",
 }  # fmt: skip
 
-# the AST operator classes whose tokens SWAPS covers
-_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+# the AST operator classes whose tokens SWAPS covers; every ast.BoolOp
+# is an and or an or
+_OPERATORS = (
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq,
+)  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,17 @@ class Mutant:
 
 
 def _operator_positions(source: str) -> set[tuple[int, int]]:
-    """(line, col) of each ``+ - * / < <= > >=`` that the AST uses as a
-    binary, augmented or comparison operator (not unary minus, slices or
-    the ``*`` of star-args)."""
+    """(line, col) of each ``+ - * / < <= > >= == != and or`` that the AST
+    uses as a binary, augmented, comparison or boolean operator (not unary
+    minus, slices, the ``*`` of star-args or a keyword's ``=``)."""
     spans = []  # (start, end) of the gap between two operands
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
             spans.append((node.left, node.right))
         elif isinstance(node, ast.AugAssign) and isinstance(node.op, _OPERATORS):
             spans.append((node.target, node.value))
+        elif isinstance(node, ast.BoolOp):
+            spans += zip(node.values, node.values[1:])
         elif isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             spans += [
@@ -85,7 +92,8 @@ def _operator_positions(source: str) -> set[tuple[int, int]]:
     gaps = [(at(a.end_lineno, a.end_col_offset), at(b.lineno, b.col_offset)) for a, b in spans]
     found = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.OP and tok.string in SWAPS:
+        # the boolean keywords are NAME tokens
+        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in SWAPS:
             if any(lo <= tok.start < hi for lo, hi in gaps):
                 found.add(tok.start)
     return found
