@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import enum
+import functools
 import json
 import math
 import sys
@@ -481,7 +482,10 @@ def _error_json(exc):
     return {"error": {"type": type(exc).__name__, "message": str(exc), "details": details}}
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it
+    takes over ten times as long as parsing with it."""
     parser = argparse.ArgumentParser(
         prog="shiftspec",
         description="Spectral solvers for the shifted-argument equation "
@@ -495,7 +499,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.command, args.out, args.seed)
         return run(cfg)

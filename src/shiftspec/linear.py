@@ -151,14 +151,25 @@ def solve_linear(
 def _projection_basis(grid: Grid, params: ShiftParams):
     """project_solvable's windows b_+- = w(x) e^{+-i sqrt(a) x} and the
     2x2 matrix of their transforms at +-sqrt(a), all read-only and
-    memoized on the grid."""
+    memoized on the grid.  Both take their phase from one complex
+    exponential: e^{-i sqrt(a) x} is its conjugate bit for bit (cos is
+    even, sin odd, and e^{+-i*0} = 1 +- 0j).  Each window is w(x) times
+    a fresh temporary, as in the formula w * np.exp(...): numpy reuses a
+    large temporary operand's memory (temporary elision) and then rounds
+    the sign of an underflowing product's zero part differently, so a
+    product with the named phase array would not keep the formula's
+    bits where the window is subnormal."""
 
     def build():
         r = params.sqrt_a
         window = np.exp(-grid.x**2 / 2.0)
-        b_plus = window * np.exp(1j * r * grid.x)
-        b_minus = window * np.exp(-1j * r * grid.x)
-        pairs = [transform_at_pm(GridFunction(grid, b), r) for b in (b_plus, b_minus)]
+        phase = np.exp(1j * r * grid.x)
+        b_minus = window * np.conj(phase)
+        b_plus = window * phase.copy()
+        # freed before the transforms, whose temporaries then set the
+        # process's peak memory on large grids
+        del window, phase
+        pairs =[transform_at_pm(GridFunction(grid, b), r) for b in (b_plus, b_minus)]
         return b_plus, b_minus, np.array(pairs).T
 
     return grid.memo("projection_basis", params, build)
@@ -167,10 +178,18 @@ def _projection_basis(grid: Grid, params: ShiftParams):
 def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
     """Remove the components of f responsible for non-orthogonality.
 
-    Subtracts multiples of w(x) e^{+-i sqrt(a) x} with a fixed Gaussian
-    window w(x) = e^{-x^2/2}, chosen so the output transform vanishes at
+    Subtracts c_+ b_+ + c_- b_-, the windows w(x) e^{+-i sqrt(a) x} of
+    :func:`_projection_basis` with a fixed Gaussian w(x) = e^{-x^2/2},
+    with the coefficients that make the output transform vanish at
     +-sqrt(a) to quadrature accuracy.  Idempotent for already-orthogonal
     inputs.  Resonant parameters only.
+
+    A real f subtracts only the real parts, (c_+ b_+).real + (c_- b_-).real,
+    which is bit for bit the real part of the complex difference:
+    complex addition and subtraction act on each part alone.  The two
+    products stay complex, because numpy's complex product may fuse
+    c.r*b.r - c.i*b.i into one rounding, which a product of the real
+    parts would not match.
     """
     if not classify(params).is_resonant:
         raise ValueError("projection is defined for resonant parameters only")
@@ -178,8 +197,13 @@ def project_solvable(f: GridFunction, params: ShiftParams) -> GridFunction:
     r = params.sqrt_a
     rhs = np.array(transform_at_pm(f, r))
     c = np.linalg.solve(M, rhs)
-    correction = c[0] * b_plus + c[1] * b_minus
-    return f.real_like(f.values - correction)
+    if f.is_real:
+        # summed in place in the first product's memory: a fresh N-point
+        # array costs more than the sum at N = 131072
+        correction = (c[0] * b_plus).real
+        correction += (c[1] * b_minus).real
+        return GridFunction(f.grid, f.values - correction)
+    return GridFunction(f.grid, f.values - (c[0] * b_plus + c[1] * b_minus))
 
 
 def derivative_bound_check(f: GridFunction, p: float):

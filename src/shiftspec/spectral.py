@@ -222,10 +222,6 @@ class GridFunction:
         if self.grid != other.grid:
             raise ValueError("grid mismatch between operands")
 
-    def real_like(self, values) -> "GridFunction":
-        """``values`` on this grid, real part only if this function is real."""
-        return GridFunction(self.grid, values.real if self.is_real else values)
-
     def __add__(self, other):
         self.require_same_grid(other)
         return GridFunction(self.grid, self.values + other.values)
@@ -399,7 +395,9 @@ def second_derivative(u: GridFunction) -> GridFunction:
 
 
 def l2_norm(u: GridFunction) -> float:
-    return float(np.sqrt(u.grid.dx * np.sum(np.abs(u.values) ** 2)))
+    """sqrt(dx * sum |u_j|^2); a real u sums u_j*u_j, the same bits."""
+    v = u.values
+    return float(np.sqrt(u.grid.dx * np.sum(v * v if u.is_real else np.abs(v) ** 2)))
 
 
 def l1_norm(u: GridFunction) -> float:

@@ -109,22 +109,67 @@ def inverse_symbol(p, params: ShiftParams):
 def symbol_on_grid(grid, params: ShiftParams):
     """lambda on the grid in FFT order, the multiplier of
     :func:`shiftspec.spectral.dft` spectra: symbol(p, params) at
-    p = fft_frequencies(grid, N), memoized on the grid (see ``Grid.memo``)
-    and read-only.  A real input's half spectrum reads the first N/2 + 1
+    p = fft_frequencies(grid, N) bit for bit, memoized on the grid (see
+    ``Grid.memo``) and read-only.  Evaluated on bins 0..N/2 only and
+    mirrored (:func:`_mirrored`): lambda(-p) = conj(lambda(p)) for real a
+    and h.  The real part p^2 - a*cos(ph) is even term by term, so only
+    a zero imaginary part, an underflow of a*sin(ph), needs the formula
+    at -p.  A real input's half spectrum reads the first N/2 + 1
     entries."""
-    return grid.memo("symbol", params, lambda: symbol(fft_frequencies(grid, grid.N), params))
+
+    def build():
+        half = symbol(fft_frequencies(grid, grid.N // 2 + 1), params)
+        return _mirrored(
+            half,
+            lambda v: v.imag == 0.0,
+            lambda: symbol(fft_frequencies(grid, grid.N), params),
+        )
+
+    return grid.memo("symbol", params, build)
 
 
 def inverse_symbol_on_grid(grid, params: ShiftParams):
-    """inverse_symbol on the grid in FFT order, as :func:`symbol_on_grid`,
-    memoized on the grid and read-only.  A build that raises
-    NearSingularGrid stores nothing, so every such call raises."""
+    """inverse_symbol on the grid in FFT order, as :func:`symbol_on_grid`:
+    bit for bit, memoized on the grid and read-only, evaluated on bins
+    0..N/2 and mirrored.  Both screens, the singular bins of resonant
+    parameters and NearSingularGrid, read |lambda|^2, which is even in
+    p, so the half decides them for all N bins; the resonant zeros stay
+    +0+0j.  Complex division is mirror-symmetric except in the sign of a
+    zero part of its quotient, so a nonzero value with a zero part needs
+    the formula at -p.  A build that raises NearSingularGrid stores
+    nothing, so every such call raises."""
     lam = symbol_on_grid(grid, params)
-    return grid.memo(
-        "inverse_symbol",
-        params,
-        lambda: _inverse(lam, fft_frequencies(grid, grid.N), params),
-    )
+
+    def build():
+        m = grid.N // 2 + 1
+        return _mirrored(
+            _inverse(lam[:m], fft_frequencies(grid, m), params),
+            lambda v: ((v.real == 0.0) | (v.imag == 0.0)) & (v != 0.0),
+            lambda: _inverse(lam, fft_frequencies(grid, grid.N), params),
+        )
+
+    return grid.memo("inverse_symbol", params, build)
+
+
+def _mirrored(half, suspect, formula):
+    """The N FFT-order values of a multiplier m with m(-p) = conj(m(p)),
+    from its N/2 + 1 bins 0..N/2: bin N - k is the conjugate of bin k for
+    0 < k < N/2.  Where the value has no zero part, that is bit for bit
+    the formula at -p: cos is even, sin odd, and negating an operand
+    negates a rounded sum, product or quotient exactly.  A zero part is
+    where the two can differ, since conjugation makes +0 into -0.  The
+    value 0 (the singular bins of the inverse) is +0+0j, as the formula
+    writes it.  If ``suspect`` marks any of the bins 1..N/2-1, all N
+    values are ``formula()`` instead."""
+    m = len(half) - 1
+    if np.any(suspect(half[1:m])):
+        return formula()
+    full = np.empty(2 * m, dtype=np.complex128)
+    full[: m + 1] = half
+    tail = full[m + 1 :]
+    np.conjugate(half[m - 1 : 0 : -1], out=tail)
+    tail[tail == 0.0] = 0.0
+    return full
 
 
 def _inverse(lam, p, params: ShiftParams):

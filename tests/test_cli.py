@@ -143,6 +143,30 @@ def test_solve_linear_rerun_byte_identical(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+def test_main_runs_many_times_in_one_process_on_one_parser(tmp_path, capsys):
+    # main builds its parser once per process; a run that fails, and one
+    # that argparse refuses, leave nothing behind for the next run
+    cfg = write_cfg(tmp_path, LINEAR_CFG)
+    bad = write_cfg(tmp_path, dict(LINEAR_CFG, N=1023), name="bad.json")
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["solve-linear", "--config", cfg, "--out", str(out1)]) == 0
+    capsys.readouterr()
+    assert main(["solve-linear", "--config", bad, "--out", str(tmp_path / "b")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    jsonschema.validate(err, schema("error"))
+    assert err["error"]["type"] == "ConfigError"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-linear", "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert main(["solve-linear", "--config", cfg, "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir()) and "solution.csv" in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert not (tmp_path / "b").exists() and not (tmp_path / "c").exists()
+
+
 def test_solve_linear_resonant_exit_2(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -404,6 +428,26 @@ NONLINEAR_CFG = {
 }
 
 KERNEL_SEQUENCE_CFG = dict(SEQUENCE_CFG, kind="kernel", F=NONLINEAR_CFG["F"], epsilon=0.5)
+
+
+KIND_RULE = "field 'kind' must be 'rhs' or 'kernel'"
+V0_RULE = "field 'v0' must be 'zero' or a .csv path"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("sequence", dict(SEQUENCE_CFG, kind="bogus"), KIND_RULE),
+        ("sequence", dict(SEQUENCE_CFG, kind=1), KIND_RULE),
+        ("solve-nonlinear", dict(NONLINEAR_CFG, v0="start.txt"), V0_RULE),
+        ("solve-nonlinear", dict(NONLINEAR_CFG, v0=5), V0_RULE),
+    ],
+    ids=["kind-name", "kind-number", "v0-not-csv", "v0-number"],
+)
+def test_enumerated_fields_are_refused_by_their_rule(tmp_path, command, config, message):
+    # the field's own rule names the values it takes, whatever the value's type
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_cfg(tmp_path, config), command, tmp_path, 0)
 
 
 def _percent_g17_csv(u):

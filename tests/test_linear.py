@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from shiftspec.spectral import (
     make_grid,
     second_derivative,
     shift,
+    transform_at_pm,
 )
 from shiftspec.symbols import FredholmClass, FredholmKind, ShiftParams, classify, symbol
 
@@ -439,3 +442,70 @@ def test_quotient_mass_growth_smoke():
     )
     assert masses_bad[1] / masses_bad[0] >= 2.0
     assert masses_ok[1] / masses_ok[0] <= 1.1
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def resonant_window_cases(seed, count=15):
+    """(grid, params): resonant shifts with N = 8 .. 2**17 and L up to 80,
+    so that the window w(x) = e^{-x^2/2} underflows at the box's ends on
+    most grids; every other grid aligned so that +-sqrt(a) are grid bins."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        a = float(rng.uniform(0.05, 30.0))
+        params = ShiftParams(a, 2 * np.pi * int(rng.choice([-2, -1, 1, 2])) / np.sqrt(a))
+        L = float(rng.uniform(8.0, 80.0))
+        if i % 2:
+            L = resonant_aligned_half_length(a, L)
+        yield make_grid(L, 2 ** (3 + i % 15)), params
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_projection_windows_are_their_formulas_bit_for_bit(seed):
+    # b_- is built from the conjugate of b_+'s phase, yet must hold the
+    # formula's bits, the signs of zero parts included (x = 0, and where
+    # the window underflows)
+    underflowed = 0
+    for grid, params in resonant_window_cases(seed):
+        r, x = params.sqrt_a, grid.x
+        window = np.exp(-(x**2) / 2.0)
+        f = GridFunction(grid, np.exp(-((x - 0.3) ** 2)))
+        with warnings.catch_warnings():
+            # the small grids do not resolve +-sqrt(a); only the windows matter here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            project_solvable(f, params)
+        b_plus, b_minus, _ = grid._memo["projection_basis"][1]
+        # the formulas as statements: inside an assert, pytest keeps the
+        # operands alive, and numpy then takes another multiply path
+        want_plus = window * np.exp(1j * r * x)
+        want_minus = window * np.exp(-1j * r * x)
+        assert same_bits(b_plus, want_plus)
+        assert same_bits(b_minus, want_minus)
+        underflowed += bool(np.any(window == 0.0))
+    assert underflowed >= 5
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_real_projection_is_the_complex_difference_real_part(seed):
+    # a real f subtracts only real parts; that must be, bit for bit, the
+    # real part of f minus the complex correction c_+ b_+ + c_- b_-
+    rng = np.random.default_rng(50 + seed)
+    compared = 0
+    for grid, params in resonant_window_cases(seed):
+        if grid.N < 64 or grid.L < 10.0 or params.sqrt_a >= grid.p_max:
+            continue  # +-sqrt(a) unresolved, or the windows' transforms nearly dependent
+        r, x = params.sqrt_a, grid.x
+        window = np.exp(-(x**2) / 2.0)
+        basis = [window * np.exp(1j * r * x), window * np.exp(-1j * r * x)]
+        M = np.array([transform_at_pm(GridFunction(grid, b), r) for b in basis]).T
+        envelope = np.exp(-((x / 4.0) ** 2))
+        values = rng.standard_normal(grid.N) * envelope
+        for f in (GridFunction(grid, values), GridFunction(grid, values * (1.0 + 0.5j))):
+            c = np.linalg.solve(M, np.array(transform_at_pm(f, r)))
+            complex_path = f.values - (c[0] * basis[0] + c[1] * basis[1])
+            want = complex_path.real if f.is_real else complex_path
+            assert same_bits(project_solvable(f, params).values, want)
+        compared += 1
+    assert compared >= 8

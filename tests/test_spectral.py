@@ -709,3 +709,20 @@ def test_values_are_immutable():
         u.values[0] = 7.0
     with pytest.raises(ValueError):
         g.x[0] = 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_l2_norm_of_real_samples_is_the_abs_square_form_bit_for_bit(seed):
+    # a real function sums v*v; that must equal the |v|**2 form exactly,
+    # over signs, -0 and subnormals, in the same summation order (values
+    # of like size, where a different order shows, as np.dot's does)
+    rng = np.random.default_rng(seed)
+    for k in range(3, 18):
+        grid = make_grid(float(rng.uniform(1.0, 80.0)), 2**k)
+        v = rng.standard_normal(grid.N) * 10.0 ** rng.integers(-2, 3, grid.N)
+        v[rng.integers(0, grid.N, 4)] = [-0.0, 5e-324, -2.5e-310, -1e-160]
+        u = GridFunction(grid, v)
+        want = float(np.sqrt(grid.dx * np.sum(np.abs(v) ** 2)))
+        assert l2_norm(u) == want
+        w = v * (1.0 - 0.5j)
+        assert l2_norm(GridFunction(grid, w)) == float(np.sqrt(grid.dx * np.sum(np.abs(w) ** 2)))

@@ -4,7 +4,7 @@ import pytest
 from shiftspec import symbols
 from shiftspec.errors import NearSingularGrid, ShiftSpecError
 from shiftspec.linear import resonant_aligned_half_length
-from shiftspec.spectral import make_grid
+from shiftspec.spectral import fft_frequencies, make_grid
 from shiftspec.symbols import (
     FredholmClass,
     FredholmKind,
@@ -12,8 +12,10 @@ from shiftspec.symbols import (
     classify,
     estimate_alpha,
     inverse_symbol,
+    inverse_symbol_on_grid,
     symbol,
     symbol_modulus_sq,
+    symbol_on_grid,
 )
 
 # dense-grid oracle minima of |lambda|^2 (step 1e-5 over [-4, 4], refined)
@@ -332,3 +334,90 @@ def test_alpha_is_lower_bound_on_samples():
             continue
         p = rng.uniform(-50, 50, 20_000)
         assert np.all(symbol_modulus_sq(p, params) >= cls.alpha * (1 - 1e-6))
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def mirror_cases(seed, count=30):
+    """(grid, params) with N = 8 .. 2**17 (each twice), alternately a
+    resonant shift on a grid aligned so that +-sqrt(a) are grid bins and
+    a non-resonant one on any L."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        N = 2 ** (3 + i % 15)
+        a = float(rng.uniform(0.05, 30.0))
+        if i % 2:
+            n = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            params = ShiftParams(a, 2 * np.pi * n / np.sqrt(a))
+            L = resonant_aligned_half_length(a, float(rng.uniform(2.0, 80.0)))
+        else:
+            params = ShiftParams(a, float(rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0])))
+            L = float(rng.uniform(2.0, 80.0))
+        yield make_grid(L, N), params
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_grid_symbols_mirror_bit_for_bit(seed):
+    # the grid arrays are evaluated on bins 0..N/2 and mirrored; every bin
+    # must hold the formula's bits, the resonant zeros +0+0j included
+    singular_seen = 0
+    for grid, params in mirror_cases(seed):
+        p = fft_frequencies(grid, grid.N)
+        assert same_bits(symbol_on_grid(grid, params), symbol(p, params))
+        try:
+            want = inverse_symbol(p, params)
+        except NearSingularGrid:
+            with pytest.raises(NearSingularGrid):
+                inverse_symbol_on_grid(grid, params)
+            continue
+        got = inverse_symbol_on_grid(grid, params)
+        assert same_bits(got, want)
+        zeros = np.flatnonzero(want == 0)
+        assert not np.any(np.signbit(got[zeros].real) | np.signbit(got[zeros].imag))
+        singular_seen += len(zeros) == 2 and zeros[1] == grid.N - zeros[0]
+    assert singular_seen >= 5
+
+
+def test_grid_symbols_evaluate_half_the_bins(monkeypatch):
+    # lambda and |lambda|^2 are evaluated on bins 0..N/2 only, resonant
+    # zeros and exact p^2 = a*cos(ph) included; all N bins only after an
+    # underflow (below)
+    sizes = []
+    for name in ("symbol", "symbol_modulus_sq"):
+        formula = getattr(symbols, name)
+        counted = lambda p, params, formula=formula: sizes.append(np.size(p)) or formula(p, params)
+        monkeypatch.setattr(symbols, name, counted)
+    for grid, params in mirror_cases(3):
+        classify(params)
+        sizes.clear()
+        try:
+            inverse_symbol_on_grid(grid, params)
+        except NearSingularGrid:
+            pass
+        assert sizes and set(sizes) == {grid.N // 2 + 1}
+
+
+@pytest.mark.parametrize(
+    "L, N, params, on_grid, formula",
+    [
+        # a*sin(ph) underflows: lambda has +0 imaginary parts at paired
+        # bins (classify refuses these parameters, so no inverse exists)
+        (40.0, 64, ShiftParams(1.0, 5e-324), symbol_on_grid, symbol),
+        # 1/lambda underflows in its imaginary part at the high bins
+        (
+            1e-7,
+            64,
+            ShiftParams(1e-305, 2 * np.pi / np.sqrt(1e-305)),
+            inverse_symbol_on_grid,
+            inverse_symbol,
+        ),
+    ],
+    ids=["symbol", "inverse"],
+)
+def test_grid_symbols_with_underflowing_parts_take_the_formula(L, N, params, on_grid, formula):
+    grid = make_grid(L, N)
+    want = formula(fft_frequencies(grid, N), params)
+    assert np.any(want.imag[1 : N // 2] == 0)
+    assert same_bits(on_grid(grid, params), want)
