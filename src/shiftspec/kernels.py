@@ -34,6 +34,7 @@ from .symbols import (
     FredholmClass,
     ShiftParams,
     check_orthogonality_tol,
+    check_shift_coefficient,
     classify,
     inverse_symbol_on_grid,
     symbol,
@@ -68,10 +69,7 @@ def kernel_orthogonality(G: GridFunction, a: float, tol: float = DEFAULT_TOL_ORT
     """Transform of G at +-sqrt(a) and whether both are at most tol
     (positive and finite, or ValueError before any work, as for a)."""
     check_orthogonality_tol(tol)
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if not np.isfinite(a):
-        raise ValueError(f"a must be finite, got {a}")
+    check_shift_coefficient(a)
     r = float(np.sqrt(a))
     gp, gm = transform_at_pm(G, r)
     return gp, gm, (abs(gp) <= tol and abs(gm) <= tol)
@@ -164,12 +162,17 @@ def stability_constant(
     return KernelReport(N=max(sup1, sup2), sup1=sup1, sup2=sup2, finite=True, **common)
 
 
-def contraction_margin(N: float, l: float) -> float:
-    """1 - 2*sqrt(pi)*N*l; positive iff the fixed-point map contracts.
+def contraction_factor(N: float, l: float) -> float:
+    """q = 2*sqrt(pi)*N*l, the fixed-point map's contraction factor.
     Raises ValueError unless N and l are finite and nonnegative."""
     if N < 0 or l < 0:
         raise ValueError("N and l must be nonnegative")
     for name, value in (("N", N), ("l", l)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    return 1.0 - 2.0 * np.sqrt(np.pi) * N * l
+    return 2.0 * np.sqrt(np.pi) * N * l
+
+
+def contraction_margin(N: float, l: float) -> float:
+    """1 - :func:`contraction_factor`; positive iff the map contracts."""
+    return 1.0 - contraction_factor(N, l)

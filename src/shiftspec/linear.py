@@ -34,6 +34,7 @@ from .symbols import (
     DEFAULT_TOL_ORTH,
     FredholmClass,
     ShiftParams,
+    check_shift_coefficient,
     classify,
     inverse_symbol_on_grid,
     symbol,
@@ -224,15 +225,18 @@ def derivative_bound_check(f: GridFunction, p: float):
 def resonant_aligned_half_length(a: float, target_L: float) -> float:
     """Half-length K*pi/sqrt(a) nearest to target_L (integer K >= 1), so
     the frequencies +-sqrt(a) fall exactly on the dual grid.  Raises
-    ValueError unless a is positive and both are finite."""
-    for name, value in (("a", a), ("target_L", target_L)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    ValueError unless a is positive and finite
+    (:func:`check_shift_coefficient`) and target_L / (pi/sqrt(a)) is
+    finite, so target_L is too."""
+    check_shift_coefficient(a)
     unit = np.pi / np.sqrt(a)
-    K = max(1, int(round(target_L / unit)))
-    return K * unit
+    with np.errstate(over="ignore"):
+        ratio = target_L / unit
+    if not np.isfinite(ratio):
+        raise ValueError(
+            f"target_L / (pi/sqrt(a)) must be finite, got a = {a}, target_L = {target_L}"
+        )
+    return max(1, int(round(ratio))) * unit
 
 
 def resonance_quotient_masses(

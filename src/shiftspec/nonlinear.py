@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractionHypothesisFailed, MaxIterExceeded, NotFinite
-from .kernels import KernelReport, contraction_margin, stability_constant
+from .kernels import KernelReport, contraction_factor, stability_constant
 from .linear import apply_operator
 from .spectral import (
     SQRT_2PI,
@@ -340,8 +340,8 @@ def iterate_fixed_point(
             raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = G.grid
     report, c = _multiplier(G, params, tol_orth)
-    q = 2.0 * np.sqrt(np.pi) * report.N * F.l
-    if contraction_margin(report.N, F.l) <= 0.0:
+    q = contraction_factor(report.N, F.l)
+    if q >= 1.0:
         raise ContractionHypothesisFailed(
             f"2*sqrt(pi)*N*l = {q:.6g} >= 1; the fixed-point map does not contract"
         )

@@ -18,13 +18,7 @@ from .errors import ContractionHypothesisFailed, NotFinite, ResonantNotSolvable
 from .kernels import stability_constant
 from .linear import divide_by_symbol, project_solvable
 from .nonlinear import DEFAULT_TOL_H2, Nonlinearity, iterate_fixed_point
-from .spectral import (
-    GridFunction,
-    l1_norm,
-    l2_norm,
-    second_derivative_norm,
-    weighted_l1_norm,
-)
+from .spectral import GridFunction, l2_norm, second_derivative_norm, weighted_l1_norm
 from .symbols import DEFAULT_TOL_ORTH, ShiftParams, classify
 from .textio import write_float_rows
 
@@ -210,7 +204,6 @@ def run_kernel_sequence(
         raise ValueError("run_kernel_sequence expects a kernel sequence")
     eps = spec.epsilon
     G = spec.limit
-    two_sqrt_pi_l = 2.0 * np.sqrt(np.pi) * F.l
 
     def solve(kernel, label):
         try:
@@ -228,35 +221,32 @@ def run_kernel_sequence(
     for m in range(1, spec.M + 1):
         Gm = spec.generator(m)
         member = solve(Gm, f"member m={m}")
-        N_m = member.stability.N
-        if two_sqrt_pi_l * N_m > 1.0 - eps:
+        if member.q_bound > 1.0 - eps:
             raise ContractionHypothesisFailed(
-                f"member m={m}: 2*sqrt(pi)*N_m*l = {two_sqrt_pi_l * N_m:.6g} "
+                f"member m={m}: 2*sqrt(pi)*N_m*l = {member.q_bound:.6g} "
                 f"> 1 - epsilon = {1.0 - eps:.6g}"
             )
-        diff = Gm - G
         # the sup-norm gaps of both quotients are the stability components
         # of the difference kernel (same singular-bin handling), asked
-        # ungated: every tolerance passes the largest float
-        diff_rep = stability_constant(diff, params, tol_orth=np.finfo(np.float64).max)
+        # ungated: every tolerance passes the largest float; its report
+        # holds the input gaps ||G_m - G||_L1 and ||x (G_m - G)||_L1 too
+        diff_rep = stability_constant(Gm - G, params, tol_orth=np.finfo(np.float64).max)
         gap1, gap2 = diff_rep.sup1, diff_rep.sup2
-        sup_dGh = diff_rep.ghat_sup
-        input_gap = l1_norm(diff)
-        tri_ok &= gap2 <= params.a * gap1 + sup_dGh + 1e-9
+        tri_ok &= gap2 <= params.a * gap1 + diff_rep.ghat_sup + 1e-9
         rows.append(
             ConvergenceRow(
                 m=m,
-                input_gap=input_gap,
-                weighted_gap=weighted_l1_norm(diff),
+                input_gap=diff_rep.l1_norm_G,
+                weighted_gap=diff_rep.weighted_l1_G,
                 **_solution_gaps(member.u - limit.u),
                 multiplier_gap=gap1,
                 multiplier_gap_p2=gap2,
-                N_m=N_m,
+                N_m=member.stability.N,
             )
         )
     checks = {
         "uniform_margin": True,  # gated above
-        "limit_margin": bool(two_sqrt_pi_l * report_limit.N <= 1.0 - eps),
+        "limit_margin": bool(limit.q_bound <= 1.0 - eps),
         "triangle_consistency": bool(tri_ok),
     }
     if not cls.is_resonant:
@@ -277,7 +267,7 @@ def run_kernel_sequence(
         checks=checks,
         alpha=cls.alpha,
         N_limit=report_limit.N,
-        q_limit=float(two_sqrt_pi_l * report_limit.N),
+        q_limit=float(limit.q_bound),
         epsilon=eps,
     )
 

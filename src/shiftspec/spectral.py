@@ -158,7 +158,8 @@ def grid_spacing(L: float, N: int) -> float:
     overflows 2L, and at N = 64 an L below about 8.7e-76 overflows
     p_max^4.  Allocates nothing; every grid is built through it.
     """
-    if N != int(N) or not 8 <= N <= MAX_POINTS or N % 2:
+    # nan and +-inf first: int() refuses them with errors of its own
+    if N != N or N in (np.inf, -np.inf) or N != int(N) or not 8 <= N <= MAX_POINTS or N % 2:
         raise ValueError(f"N must be an even integer in [8, 2**24], got {N}")
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"half-length L must be positive, got {L}")

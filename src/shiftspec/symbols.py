@@ -28,6 +28,13 @@ RESONANT_BIN_GUARD = 1e-16
 _ALPHA_BLOCK = 2**14
 
 
+def check_shift_coefficient(a) -> None:
+    """Raise ValueError unless a, the coefficient of the shifted term, is
+    positive and finite: the one rule for a."""
+    if not np.isfinite(a) or a <= 0:
+        raise ValueError(f"'a' must be positive and finite, got {a}")
+
+
 @dataclass(frozen=True)
 class ShiftParams:
     """Coefficient a > 0 of the shifted term and the nonzero shift h."""
@@ -36,8 +43,7 @@ class ShiftParams:
     h: float
 
     def __post_init__(self):
-        if not np.isfinite(self.a) or self.a <= 0:
-            raise ValueError(f"'a' must be positive and finite, got {self.a}")
+        check_shift_coefficient(self.a)
         if not np.isfinite(self.h) or self.h == 0:
             raise ValueError(f"'h' must be nonzero and finite, got {self.h}")
 

@@ -319,6 +319,32 @@ def test_sequence_kernel_run(tmp_path):
     assert all(r["N_m"] is not None for r in summary["rows"])
 
 
+def test_sequence_q_limit_is_the_limit_solve_q_bound(tmp_path):
+    # the README kernel and tanh F at a = 0.8, h = 0.9: both commands take
+    # q = 2*sqrt(pi)*N*l from one product, which (2*sqrt(pi)*l)*N misses
+    # here in the last bit
+    G = {"name": "gaussian", "params": {"amplitude": 0.3}}
+    F = {
+        "name": "tanh",
+        "l": 0.1,
+        "k": 0.1,
+        "params": {
+            "slope": 0.1,
+            "offset": {"name": "gaussian", "params": {"sigma": 0.7071067811865476}},
+        },
+    }
+    box = {"a": 0.8, "h": 0.9, "L": 40.0, "N": 4096, "F": F}
+    sequence = dict(box, kind="kernel", base=G, generator={"name": "scale"}, M=12, epsilon=0.1)
+    fixed = write_cfg(tmp_path, dict(box, G=G), "fixed.json")
+    assert main(["sequence", "--config", write_cfg(tmp_path, sequence), "--out", str(tmp_path / "s")]) == 0
+    assert main(["solve-nonlinear", "--config", fixed, "--out", str(tmp_path / "f")]) == 0
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    report = json.loads((tmp_path / "f" / "fixed_point.json").read_text())
+    assert summary["N_limit"] == report["stability"]["N"]
+    assert summary["q_limit"] == report["q_bound"]
+    assert report["q_bound"] != 2.0 * np.sqrt(np.pi) * 0.1 * report["stability"]["N"]
+
+
 def test_solve_nonlinear_v0_from_csv(tmp_path):
     grid = make_grid(40.0, 1024)
     v0 = builtin_function("gaussian", grid, {"amplitude": 0.5})

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -140,6 +141,30 @@ NON_FINITE_SCALARS = [
 SCALAR_CASES = [(e, arg, call, v) for e, arg, call, values in NON_FINITE_SCALARS for v in values]
 
 
+def test_resonant_aligned_half_length_refuses_a_count_that_overflows():
+    # target_L / (pi/sqrt(a)) is inf, which int(round()) cannot take
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\ba = 1e\+308, target_L = 1e\+308"):
+            resonant_aligned_half_length(1e308, 1e308)
+    assert resonant_aligned_half_length(1.0, 1e300) == round(1e300 / np.pi) * np.pi
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, NAN, INF])
+def test_every_check_of_a_is_the_one_rule(a):
+    # ShiftParams, kernel_orthogonality and resonant_aligned_half_length
+    # refuse a with one message, before any work
+    calls = (
+        lambda: ShiftParams(a, 1.0),
+        lambda: kernel_orthogonality(_gaussian(), a),
+        lambda: resonant_aligned_half_length(a, 4.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"'a' must be positive and finite, got {a}"
+
+
 @pytest.mark.parametrize(
     "name, call, value",
     [case[1:] for case in SCALAR_CASES],
@@ -190,7 +215,7 @@ def test_orthogonality_bound_is_inclusive_at_each_root():
         top = max(abs(rep.Ghat_plus), abs(rep.Ghat_minus))
         assert stability_constant(G, RESONANT, tol_orth=top).finite
         assert not stability_constant(G, RESONANT, tol_orth=np.nextafter(top, 0.0)).finite
-    with pytest.raises(ValueError, match="a must be positive"):
+    with pytest.raises(ValueError, match=re.escape("'a' must be positive and finite, got 0.0")):
         kernel_orthogonality(G, 0.0)
 
 

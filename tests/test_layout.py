@@ -3,6 +3,7 @@
 import ast
 import functools
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -59,6 +60,24 @@ def test_only_classify_decides_resonance():
     assert callers == {
         ("symbols.py", "classify", "nearest_resonance"),
         ("symbols.py", "classify", "default_resonance_tol"),
+    }
+
+
+def test_contraction_factor_and_the_rule_for_a_have_one_owner_each():
+    # one function computes q = 2*sqrt(pi)*N*l and one raises on a bad a:
+    # copies elsewhere had drifted to another rounding and other messages
+    owners = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and ast.unparse(node) == "np.sqrt(np.pi)":
+                        owners.add((path.name, func.name, "q"))
+                    if isinstance(node, ast.Raise) and re.search(r"\ba'? must", ast.unparse(node)):
+                        owners.add((path.name, func.name, "a"))
+    assert owners == {
+        ("kernels.py", "contraction_factor", "q"),
+        ("symbols.py", "check_shift_coefficient", "a"),
     }
 
 

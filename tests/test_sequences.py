@@ -327,6 +327,26 @@ def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
     assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)
 
 
+def test_kernel_rows_read_their_input_gaps_from_the_difference_report(grid, monkeypatch):
+    # every L1 and weighted L1 norm of a kernel run is one stability
+    # report's, and a row's gaps are those of its difference kernel's
+    # report: bit for bit the norms of G_m - G
+    G = GridFunction(grid, 0.3 * np.exp(-(grid.x**2) / 2))
+    packet = GridFunction(grid, np.cos(0.7528 * grid.x) * np.exp(-(grid.x**2) / 8))
+    spec = builtin_sequences(
+        "add", kind=SequenceKind.KERNEL, base=G, perturbation=packet, M=3, epsilon=0.3
+    )
+    reports = count_calls(monkeypatch, kernels, "stability_constant")
+    l1 = count_calls(monkeypatch, spectral, "l1_norm")
+    weighted = count_calls(monkeypatch, spectral, "weighted_l1_norm")
+    table = run_kernel_sequence(spec, tanh_F(grid), ShiftParams(1.0, 0.9))
+    assert len(l1) == len(weighted) == len(reports) == 2 * 3 + 1
+    for row in table.rows:
+        diff = spec.generator(row.m) - G
+        assert row.input_gap == spectral.l1_norm(diff)
+        assert row.weighted_gap == spectral.weighted_l1_norm(diff)
+
+
 def test_resonant_rhs_sequence_checks_each_member_once(monkeypatch):
     # one solvability check per solve, one +-sqrt(a) pair for each; the
     # truncate builtin projects the limit and every member (one pair each)
@@ -483,6 +503,21 @@ def test_kernel_sequence_gates_each_member_on_the_uniform_margin(grid):
     spec = dataclasses.replace(kernel_scale_spec(grid), epsilon=0.9)
     with pytest.raises(ContractionHypothesisFailed, match=r"member m=6: .* > 1 - epsilon = 0\.1"):
         run_kernel_sequence(spec, tanh_F(grid), params)
+
+
+def test_kernel_sequence_margins_hold_at_a_tie(grid):
+    # a q in [0.5, 1) lies on the float grid of 1 - epsilon: with epsilon
+    # = 1 - q exactly, members and a limit of that q meet both margins at
+    # the tie (q <= 1 - epsilon, no member past it)
+    params = ShiftParams(1.0, 0.9)
+    G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+    F = tanh_F(grid, slope=0.5)
+    q = nonlinear.iterate_fixed_point(G, F, params).q_bound
+    spec = SequenceSpec(SequenceKind.KERNEL, lambda m: G, G, M=2, epsilon=1.0 - q)
+    assert 0.5 <= q < 1.0 and 1.0 - spec.epsilon == q
+    table = run_kernel_sequence(spec, F, params)
+    assert table.q_limit == q
+    assert table.checks["uniform_margin"] and table.checks["limit_margin"]
 
 
 def test_kernel_sequence_limit_margin_is_checked_apart(grid):

@@ -107,13 +107,16 @@ def test_make_grid_rejects(L, N):
 
 
 def test_grid_spacing_owns_the_rule_for_N():
-    # Grid, make_grid and the CLI leave the check of N to grid_spacing
-    for N in (7, 6, 9, 8.5, 0, -8, 2**24 + 2):
+    # Grid, make_grid, Grid.from_json and the CLI leave the check of N to
+    # grid_spacing; int() of a non-finite N would raise its own error
+    for N in (7, 6, 9, 8.5, 0, -8, 2**24 + 2, np.inf, -np.inf, np.nan):
         message = re.escape(f"N must be an even integer in [8, 2**24], got {N}")
         with pytest.raises(ValueError, match=message):
             grid_spacing(1.0, N)
         with pytest.raises(ValueError, match=message):
             make_grid(1.0, N)
+        with pytest.raises(ValueError, match=message):
+            Grid.from_json(json.dumps({"L": 1, "N": N}))
     assert grid_spacing(1.0, 8) == 0.25 and Grid(1.0, 8.0).N == 8
 
 
