@@ -26,7 +26,7 @@ from . import catalog, sequences
 from .errors import HypothesisError
 from .kernels import stability_constant
 from .linear import solve_linear
-from .nonlinear import Nonlinearity, fixed_point_solve
+from .nonlinear import Nonlinearity, check_max_iter, check_tol_h2, fixed_point_solve
 from .sequences import SequenceKind, builtin_sequences, run_kernel_sequence, run_linear_sequence
 from .spectral import (
     MAX_POINTS,
@@ -37,7 +37,7 @@ from .spectral import (
     read_gridfunction_csv,
     write_gridfunction_csv,
 )
-from .symbols import ShiftParams, classify, symbol, symbol_modulus_sq
+from .symbols import ShiftParams, check_orthogonality_tol, classify, symbol, symbol_modulus_sq
 from .textio import write_float_rows
 
 
@@ -62,11 +62,13 @@ _NUMBER = (int, float)
 _SPECS = {
     "function": ({"params": "object"}, "a builtin spec {'name', 'params'?} or a .csv path"),
     "nonlinearity": (
-        {"params": "object", "l": "constant", "k": "constant"},
+        {"params": "object", "l": "number", "k": "number"},
         "{'name', 'params'?, 'l'?, 'k'?}",
     ),
     "generator": ({"perturbation": "function"}, "{'name', 'perturbation'?}"),
 }
+
+_SEQUENCE_KINDS = {"rhs": SequenceKind.RHS, "kernel": SequenceKind.KERNEL}
 
 _COMMON_GRID = {
     "a": ("number", True),
@@ -129,10 +131,6 @@ def _check_type(key, value, kind):
     elif kind == "integer":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
-    elif kind == "constant":
-        _check_type(key, value, "number")
-        if value < 0:
-            raise ConfigError(f"field {key!r} must be finite and non-negative, got {value!r}")
     elif kind == "string":
         if not isinstance(value, str):
             raise ConfigError(f"field {key!r} must be a string, got {value!r}")
@@ -221,44 +219,49 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
                 raise ConfigError(f"missing required field {key!r}")
             continue
         _check_type(key, raw[key], kind)
-    for key in ("tol_orth", "tol_h2", "epsilon", "max_iter"):
-        if key in raw and raw[key] <= 0:
-            raise ConfigError(f"field {key!r} must be positive")
+    options = {k: float(v) if keys[k][0] == "number" else v for k, v in raw.items()}
+    sequence_kind = _SEQUENCE_KINDS.get(raw.get("kind"))
+    # these numbers' rules are the library's, asked of the function that
+    # owns each; a sequence's epsilon also when absent: a kernel one needs it
+    owners = {
+        "tol_orth": check_orthogonality_tol,
+        "tol_h2": check_tol_h2,
+        "max_iter": check_max_iter,
+        "M": sequences.check_member_count,
+        "epsilon": lambda epsilon: sequences.check_epsilon(epsilon, sequence_kind),
+    }
+    for key, check in owners.items():
+        if key in options or (key == "epsilon" and sequence_kind):
+            try:
+                check(options.get(key))
+            except ValueError as exc:
+                # each owner names its argument: check_member_count's
+                # message starts with it
+                named = str(exc).startswith(repr(key))
+                raise ConfigError(f"field {exc}" if named else f"field {key!r}: {exc}") from None
     points = raw.get("num_points", 2)
     if points < 2:
         raise ConfigError("num_points must be at least 2")
-    # one config field sizes every array of a run, and M the number of a
-    # sequence's solves: bound them before any allocation or solve (the
-    # grid_spacing guard below bounds N)
+    # one config field sizes every array of a run: bound it before any
+    # allocation (M, the number of a sequence's solves, is bounded by its
+    # owner above, and N by the grid_spacing guard below)
     if points > MAX_POINTS:
         raise ConfigError(f"field 'num_points' must be at most 2**24 = {MAX_POINTS}, got {points}")
-    if "M" in raw:
-        try:
-            sequences.check_member_count(raw["M"])
-        except ValueError as exc:
-            # the owner's message starts with the field's name, 'M'
-            raise ConfigError(f"field {exc}") from None
     if "L" in raw:
         try:
-            grid_spacing(float(raw["L"]), raw["N"])
+            grid_spacing(options["L"], raw["N"])
         except ValueError as exc:
             raise ConfigError(f"field 'N' = {raw['N']} and field 'L' = {raw['L']}: {exc}") from None
     try:
-        params = ShiftParams(float(raw["a"]), float(raw["h"]))
+        params = ShiftParams(options["a"], options["h"])
     except ValueError as exc:
         raise ConfigError(f"{_shift_fields(raw)}: {exc}") from None
     if command == "spectrum" and raw["p_min"] > raw["p_max"]:
         raise ConfigError(
             f"field 'p_min' = {raw['p_min']} must not exceed 'p_max' = {raw['p_max']}"
         )
-    if command == "sequence":
-        if raw["kind"] == "kernel" and "epsilon" not in raw:
-            raise ConfigError("kernel sequences require 'epsilon'")
-        if raw["kind"] == "kernel" and "F" not in raw:
-            raise ConfigError("kernel sequences require 'F'")
-        if raw["kind"] == "kernel" and raw["epsilon"] >= 1:
-            raise ConfigError("field 'epsilon' must be below 1 for kernel sequences")
-    options = {k: float(v) if keys[k][0] == "number" else v for k, v in raw.items()}
+    if sequence_kind is SequenceKind.KERNEL and "F" not in raw:
+        raise ConfigError("kernel sequences require 'F'")
     return RunConfig(command, options, Path(output_dir), seed, params)
 
 
@@ -310,6 +313,17 @@ def _load_nonlinearity(key, spec, grid) -> Nonlinearity:
         declared = {c: v for c, v in declared.items() if v != getattr(F, c)}
         # replace re-runs the spot check, on constants the builtin does not have
         return dataclasses.replace(F, **declared) if declared else F
+
+
+@contextlib.contextmanager
+def _iterating(kernel):
+    """Turn a ValueError of the fixed-point map into a ConfigError naming
+    its inputs, the kernel's field and F: each input's L2 norm is finite,
+    but the map's samples or its H2 step norms can overflow float64."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"fields {kernel!r} and 'F' cannot be iterated: {exc}") from exc
 
 
 def _given(o, *keys):
@@ -411,7 +425,8 @@ def _cmd_solve_nonlinear(cfg: RunConfig):
     kwargs = _given(o, "tol_h2", "max_iter", "tol_orth")
     if o.get("v0", "zero") != "zero":
         kwargs["v0"] = _load_real("v0", o["v0"], grid)
-    result = fixed_point_solve(G, F, cfg.params, **kwargs)
+    with _iterating("G"):
+        result = fixed_point_solve(G, F, cfg.params, **kwargs)
     write_gridfunction_csv(result.u, _output(cfg, "solution.csv"))
     _write_report(cfg, "fixed_point.json", result, h2_norm=h2_norm(result.u))
     print(
@@ -425,7 +440,7 @@ def _cmd_sequence(cfg: RunConfig):
     o = cfg.options
     grid = make_grid(o["L"], o["N"])
     gen = o["generator"]
-    kind = SequenceKind.RHS if o["kind"] == "rhs" else SequenceKind.KERNEL
+    kind = _SEQUENCE_KINDS[o["kind"]]
     # a kernel sequence's inputs are the kernels of fixed-point solves
     load = _load_function if kind is SequenceKind.RHS else _load_real
     base = load("base", o["base"], grid)
@@ -444,7 +459,8 @@ def _cmd_sequence(cfg: RunConfig):
         table = run_linear_sequence(spec, cfg.params, **_given(o, "tol_orth"))
     else:
         F = _load_nonlinearity("F", o["F"], grid)
-        table = run_kernel_sequence(spec, F, cfg.params, **_given(o, "tol_orth", "tol_h2"))
+        with _iterating("base"):
+            table = run_kernel_sequence(spec, F, cfg.params, **_given(o, "tol_orth", "tol_h2"))
     sequences.write_table_csv(table, _output(cfg, "table.csv"))
     _write_report(cfg, "summary.json", table, M=spec.M)
     all_ok = all(table.checks.values())

@@ -70,9 +70,14 @@ def kernel_orthogonality(G: GridFunction, a: float, tol: float = DEFAULT_TOL_ORT
     (positive and finite, or ValueError before any work, as for a)."""
     check_orthogonality_tol(tol)
     check_shift_coefficient(a)
-    r = float(np.sqrt(a))
-    gp, gm = transform_at_pm(G, r)
-    return gp, gm, (abs(gp) <= tol and abs(gm) <= tol)
+    gp, gm = transform_at_pm(G, float(np.sqrt(a)))
+    return gp, gm, _orthogonal(gp, gm, tol)
+
+
+def _orthogonal(gp: complex, gm: complex, tol: float) -> bool:
+    """The one orthogonality test: both transform values at +-sqrt(a) are
+    at most tol in modulus."""
+    return abs(gp) <= tol and abs(gm) <= tol
 
 
 def stability_constant(
@@ -106,7 +111,6 @@ def stability_constant(
     p_ref = p_ref[np.abs(p_ref) <= grid.p_max]
     values = evaluate_transform_at(G, np.concatenate([[r, -r], p_ref]))
     gp, gm = complex(values[0]), complex(values[1])
-    orth_ok = abs(gp) <= tol_orth and abs(gm) <= tol_orth
     # |G_hat| on the grid; bins N/2 - 1 and N/2 hold the outermost
     # frequencies p_max - dp and -p_max in either layout
     gh_abs = (grid.dx / SQRT_2PI) * np.abs(G.spectrum)
@@ -129,7 +133,7 @@ def stability_constant(
         classification=cls,
         ghat_sup=gh_max,
     )
-    if cls.is_resonant and not orth_ok:
+    if cls.is_resonant and not _orthogonal(gp, gm, tol_orth):
         return KernelReport(N=None, sup1=None, sup2=None, finite=False, **common)
 
     # on half a real G's spectrum: |G_hat| and |lambda| are even in p

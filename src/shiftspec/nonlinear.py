@@ -280,10 +280,11 @@ def nontriviality_check(
     With no overlap the zero function is the fixed point.  threshold is
     absolute for both transforms; by default each uses 1e-12 times its
     own maximum magnitude.  On half of real spectra: both magnitudes are
-    even in p.  Raises ValueError for a threshold that is not finite.
+    even in p.  Raises ValueError for a threshold that is negative or
+    not finite: a negative one would call the zero kernel nontrivial.
     """
-    if threshold is not None and not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
     f0 = GridFunction(grid, _evaluate(F, np.zeros(grid.N), grid.x))
     G.require_same_grid(f0)
     gh = np.abs(G.spectrum)
@@ -293,6 +294,24 @@ def nontriviality_check(
     thr_g = threshold * unit if threshold is not None else 1e-12 * gh.max()
     thr_f = threshold * unit if threshold is not None else 1e-12 * fh.max()
     return bool(np.any((gh > thr_g) & (fh > thr_f)))
+
+
+def check_tol_h2(tol_h2) -> None:
+    """Raise ValueError unless tol_h2, the H2 step norm at which the
+    fixed-point iteration stops, is positive and finite: the one rule for
+    tol_h2, which the solvers and the CLI's config parser both apply."""
+    if not (math.isfinite(tol_h2) and tol_h2 > 0.0):
+        raise ValueError(f"tol_h2 must be positive and finite, got {tol_h2}")
+
+
+def check_max_iter(max_iter) -> None:
+    """Raise ValueError unless max_iter, a cap on the fixed-point
+    iterations, is an integer, not a bool, of at least 1: the one rule for
+    max_iter, which the solvers and the CLI's config parser both apply."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _a_priori_iterations(q: float, first_step: float, tol: float) -> int:
@@ -329,15 +348,14 @@ def iterate_fixed_point(
 
     Raises ValueError, before any work, unless tol_h2 and tol_orth are
     positive and finite and max_iter (when given) is an integer, not a
-    bool, of at least 1.
+    bool, of at least 1 (:func:`check_tol_h2`, :func:`check_max_iter`,
+    :func:`~shiftspec.symbols.check_orthogonality_tol`).  Raises
+    ValueError when an H2 step norm is not finite: the map's samples
+    then overflow float64 when squared.
     """
-    if not (math.isfinite(tol_h2) and tol_h2 > 0.0):
-        raise ValueError(f"tol_h2 must be positive and finite, got {tol_h2}")
+    check_tol_h2(tol_h2)
     if max_iter is not None:
-        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        check_max_iter(max_iter)
     grid = G.grid
     report, c = _multiplier(G, params, tol_orth)
     q = contraction_factor(report.N, F.l)
@@ -363,6 +381,8 @@ def iterate_fixed_point(
     while True:
         uh, u = _step(c, F, v, G)
         step = parseval_norm(h2_weight, uh - vh)
+        if not math.isfinite(step):
+            raise ValueError(f"an H2 step norm is {step}: the map's samples overflow when squared")
         step_norms.append(step)
         if bound is None:
             bound = _a_priori_iterations(q, step, tol_h2)

@@ -46,12 +46,26 @@ class SequenceKind(enum.Enum):
     KERNEL = "KernelSequence"
 
 
+def check_epsilon(epsilon, kind: SequenceKind) -> None:
+    """Raise ValueError unless epsilon, a sequence's contraction slack, is
+    positive when given, and given and below 1 for a kernel sequence: the
+    one rule for epsilon, which :class:`SequenceSpec` and the CLI's config
+    parser both apply."""
+    if kind is SequenceKind.KERNEL:
+        if epsilon is None or not 0.0 < epsilon < 1.0:
+            raise ValueError("kernel sequences require epsilon in (0, 1)")
+    elif epsilon is not None and not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """A family of inputs indexed by m = 1..M together with its limit.
 
     epsilon is the uniform contraction slack required of kernel
-    sequences (2*sqrt(pi)*N_m*l <= 1 - epsilon for every member).
+    sequences (2*sqrt(pi)*N_m*l <= 1 - epsilon for every member), in
+    (0, 1); a right-hand-side sequence does not read it, and a given one
+    must be positive (:func:`check_epsilon`).
     """
 
     kind: SequenceKind
@@ -62,9 +76,7 @@ class SequenceSpec:
 
     def __post_init__(self):
         check_member_count(self.M)
-        if self.kind is SequenceKind.KERNEL:
-            if self.epsilon is None or not 0.0 < self.epsilon < 1.0:
-                raise ValueError("kernel sequences require epsilon in (0, 1)")
+        check_epsilon(self.epsilon, self.kind)
 
 
 @dataclass(frozen=True)

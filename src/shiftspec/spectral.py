@@ -45,7 +45,6 @@ count twice.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -139,14 +138,6 @@ class Grid:
     def p_max(self) -> float:
         """Resolvable band edge pi/dx = N*pi/(2L)."""
         return np.pi / self.dx
-
-    def to_json(self) -> str:
-        return json.dumps({"L": self.L, "N": self.N})
-
-    @staticmethod
-    def from_json(text: str) -> "Grid":
-        meta = json.loads(text)
-        return make_grid(meta["L"], meta["N"])
 
 
 def grid_spacing(L: float, N: int) -> float:

@@ -891,6 +891,114 @@ def test_member_count_above_the_bound_rejected_before_any_solve(
     assert parse_config(cfg, "sequence", tmp_path, 0).options["M"] == sequences.MAX_MEMBERS
 
 
+@pytest.mark.parametrize(
+    "command, base, field, value, rule",
+    [
+        ("solve-linear", LINEAR_CFG, "tol_orth", 0,
+         "orthogonality tolerance must be positive and finite, got 0.0"),
+        ("solve-nonlinear", NONLINEAR_CFG, "tol_h2", -1e-3,
+         "tol_h2 must be positive and finite, got -0.001"),
+        ("solve-nonlinear", NONLINEAR_CFG, "max_iter", 0, "max_iter must be at least 1, got 0"),
+        ("sequence", SEQUENCE_CFG, "epsilon", -1, "epsilon must be positive, got -1.0"),
+        ("sequence", KERNEL_SEQUENCE_CFG, "epsilon", 1,
+         "kernel sequences require epsilon in (0, 1)"),
+        ("sequence", KERNEL_SEQUENCE_CFG, "epsilon", None,
+         "kernel sequences require epsilon in (0, 1)"),
+    ],
+    ids=["tol_orth", "tol_h2", "max_iter", "rhs-epsilon", "kernel-epsilon", "kernel-no-epsilon"],
+)
+def test_config_numbers_are_refused_in_their_owners_words(
+    tmp_path, monkeypatch, command, base, field, value, rule
+):
+    # parse_config asks the library function that owns the rule, before any
+    # grid is built, and only names the field
+    def refuse(*args, **kwargs):
+        raise AssertionError("work attempted")
+
+    monkeypatch.setattr(cli, "make_grid", refuse)
+    config = dict(base, **{field: value})
+    if value is None:
+        del config[field]
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_cfg(tmp_path, config), command, tmp_path, 0)
+    assert str(info.value) == f"field {field!r}: {rule}"
+
+
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        ('{"a": NaN}', "solve-linear", "config numbers must be finite, got NaN"),
+        ("[1.0, 2.0]", "solve-linear", "config must be a JSON object"),
+        (json.dumps(dict(LINEAR_CFG, f="f.txt")), "solve-linear",
+         "field 'f' must be a builtin spec {'name', 'params'?} or a .csv path, got 'f.txt'"),
+        (json.dumps({k: v for k, v in KERNEL_SEQUENCE_CFG.items() if k != "F"}), "sequence",
+         "kernel sequences require 'F'"),
+    ],
+    ids=["nan", "not-an-object", "function-not-csv", "kernel-without-F"],
+)
+def test_config_shape_is_refused_in_the_parsers_words(
+    tmp_path, monkeypatch, text, command, message
+):
+    # the CLI's own rules, at parse time: a later step would refuse some of
+    # these too, in other words (a missing file, an unknown key), or not
+    # at all (a kernel sequence without F raised KeyError)
+    def refuse(*args, **kwargs):
+        raise AssertionError("work attempted")
+
+    monkeypatch.setattr(cli, "make_grid", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        parse_config(path, command, tmp_path, 0)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("constant", ["l", "k"])
+def test_negative_declared_constant_is_refused_by_the_nonlinearity(tmp_path, capsys, constant):
+    # Nonlinearity owns the rule for l and k, as for a builtin's slope
+    F = dict(NONLINEAR_CFG["F"], **{constant: -0.1})
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, dict(NONLINEAR_CFG, F=F))
+    assert main(["solve-nonlinear", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {
+        "type": "ConfigError",
+        "message": "field 'F' cannot be built: growth and Lipschitz constants must be finite "
+        "and nonnegative",
+        "details": {},
+    }
+    assert not out.exists()
+
+
+# inputs of the fixed-point map whose L2 norms are finite but whose
+# product's squares overflow float64
+HUGE = {"name": "gaussian", "params": {"amplitude": 1e100}}
+TINY_TANH = {"name": "tanh", "params": {"slope": 1e-300, "offset": HUGE}}
+CONSTANT_F = {"name": "constant", "params": {"offset": HUGE}}
+
+
+@pytest.mark.parametrize(
+    "command, config, kernel",
+    [
+        ("solve-nonlinear", dict(NONLINEAR_CFG, G=HUGE, F=TINY_TANH), "G"),
+        ("solve-nonlinear", dict(NONLINEAR_CFG, G=HUGE, F=CONSTANT_F), "G"),
+        ("sequence", dict(KERNEL_SEQUENCE_CFG, base=HUGE, F=CONSTANT_F), "base"),
+    ],
+    ids=["tanh", "constant", "kernel-sequence"],
+)
+def test_fixed_point_map_that_overflows_is_a_config_error(
+    tmp_path, capsys, command, config, kernel
+):
+    # its first H2 step norm is inf: it used to raise a bare OverflowError
+    # (tanh), or to write NaN and Infinity into a "converged" report
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith(f"fields '{kernel}' and 'F' cannot be iterated: ")
+    assert not out.exists()
+
+
 CONSTANTS_CFG = {"a": 1.0, "h": 1.0, "L": 40.0, "N": 1024, "G": {"name": "gaussian"}}
 
 # (command, config, field): every config field that takes a function

@@ -123,8 +123,9 @@ class Draw:
         if names[name] and self.chance(0.8):
             spec["params"] = {p: self.param(p) for p in names[name] if self.chance(0.6)}
         slope = spec.get("params", {}).get("slope", 0.1 if name == "tanh" else 0.0)
+        # the nonlinearity spec's numbers are its declared constants, l and k
         for constant, kind in cli._SPECS["nonlinearity"][0].items():
-            if kind == "constant" and self.chance(0.5):
+            if kind == "number" and self.chance(0.5):
                 # most configs restate the builtin's own constant; any larger one holds too
                 spec[constant] = slope + (0.0 if self.chance(0.7) else self.rng.uniform(0.0, 0.3))
         return spec
@@ -222,7 +223,7 @@ class Draw:
         if roll < 0.25 or not known[spec["name"]]:
             spec.setdefault("params", {})["bogus"] = 1.0
             return spec, ".params"
-        constants = [k for k, sub in cli._SPECS[kind][0].items() if sub == "constant"]
+        constants = [k for k, sub in cli._SPECS[kind][0].items() if sub == "number"]
         if constants and roll < 0.45:
             constant = self.pick(constants)
             spec[constant] = self.bad_number() if self.chance(0.7) else 0.05
@@ -295,7 +296,7 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
 
     draw = Draw(np.random.default_rng(20261019))
     commands = sorted(cli._CONFIG_KEYS)
-    outcomes, reruns = [], 0
+    outcomes, reruns, fields = [], 0, set()
     for i in range(RUNS):
         command = draw.pick(commands)
         cfg = draw.config(command)
@@ -306,6 +307,7 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
             broken = field if refusal else None
         if refusal is None and draw.chance(0.65):
             broken = draw.break_one(command, cfg)
+            fields.add(broken)
         path = tmp_path / f"cfg{i}.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / f"out{i}"
@@ -341,3 +343,5 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
     assert counts.get("ok", 0) >= RUNS // 5 and reruns >= 10, counts
     assert counts.get("ConfigError", 0) >= RUNS // 5, counts
     assert any(kind in ALLOWED[2] for kind in counts), counts
+    # a nonlinearity's declared constants are found in the grammar and broken
+    assert {"F.l", "F.k"} <= fields, sorted(fields)

@@ -175,6 +175,16 @@ def test_non_finite_scalars_are_refused_by_name(name, call, value):
         call(value)
 
 
+def test_nontriviality_check_refuses_a_negative_threshold():
+    # below zero every bin passes, so the zero kernel read as nontrivial
+    G = _gaussian()
+    zero = GridFunction(G.grid, np.zeros(G.grid.N))
+    F = zero_source(G.grid)
+    with pytest.raises(ValueError, match=re.escape("threshold must be finite and non-negative")):
+        nontriviality_check(zero, F, G.grid, threshold=-1.0)
+    assert not nontriviality_check(zero, F, G.grid, threshold=0.0)
+
+
 def test_orthogonality_hermite(grid):
     G = GridFunction(grid, grid.x**2 * np.exp(-grid.x**2 / 2))
     gp, gm, ok = kernel_orthogonality(G, 1.0)

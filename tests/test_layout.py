@@ -282,3 +282,105 @@ def test_tolerance_defaults_are_named_constants():
                 if arg.arg in ("tol", "tol_orth", "tol_h2") and _is_number(default)
             ]
     assert found == []
+
+
+def _functions(tree):
+    """(function, the nodes it holds outside its nested functions) for
+    every function of a module."""
+    found = []
+
+    def visit(node, owned):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nodes = []
+                found.append((child, nodes))
+                visit(child, nodes)
+            else:
+                owned.append(child)
+                visit(child, owned)
+
+    visit(tree, [])
+    return found
+
+
+def test_parse_config_restates_no_library_rule():
+    # parse_config and _check_type compare no config value with a number,
+    # except in the CLI's own rules: a spectrum's num_points and
+    # p_min <= p_max, and the float range of a JSON number.  Every other
+    # rule is asked of the library function that owns it.  Comparisons
+    # with a string or a set (a spec's keys) are shape rules
+    path = SOURCE / "cli.py"
+    found = {}
+    for func, nodes in _functions(ast.parse(path.read_text(), filename=str(path))):
+        if func.name in ("parse_config", "_check_type"):
+            found[func.name] = sorted(
+                ast.unparse(node)
+                for node in nodes
+                if isinstance(node, ast.Compare)
+                and not all(isinstance(op, (ast.In, ast.NotIn, ast.Is)) for op in node.ops)
+                and not any(
+                    isinstance(operand, ast.Set)
+                    or (isinstance(operand, ast.Constant) and isinstance(operand.value, str))
+                    for operand in (node.left, *node.comparators)
+                )
+            )
+    assert found == {
+        "parse_config": ["points < 2", "points > MAX_POINTS", "raw['p_min'] > raw['p_max']"],
+        "_check_type": ["abs(value) <= sys.float_info.max"],
+    }
+
+
+# a raise that states the rule for each scalar: its name (or the words for
+# it) followed by 'must', or 'require' followed by the name
+SCALAR_RULES = {
+    name: re.compile(rf"(\b{words}'? must\b|\brequires? '?{words}\b)")
+    for name, words in (
+        ("tol_orth", "(tol_orth|orthogonality tolerance)"),
+        ("tol_h2", "tol_h2"),
+        ("max_iter", "max_iter"),
+        ("epsilon", "epsilon"),
+    )
+}
+
+
+def test_each_scalar_rule_has_one_owner_that_the_cli_and_the_library_call():
+    raisers = {name: set() for name in SCALAR_RULES}
+    callers = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for func, nodes in _functions(ast.parse(path.read_text(), filename=str(path))):
+            site = (path.name, func.name)
+            for node in nodes:
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    for name, rule in SCALAR_RULES.items():
+                        if rule.search(ast.unparse(node.exc)):
+                            raisers[name].add(site)
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    callers.setdefault(name, set()).add(site)
+    assert raisers == {
+        "tol_orth": {("symbols.py", "check_orthogonality_tol")},
+        "tol_h2": {("nonlinear.py", "check_tol_h2")},
+        "max_iter": {("nonlinear.py", "check_max_iter")},
+        "epsilon": {("sequences.py", "check_epsilon")},
+    }
+    for [(module, owner)] in raisers.values():
+        sites = callers.get(owner, set())
+        assert ("cli.py", "parse_config") in sites, owner
+        assert any(path != "cli.py" and func != owner for path, func in sites), owner
+
+
+def test_orthogonality_comparison_is_written_once():
+    # |g_hat(+-sqrt(a))| <= tol is compared in one function, which the
+    # solvability check, kernel_orthogonality and stability_constant share
+    sites = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for func, nodes in _functions(ast.parse(path.read_text(), filename=str(path))):
+            sites.update(
+                (path.name, func.name)
+                for node in nodes
+                if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Call)
+                and ast.unparse(node.left.func) == "abs"
+                and "tol" in ast.unparse(node.comparators[-1])
+            )
+    assert sites == {("kernels.py", "_orthogonal")}

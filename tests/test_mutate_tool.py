@@ -1,6 +1,7 @@
 """The mutant enumeration of tools/mutate.py: deterministic per seed, and
 each mutant a module that parses and differs from its source at exactly
-one operator or boolean keyword token.  Runs no mutant and starts no subprocess."""
+one operator or boolean keyword token, or in one raise statement that
+became pass.  Runs no mutant and starts no subprocess."""
 
 import ast
 import importlib.util
@@ -41,17 +42,27 @@ def test_mutants_are_seeded_single_operator_swaps(mutate, monkeypatch, path):
     assert {m.label for m in drawn} != {m.label for m in mutate.mutants(path, seed=5, count=8)}
     source = path.read_text()
     original = _tokens(source)
+    raises = sum(isinstance(node, ast.Raise) for node in ast.walk(ast.parse(source)))
     for m in every:
-        ast.parse(m.source)
+        tree = ast.parse(m.source)
         mutated = _tokens(m.source)
+        assert source.splitlines()[m.line - 1][m.col :].startswith(m.old)
+        if m.old == "raise":
+            # the statement's tokens, over all its lines, are the one pass
+            i = next(i for i, (a, b) in enumerate(zip(original, mutated)) if a != b)
+            kept = len(mutated) - i - 1
+            assert (original[i], mutated[i]) == ("raise", "pass"), m.label
+            assert original[:i] == mutated[:i] and original[-kept:] == mutated[i + 1 :], m.label
+            assert sum(isinstance(node, ast.Raise) for node in ast.walk(tree)) == raises - 1
+            continue
         diff = [(a, b) for a, b in zip(original, mutated) if a != b]
         assert len(mutated) == len(original) and diff == [(m.old, m.new)], m.label
         assert mutate.SWAPS[m.old] == m.new
-        assert source.splitlines()[m.line - 1][m.col :].startswith(m.old)
     # unary minus, star-args and keyword defaults are not operator sites
-    assert all(m.old in mutate.SWAPS for m in every)
-    # the comparison and boolean swaps are among them
-    assert {"==", "or"} <= {m.old for m in every}
+    assert all(m.old in mutate.SWAPS or (m.old, m.new) == ("raise", "pass") for m in every)
+    # the comparison and boolean swaps and the dropped raise are among them
+    assert {"==", "or", "raise"} <= {m.old for m in every}
+    assert sum(m.old == "raise" for m in every) == raises
     assert len({(m.line, m.col) for m in every}) == len(every)
 
 
@@ -63,15 +74,25 @@ def test_enumeration_skips_non_binary_tokens(mutate, tmp_path, monkeypatch):
         "    return -a[0] + k['x'] * 2 < 3  # 1 - 2\n"
         "def g(order, x=1):\n"
         "    return order == x or not (order != 2 and x) or 'and'\n"
+        "def h(x):\n"
+        "    if x: raise ValueError(\n"
+        "        'raise ' + x) from None\n"
+        "    try:\n"
+        "        return x['raise']\n"
+        "    except KeyError:\n"
+        "        raise\n"
     )
-    labels = [m.label for m in mutate.mutants(path, seed=0)]
-    assert labels == [
+    mutants = mutate.mutants(path, seed=0)
+    assert [m.label for m in mutants] == [
         "m.py:2 + -> -", "m.py:2 * -> /", "m.py:2 < -> <=",
         "m.py:4 == -> !=", "m.py:4 or -> and", "m.py:4 != -> ==", "m.py:4 and -> or",
-        "m.py:4 or -> and",
+        "m.py:4 or -> and", "m.py:6 raise -> pass", "m.py:7 + -> -", "m.py:11 raise -> pass",
     ]  # fmt: skip
-    for m in mutate.mutants(path, seed=0):
+    for m in mutants:
         ast.parse(m.source)
+    # a raise over two lines, with its cause, becomes one pass on the first
+    assert mutants[8].source.splitlines()[5:7] == ["    if x: pass", "    try:"]
+    assert mutants[10].source.splitlines()[-1] == "        pass"
 
 
 def test_copy_holds_every_path_the_tests_read(mutate, tmp_path, monkeypatch):

@@ -611,6 +611,18 @@ def test_fixed_point_rejects_bad_tolerance_and_cap(grid, monkeypatch, kwargs, me
     assert calls == []
 
 
+def test_fixed_point_refuses_a_step_norm_that_overflows(grid):
+    # each input's L2 norm is finite, but the squares of the map's samples
+    # overflow: the first H2 step norm is inf, and the run used to report
+    # convergence in 2 iterations with step norms [inf, 0.0]
+    huge = {"name": "gaussian", "params": {"amplitude": 1e100}}
+    G = builtin_function("gaussian", grid, huge["params"])
+    F = builtin_nonlinearity("constant", grid, {"offset": huge})
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=re.escape("an H2 step norm is inf")):
+            fixed_point_solve(G, F, NONRESONANT)
+
+
 def test_fixed_point_single_iteration_cap(grid):
     # max_iter=1 is a valid cap: it stops after one step
     G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -449,6 +450,37 @@ def test_kernel_epsilon_interval_is_open(grid):
         with pytest.raises(ValueError, match=r"epsilon in \(0, 1\)"):
             SequenceSpec(SequenceKind.KERNEL, lambda m: f, f, M=2, epsilon=eps)
     assert SequenceSpec(SequenceKind.KERNEL, lambda m: f, f, M=2, epsilon=0.999).M == 2
+
+
+def test_epsilon_has_one_rule_for_both_kinds(grid):
+    # sequences.check_epsilon: a given epsilon is positive, and a kernel
+    # sequence needs one below 1; a right-hand-side run does not read it
+    f = GridFunction(grid, np.exp(-(grid.x**2)))
+    for eps in (-1.0, 0.0, float("nan")):
+        message = f"epsilon must be positive, got {eps}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SequenceSpec(SequenceKind.RHS, lambda m: f, f, M=2, epsilon=eps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            builtin_sequences("scale", SequenceKind.RHS, f, M=2, epsilon=eps)
+    for eps in (None, 0.5, 5.0):
+        assert builtin_sequences("scale", SequenceKind.RHS, f, M=2, epsilon=eps).epsilon == eps
+    with pytest.raises(ValueError, match=r"epsilon in \(0, 1\)"):
+        SequenceSpec(SequenceKind.KERNEL, lambda m: f, f, M=2)
+
+
+def test_runners_and_the_add_generator_refuse_a_wrong_spec_by_name(grid):
+    # each refuses before any solve: otherwise a kernel spec ran as
+    # right-hand sides, an rhs spec failed on its missing epsilon with a
+    # TypeError, and 'add' without a perturbation on its first member
+    f = GridFunction(grid, np.exp(-(grid.x**2)))
+    rhs = SequenceSpec(SequenceKind.RHS, lambda m: f, f, M=1)
+    kernel = SequenceSpec(SequenceKind.KERNEL, lambda m: f, f, M=1, epsilon=0.5)
+    with pytest.raises(ValueError, match="expects a right-hand-side sequence"):
+        run_linear_sequence(kernel, NONRESONANT)
+    with pytest.raises(ValueError, match="expects a kernel sequence"):
+        run_kernel_sequence(rhs, tanh_F(grid), NONRESONANT)
+    with pytest.raises(ValueError, match="'add' requires a perturbation function"):
+        builtin_sequences("add", SequenceKind.RHS, f)
 
 
 def _rows(*gaps):

@@ -1,16 +1,12 @@
 import csv
 import dataclasses
-import json
 import re
 import warnings
-from importlib import resources
 
-import jsonschema
 import numpy as np
 import pytest
 
 from shiftspec import spectral, textio
-from shiftspec.linear import resonant_aligned_half_length
 from shiftspec.nonlinear import convolve
 from shiftspec.spectral import (
     SQRT_2PI,
@@ -107,24 +103,15 @@ def test_make_grid_rejects(L, N):
 
 
 def test_grid_spacing_owns_the_rule_for_N():
-    # Grid, make_grid, Grid.from_json and the CLI leave the check of N to
-    # grid_spacing; int() of a non-finite N would raise its own error
+    # Grid, make_grid and the CLI leave the check of N to grid_spacing;
+    # int() of a non-finite N would raise its own error
     for N in (7, 6, 9, 8.5, 0, -8, 2**24 + 2, np.inf, -np.inf, np.nan):
         message = re.escape(f"N must be an even integer in [8, 2**24], got {N}")
         with pytest.raises(ValueError, match=message):
             grid_spacing(1.0, N)
         with pytest.raises(ValueError, match=message):
             make_grid(1.0, N)
-        with pytest.raises(ValueError, match=message):
-            Grid.from_json(json.dumps({"L": 1, "N": N}))
     assert grid_spacing(1.0, 8) == 0.25 and Grid(1.0, 8.0).N == 8
-
-
-def test_from_json_passes_N_as_given():
-    # no int() truncates N on the way to grid_spacing
-    with pytest.raises(ValueError, match=re.escape("[8, 2**24], got 8.9")):
-        Grid.from_json('{"L": 1, "N": 8.9}')
-    assert Grid.from_json(make_grid(2.5, 16).to_json()) == make_grid(2.5, 16)
 
 
 def test_every_grid_builder_refuses_N_above_2_24_before_allocating(monkeypatch, tmp_path):
@@ -141,7 +128,6 @@ def test_every_grid_builder_refuses_N_above_2_24_before_allocating(monkeypatch, 
     builders = (
         lambda: make_grid(1.0, big),
         lambda: Grid(1.0, big),
-        lambda: Grid.from_json(json.dumps({"L": 1.0, "N": big})),
         lambda: read_gridfunction_csv(tmp_path / "big.csv"),
     )
     for build in builders:
@@ -678,21 +664,6 @@ def test_gridfunction_csv_bytes_match_csv_writer(tmp_path, N, kind):
     assert back.grid == g
     assert back.values.dtype == u.values.dtype
     assert np.array_equal(back.values.view(np.uint64), u.values.view(np.uint64))
-
-
-def test_grid_json_round_trip():
-    g = make_grid(40.0, 4096)
-    meta = json.loads(g.to_json())
-    assert meta == {"L": 40.0, "N": 4096}
-    assert Grid.from_json(g.to_json()) == g
-
-
-@pytest.mark.parametrize(
-    "L, N", [(40.0, 4096), (0.5, 8), (resonant_aligned_half_length(2.0, 30.0), 1000)]
-)
-def test_grid_json_matches_the_shipped_schema(L, N):
-    schema = json.loads((resources.files("shiftspec") / "schemas" / "grid.schema.json").read_text())
-    jsonschema.validate(json.loads(make_grid(L, N).to_json()), schema)
 
 
 @pytest.mark.parametrize("cls", [GridFunction, SpectralFunction])

@@ -1,8 +1,9 @@
 """Seeded single-site mutation testing of shiftspec modules.
 
-Each mutant swaps one operator token of one module: ``+``/``-``,
-``*``/``/`` (their augmented forms too), ``<``/``<=``, ``>``/``>=``,
-``==``/``!=`` and the boolean keywords ``and``/``or``.
+Each mutant changes one site of one module: it swaps one operator token,
+``+``/``-``, ``*``/``/`` (their augmented forms too), ``<``/``<=``,
+``>``/``>=``, ``==``/``!=`` or the boolean keywords ``and``/``or``, or it
+drops one ``raise`` statement, which becomes ``pass``.
 The mutants run one at a time: the tier-1 suite runs with ``-x -q`` on a
 temporary copy of the repository (all but ``.git`` and what runs leave
 behind) holding the mutant, under a per-mutant timeout.  A mutant is
@@ -65,6 +66,13 @@ class Mutant:
         return f"{self.path}:{self.line} {self.old} -> {self.new}"
 
 
+def _positions(source: str):
+    """A function from an AST position (line, UTF-8 byte column) to the
+    (line, character column) that tokenize and str slicing count."""
+    lines = source.splitlines()
+    return lambda line, byte_col: (line, len(lines[line - 1].encode()[:byte_col].decode()))
+
+
 def _operator_positions(source: str) -> set[tuple[int, int]]:
     """(line, col) of each ``+ - * / < <= > >= == != and or`` that the AST
     uses as a binary, augmented, comparison or boolean operator (not unary
@@ -84,11 +92,7 @@ def _operator_positions(source: str) -> set[tuple[int, int]]:
                 for lhs, rhs, op in zip(operands, operands[1:], node.ops)
                 if isinstance(op, _OPERATORS)
             ]
-    lines = source.splitlines()
-
-    def at(line, byte_col):  # the AST counts UTF-8 bytes, tokenize characters
-        return line, len(lines[line - 1].encode()[:byte_col].decode())
-
+    at = _positions(source)
     gaps = [(at(a.end_lineno, a.end_col_offset), at(b.lineno, b.col_offset)) for a, b in spans]
     found = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -99,21 +103,42 @@ def _operator_positions(source: str) -> set[tuple[int, int]]:
     return found
 
 
+def _raise_spans(source: str) -> dict[tuple[int, int], tuple[int, int]]:
+    """(line, col) of the start of each ``raise`` statement -> (line, col)
+    of its end, in characters."""
+    at = _positions(source)
+    return {
+        at(node.lineno, node.col_offset): at(node.end_lineno, node.end_col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+    }
+
+
 def mutants(path: Path, seed: int, count: int | None = None) -> list[Mutant]:
     """The seeded single-site mutants of one module, in source order: all
     of them, or ``count`` drawn with ``random.Random(seed)``."""
     path = Path(path).resolve()
     source = path.read_text()
     lines = source.splitlines(keepends=True)
-    sites = sorted(_operator_positions(source))
+    raises = _raise_spans(source)
+    sites = sorted(_operator_positions(source) | set(raises))
     if count is not None and count < len(sites):
         sites = sorted(random.Random(f"{seed}:{path.name}").sample(sites, count))
     out = []
     for line, col in sites:
         text = lines[line - 1]
-        old = next(tok for tok in sorted(SWAPS, key=len, reverse=True) if text.startswith(tok, col))
-        new = SWAPS[old]
-        mutated = lines[: line - 1] + [text[:col] + new + text[col + len(old) :]] + lines[line:]
+        if (line, col) in raises:
+            # the whole statement, over all its lines, becomes pass
+            old, new = "raise", "pass"
+            end_line, end_col = raises[line, col]
+            tail = lines[end_line - 1][end_col:]
+            after = lines[end_line:]
+        else:
+            old = next(t for t in sorted(SWAPS, key=len, reverse=True) if text.startswith(t, col))
+            new = SWAPS[old]
+            tail = text[col + len(old) :]
+            after = lines[line:]
+        mutated = lines[: line - 1] + [text[:col] + new + tail] + after
         rel = path.relative_to(ROOT).as_posix()
         out.append(Mutant(rel, line, col, old, new, "".join(mutated)))
     return out
