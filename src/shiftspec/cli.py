@@ -221,6 +221,11 @@ def parse_config(path, command: str, output_dir, seed: int) -> RunConfig:
         _check_type(key, raw[key], kind)
     options = {k: float(v) if keys[k][0] == "number" else v for k, v in raw.items()}
     sequence_kind = _SEQUENCE_KINDS.get(raw.get("kind"))
+    # an rhs run builds no fixed-point map, so it would read neither
+    if sequence_kind is SequenceKind.RHS:
+        for key in ("F", "tol_h2"):
+            if key in raw:
+                raise ConfigError(f"field {key!r} is taken by kernel sequences only, not by 'rhs'")
     # these numbers' rules are the library's, asked of the function that
     # owns each; a sequence's epsilon also when absent: a kernel one needs it
     owners = {

@@ -8,8 +8,14 @@ For a kernel G the constant is
 finite for every integrable kernel in the non-resonant regime, and in
 the resonant regime finite iff G_hat vanishes at +-sqrt(a).  The sup is
 taken over the resolvable band: grid frequencies, refinement samples
-around +-sqrt(a), and (resonant case) difference-quotient caps inside
-the singular bins.
+near the roots, and (resonant case) difference-quotient caps inside
+the singular bins.  The refinement samples lead away from +sqrt(a) on
+either side, 65 per side over one grid step, and for a complex G from
+-sqrt(a) too.  A real G skips the samples around -sqrt(a): its
+|G_hat(-p)| = |G_hat(p)| and |lambda(-p)| = |lambda(p)|, so they would
+repeat the quotients around +sqrt(a) (the Hermitian symmetry that
+real-input FFTs use too).  Its report is the same, bit for bit, at half
+the off-grid work: 132 frequencies instead of 262.
 """
 
 from __future__ import annotations
@@ -93,23 +99,32 @@ def stability_constant(
     max|G_hat| + a * that cap).  The on-grid quotients use
     :func:`inverse_symbol`, so a non-resonant grid with symbol values
     below alpha/2 raises NearSingularGrid.  The grid transform is
-    ``G.spectrum``: 1 FFT on first use, none after.  Raises ValueError,
-    before any work, unless tol_orth is positive and finite.
+    ``G.spectrum``: 1 FFT on first use, none after.  G_hat(+-sqrt(a))
+    and the refinement samples are one off-grid evaluation: around
+    +sqrt(a) only for a real G (see the module docstring), around both
+    roots for a complex one.  The frequencies, |lambda| there, and
+    |1/lambda| and p^2 on a real G's bins are built once per (grid,
+    params) (:func:`_stability_tables`).  Raises ValueError, before any
+    work, unless tol_orth is positive and finite.
     """
     check_orthogonality_tol(tol_orth)
     grid = G.grid
     cls = classify(params)
     r = params.sqrt_a
-
-    # refinement around +-sqrt(a): 65 in-band frequencies leading away
-    # from each root on either side, over one grid step; resonant zeros
-    # excluded and covered by the caps instead.  One evaluation gives
-    # G_hat(+-sqrt(a)) and the refinement samples
-    e_min = 1e-4 * r if cls.is_resonant else 0.0
-    away = e_min + (grid.dp - e_min) / 64 * np.arange(65)
-    p_ref = np.concatenate([r + away, r - away, -r + away, -r - away])
-    p_ref = p_ref[np.abs(p_ref) <= grid.p_max]
-    values = evaluate_transform_at(G, np.concatenate([[r, -r], p_ref]))
+    # the norms first: their N-sample temporaries would set the peak
+    # memory if the tables and the spectrum were held by then
+    l1_norm_G, weighted_l1_G = l1_norm(G), weighted_l1_norm(G)
+    p_eval, lam_ref, inv_abs, p2 = _stability_tables(grid, params)
+    if G.is_real:
+        # |G_hat| and |lambda| are even in p: the samples around -sqrt(a)
+        # would repeat the quotients of those around +sqrt(a)
+        lam_ref = lam_ref[: len(lam_ref) // 2]
+        p_eval = p_eval[: 2 + len(lam_ref)]
+    else:
+        inv_abs = np.abs(inverse_symbol_on_grid(grid, params))
+        p2 = fft_frequencies(grid, grid.N) ** 2
+    # one evaluation gives G_hat(+-sqrt(a)) and the refinement samples
+    values = evaluate_transform_at(G, p_eval)
     gp, gm = complex(values[0]), complex(values[1])
     # |G_hat| on the grid; bins N/2 - 1 and N/2 hold the outermost
     # frequencies p_max - dp and -p_max in either layout
@@ -123,11 +138,10 @@ def stability_constant(
             RuntimeWarning,
             stacklevel=2,
         )
-    weighted_l1_G = weighted_l1_norm(G)
     common = dict(
         Ghat_plus=gp,
         Ghat_minus=gm,
-        l1_norm_G=l1_norm(G),
+        l1_norm_G=l1_norm_G,
         weighted_l1_G=weighted_l1_G,
         tail_sup=tail_sup,
         classification=cls,
@@ -136,16 +150,13 @@ def stability_constant(
     if cls.is_resonant and not _orthogonal(gp, gm, tol_orth):
         return KernelReport(N=None, sup1=None, sup2=None, finite=False, **common)
 
-    # on half a real G's spectrum: |G_hat| and |lambda| are even in p
-    quot = gh_abs * np.abs(inverse_symbol_on_grid(grid, params)[: len(gh_abs)])
+    # in place: |G_hat| is not read again
+    quot = np.multiply(gh_abs, inv_abs, out=gh_abs)
     sup1 = float(quot.max())
-    sup2 = float((fft_frequencies(grid, len(quot)) ** 2 * quot).max())
+    sup2 = float(np.multiply(quot, p2, out=quot).max())
 
-    if p_ref.size:
-        gh_ref = np.abs(values[2:])
-        # lambda's only real zeros are the resonant +-sqrt(a), which the
-        # samples stay 1e-4*sqrt(a) away from
-        lam_ref = np.abs(symbol(p_ref, params))
+    if lam_ref.size:
+        p_ref, gh_ref = p_eval[2:], np.abs(values[2:])
         sup1 = max(sup1, float((gh_ref / lam_ref).max()))
         sup2 = max(sup2, float((p_ref**2 * gh_ref / lam_ref).max()))
 
@@ -164,6 +175,36 @@ def stability_constant(
         )
 
     return KernelReport(N=max(sup1, sup2), sup1=sup1, sup2=sup2, finite=True, **common)
+
+
+def _stability_tables(grid, params: ShiftParams):
+    """The arrays that every stability report for (grid, params) reads,
+    built once per grid (``Grid.memo``, kind ``stability``) for the most
+    recent params: the frequencies [sqrt(a), -sqrt(a), refinement
+    samples], |lambda| at the refinement samples, and |1/lambda| and p^2
+    on the N/2 + 1 bins of a real G's spectrum (8 bytes per sample).
+
+    The refinement samples are 65 in-band frequencies leading away from
+    +sqrt(a) on either side, over one grid step, then the same around
+    -sqrt(a) as their negatives (the same floats as -sqrt(a) +- the
+    steps), in the same order for |lambda|.  Resonant zeros are excluded
+    (the steps start at 1e-4*sqrt(a)) and covered by the caps instead."""
+
+    def build():
+        r = params.sqrt_a
+        e_min = 1e-4 * r if classify(params).is_resonant else 0.0
+        away = e_min + (grid.dp - e_min) / 64 * np.arange(65)
+        p_plus = np.concatenate([r + away, r - away])
+        p_plus = p_plus[np.abs(p_plus) <= grid.p_max]
+        p_ref = np.concatenate([p_plus, -p_plus])
+        # lambda's only real zeros are the resonant +-sqrt(a), which the
+        # samples stay 1e-4*sqrt(a) away from
+        lam_ref = np.abs(symbol(p_ref, params))
+        bins = grid.N // 2 + 1
+        inv_abs = np.abs(inverse_symbol_on_grid(grid, params)[:bins])
+        return np.concatenate([[r, -r], p_ref]), lam_ref, inv_abs, fft_frequencies(grid, bins) ** 2
+
+    return grid.memo("stability", params, build)
 
 
 def contraction_factor(N: float, l: float) -> float:

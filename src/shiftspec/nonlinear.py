@@ -380,7 +380,9 @@ def iterate_fixed_point(
     cap = bound = None
     while True:
         uh, u = _step(c, F, v, G)
-        step = parseval_norm(h2_weight, uh - vh)
+        # an overflow is refused by name just below, with no numpy warning first
+        with np.errstate(over="ignore"):
+            step = parseval_norm(h2_weight, uh - vh)
         if not math.isfinite(step):
             raise ValueError(f"an H2 step norm is {step}: the map's samples overflow when squared")
         step_norms.append(step)

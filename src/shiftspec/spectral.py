@@ -80,17 +80,23 @@ class Grid:
         (-1)^j for the same j, the phase e^{i*pi*j} of the box offset -L.
 
     Each grid also memoizes, through :meth:`memo`, the read-only arrays
-    that the solve paths derive from it and the shift parameters: the
-    symbol lambda(p) and its inverse in FFT order (see the module
-    docstring), the window basis of
-    ``linear.project_solvable`` and the phase tables of
-    :func:`evaluate_transform_at` (kind ``offgrid``).  The memo keeps one
-    entry per kind, for the most recent key only, so it holds at most
-    four entries: three of O(N) arrays and the off-grid tables,
-    2*(B + Q)*P floats for P frequencies with B*Q ~ N.  It holds plain
-    arrays that do not refer back to the grid, so it is freed with the
-    grid by reference counting; it takes no part in equality, hashing
-    or repr.
+    that the solve paths derive from it and the shift parameters.  The
+    memo keeps one entry per kind, for the most recent key only, so it
+    holds at most five, in bytes per sample:
+
+    * ``symbol`` and ``inverse_symbol``: lambda(p) and its inverse in FFT
+      order (see the module docstring), 16 each;
+    * ``projection_basis``: the two complex window functions of
+      ``linear.project_solvable`` and their 2x2 matrix, 32;
+    * ``stability``: the report tables of ``kernels.stability_constant``,
+      |1/lambda| and p^2 on bins 0..N/2, 8, and 2 + 4*65 frequencies with
+      |lambda| at 4*65 of them;
+    * ``offgrid``: the phase tables of :func:`evaluate_transform_at`,
+      2*(B + Q)*P floats for P frequencies with B*Q ~ N.
+
+    It holds plain arrays that do not refer back to the grid, so it is
+    freed with the grid by reference counting; it takes no part in
+    equality, hashing or repr.
     """
 
     L: float

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -953,6 +954,29 @@ def test_config_shape_is_refused_in_the_parsers_words(
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("F", {"name": "tanh", "params": {"slope": -1}}),
+        ("F", {"name": "tanh", "l": -1}),
+        ("F", NONLINEAR_CFG["F"]),
+        ("tol_h2", 1e-8),
+        ("tol_h2", -1),
+    ],
+    ids=["F-bad-slope", "F-bad-l", "F-valid", "tol_h2", "tol_h2-negative"],
+)
+def test_rhs_sequence_refuses_the_kernel_only_fields(tmp_path, capsys, field, value):
+    # an rhs run builds no fixed-point map, so F and tol_h2 would go
+    # unread, and whatever they hold unchecked: refused by name, valid or not
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, dict(SEQUENCE_CFG, M=2, **{field: value}))
+    assert main(["sequence", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == f"field {field!r} is taken by kernel sequences only, not by 'rhs'"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("constant", ["l", "k"])
 def test_negative_declared_constant_is_refused_by_the_nonlinearity(tmp_path, capsys, constant):
     # Nonlinearity owns the rule for l and k, as for a builtin's slope
@@ -990,10 +1014,14 @@ def test_fixed_point_map_that_overflows_is_a_config_error(
     tmp_path, capsys, command, config, kernel
 ):
     # its first H2 step norm is inf: it used to raise a bare OverflowError
-    # (tanh), or to write NaN and Infinity into a "converged" report
+    # (tanh), or to write NaN and Infinity into a "converged" report.
+    # stderr is the one JSON line, with no numpy overflow warning before it
     out = tmp_path / "out"
-    assert main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--config", write_cfg(tmp_path, config), "--out", str(out)])
+    assert rc == 1 and [str(w.message) for w in caught] == []
+    err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ConfigError"
     assert err["message"].startswith(f"fields '{kernel}' and 'F' cannot be iterated: ")
     assert not out.exists()

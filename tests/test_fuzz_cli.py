@@ -14,13 +14,14 @@ missing or an unknown key.  In about a quarter of the runs instead, a
 function field (f, G, base, generator.perturbation or v0) reads a CSV:
 valid, real or complex, or broken in one way (CSV_DEFECTS).  A
 ConfigError must then name the broken field, and a complex input to the
-fixed-point map must be refused as such.  A size (N, num_points, M)
-above its bound runs with the grid, the spectrum's frequencies and both
-sequence runners patched to refuse, so a missing bound fails fast
-instead of allocating.  Every fourth run
-that exits 0 runs again and must leave the same bytes.  (Miller,
-Fredriksen & So, CACM 33(12), 1990; Claessen & Hughes, QuickCheck, ICFP
-2000.)
+fixed-point map must be refused as such.  An rhs sequence that holds a
+kernel-only key (F, tol_h2) must be refused, naming that key or the
+broken field.  A size (N, num_points, M) above its bound runs with the
+grid, the spectrum's frequencies and both sequence runners patched to
+refuse, so a missing bound fails fast instead of allocating.  Every
+fourth run that exits 0 runs again and must leave the same bytes.
+(Miller, Fredriksen & So, CACM 33(12), 1990; Claessen & Hughes,
+QuickCheck, ICFP 2000.)
 """
 
 import contextlib
@@ -319,8 +320,11 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
                 m.setattr(cli.np, "linspace", refuse)
             rc, stdout, stderr = _run(argv)
         case = f"run {i}: {command} {json.dumps(cfg)} ({broken})\n-> exit {rc}: {stderr[-400:]}"
+        # an rhs sequence refuses the kernel-only keys, unless a shape
+        # check of another field refuses the config first
+        kernel_only = [k for k in ("F", "tol_h2") if k in cfg and cfg.get("kind") == "rhs"]
         if rc == 0:
-            assert stderr == "" and refusal is None, case
+            assert stderr == "" and refusal is None and not kernel_only, case
             if len(outcomes) % 4 == 0:
                 again = _run([*argv[:-1], str(tmp_path / f"rerun{i}")])
                 assert again[0] == 0 and _files(tmp_path / f"rerun{i}") == _files(out), case
@@ -330,11 +334,13 @@ def test_fuzzed_configs_meet_the_exit_contract(tmp_path, monkeypatch):
             continue
         error = json.loads(stderr.splitlines()[-1])["error"]
         assert error["type"] in ALLOWED.get(rc, ()), case
+        if kernel_only:
+            assert error["type"] == "ConfigError", case
         if error["type"] == "ConfigError":
             # the broken field, or for a valid config some field of it
-            named = [broken.split(".")[0]] if broken else list(cfg)
+            named = ([broken.split(".")[0]] if broken else list(cfg)) + kernel_only
             assert any(_names(error["message"], key) for key in named), case
-        if refusal:
+        if refusal and not kernel_only:
             assert error["type"] == "ConfigError" and refusal in error["message"], case
         assert not out.exists(), case
         outcomes.append(error["type"])

@@ -20,12 +20,14 @@ from shiftspec.spectral import (
     SQRT_2PI,
     GridFunction,
     evaluate_transform_at,
+    fft_frequencies,
     forward_transform,
     l1_norm,
     make_grid,
     sup_abs_spectral,
+    weighted_l1_norm,
 )
-from shiftspec.symbols import ShiftParams, symbol
+from shiftspec.symbols import ShiftParams, classify, inverse_symbol_on_grid, symbol
 
 RESONANT = ShiftParams(1.0, 2 * np.pi)
 NONRESONANT = ShiftParams(1.0, 1.0)
@@ -242,34 +244,42 @@ def requested(monkeypatch):
 
 def test_refinement_samples_lead_away_from_each_root(requested):
     # stability_constant asks for G_hat at [sqrt(a), -sqrt(a)] and at 65
-    # equispaced distances on either side of each root, from e_min (1e-4
+    # equispaced distances on either side of a root, from e_min (1e-4
     # sqrt(a) when resonant, so the zero itself is left to the caps, and 0
-    # otherwise) to one grid step
+    # otherwise) to one grid step: around both roots for a complex G, and
+    # around +sqrt(a) alone for a real one, whose |G_hat| is even in p
     g = make_grid(resonant_aligned_half_length(4.0, 20.0), 256)
-    G = GridFunction(g, np.exp(-(g.x**2) / 2))
+    real = GridFunction(g, np.exp(-(g.x**2) / 2))
+    cplx = GridFunction(g, np.exp(-(g.x**2) / 2 + 0.1j * g.x))
     for params, e_min in ((ShiftParams(4.0, np.pi), 2e-4), (ShiftParams(4.0, 1.0), 0.0)):
-        requested.clear()
-        stability_constant(G, params)
-        p = requested[0]
-        assert list(p[:2]) == [2.0, -2.0]
         distances = e_min + (g.dp - e_min) * np.arange(65) / 64
         expected = np.sort(np.concatenate([-distances, distances]))
-        for root in (2.0, -2.0):
-            near = p[2:][np.sign(p[2:]) == np.sign(root)]
-            np.testing.assert_allclose(np.sort(near - root), expected, rtol=0, atol=1e-12)
+        for G, roots in ((real, (2.0,)), (cplx, (2.0, -2.0))):
+            requested.clear()
+            stability_constant(G, params, tol_orth=1.0)
+            p = requested[0]
+            assert list(p[:2]) == [2.0, -2.0] and len(p) == 2 + 130 * len(roots)
+            for root in roots:
+                near = p[2:][np.sign(p[2:]) == np.sign(root)]
+                np.testing.assert_allclose(np.sort(near - root), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:kernel transform has not decayed:RuntimeWarning")
 def test_refinement_keeps_the_band_edge(requested):
     # the band |p| <= p_max is closed: at L = 3, N = 16 and
     # sqrt(a) = p_max - dp/64, the first refinement sample beyond sqrt(a)
-    # lands on p_max exactly and is kept; the 63 beyond it are dropped
+    # lands on p_max exactly and is kept; the 63 beyond it are dropped,
+    # and for a complex G the 63 beyond -sqrt(a) too
     g = make_grid(3.0, 16)
     r = g.p_max - g.dp / 64
     assert np.sqrt(r * r) == r
-    stability_constant(GridFunction(g, np.exp(-(g.x**2) / 2)), ShiftParams(r * r, 1.0))
-    p = requested[0]
-    assert np.max(np.abs(p)) == g.p_max and len(p) == 2 + 4 * 65 - 2 * 63
+    gauss = np.exp(-(g.x**2) / 2)
+    for values, clusters in ((gauss, 2), (gauss * np.exp(0.1j * g.x), 4)):
+        requested.clear()
+        stability_constant(GridFunction(g, values), ShiftParams(r * r, 1.0))
+        p = requested[0]
+        assert np.max(np.abs(p)) == g.p_max
+        assert len(p) == 2 + clusters * 65 - clusters // 2 * 63
 
 
 def test_stability_nonresonant_gaussian(grid):
@@ -386,6 +396,73 @@ def test_stability_matches_dense_reference(monkeypatch, L, N, kernel, params):
         q = np.abs(_dense_in_band(G, p)) / np.abs(symbol(p, params))
         assert fast.sup1 == pytest.approx(q.max(), rel=1e-12, abs=0)
         assert fast.sup2 == pytest.approx((p**2 * q).max(), rel=1e-12, abs=0)
+
+
+def refined_sups(G, params, roots):
+    """(G_hat(sqrt(a)), G_hat(-sqrt(a)), N, sup1, sup2) of a finite
+    report, rebuilt with the refinement around each of ``roots``
+    (+-sqrt(a)), all frequencies in one evaluate_transform_at call, and
+    the grid quotients over G's bins."""
+    g, r = G.grid, params.sqrt_a
+    resonant = classify(params).is_resonant
+    e_min = 1e-4 * r if resonant else 0.0
+    away = e_min + (g.dp - e_min) / 64 * np.arange(65)
+    p = np.concatenate([root + side * away for root in roots for side in (1.0, -1.0)])
+    p = p[np.abs(p) <= g.p_max]
+    values = evaluate_transform_at(G, np.concatenate([[r, -r], p]))
+    gh_ref, lam = np.abs(values[2:]), np.abs(symbol(p, params))
+    gh = (g.dx / SQRT_2PI) * np.abs(G.spectrum)
+    quot = gh * np.abs(inverse_symbol_on_grid(g, params)[: len(gh)])
+    sup1 = max(float(quot.max()), float((gh_ref / lam).max()))
+    sup2 = max(
+        float((fft_frequencies(g, len(gh)) ** 2 * quot).max()),
+        float((p**2 * gh_ref / lam).max()),
+    )
+    if resonant:
+        cap1 = weighted_l1_norm(G) / (SQRT_2PI * r)
+        sup1, sup2 = max(sup1, cap1), max(sup2, float(gh.max()) + params.a * cap1)
+    return complex(values[0]), complex(values[1]), max(sup1, sup2), sup1, sup2
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_real_kernel_report_equals_the_four_cluster_one(seed):
+    # a real G's report refines around +sqrt(a) only; the samples around
+    # -sqrt(a) repeat its quotients, so all 2 + 4*65 frequencies give the
+    # same report, bit for bit, resonant (asked ungated) and not
+    rng = np.random.default_rng(700 + seed)
+    for i in range(24):
+        a = float(rng.uniform(0.3, 3.0))
+        N = int(rng.choice([256, 1024, 4096]))
+        if i % 2:
+            params = ShiftParams(a, 2 * np.pi * int(rng.choice([-2, -1, 1, 2])) / np.sqrt(a))
+            g = make_grid(resonant_aligned_half_length(a, float(rng.uniform(10.0, 40.0))), N)
+        else:
+            params = ShiftParams(a, float(rng.uniform(-3.0, 3.0)))
+            g = make_grid(float(rng.uniform(10.0, 40.0)), N)
+        width, centre = rng.uniform(0.4, 2.0), rng.uniform(-2.0, 2.0)
+        envelope = np.exp(-(((g.x - centre) / width) ** 2) / 2)
+        values = (rng.uniform(-1.0, 1.0) + rng.uniform(0.0, 1.0) * g.x**2) * envelope
+        G = GridFunction(g, values * np.cos(rng.uniform(0.0, 3.0) * g.x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = stability_constant(G, params, tol_orth=np.finfo(np.float64).max)
+        r = params.sqrt_a
+        got = (rep.Ghat_plus, rep.Ghat_minus, rep.N, rep.sup1, rep.sup2)
+        assert got == refined_sups(G, params, (r, -r))
+
+
+def test_complex_kernel_refines_around_both_roots():
+    # |G_hat| peaks at -sqrt(a), and |lambda| dips between the grid
+    # frequencies next to +-sqrt(a) (h near 2*pi/sqrt(a), not resonant):
+    # the sups come from the samples around -sqrt(a), which only a
+    # complex G's report takes
+    g = make_grid(8.0, 64)
+    params = ShiftParams(1.0, 6.6)
+    G = GridFunction(g, 0.3 * np.exp(-(g.x**2) / 2) * np.exp(-1j * g.x))
+    rep = stability_constant(G, params)
+    got = (rep.Ghat_plus, rep.Ghat_minus, rep.N, rep.sup1, rep.sup2)
+    assert got == refined_sups(G, params, (1.0, -1.0))
+    assert rep.N > 6 * refined_sups(G, params, (1.0,))[2]
 
 
 def test_inconsistent_refinement_samples_raise(monkeypatch):

@@ -1,4 +1,5 @@
-"""The per-grid memo of symbol, off-grid phase table and window-basis arrays."""
+"""The per-grid memo of symbol, off-grid phase table, window-basis and
+stability-report arrays."""
 
 import gc
 import sys
@@ -143,7 +144,7 @@ def test_memo_is_bounded_across_params():
     grid = make_grid(resonant_aligned_half_length(1.0, 20.0), 1024)
     touch_every_entry(grid, ShiftParams(1.0, 2 * np.pi))
     kinds = len(grid._memo)
-    assert kinds == 4
+    assert kinds == 5
     tracemalloc.start()
     try:
         held = []
@@ -156,10 +157,13 @@ def test_memo_is_bounded_across_params():
     assert len(grid._memo) == kinds
     # one set of entries: the symbol, its inverse and the two window
     # functions are N complex values each (with the window basis's 2x2
-    # matrix), and the off-grid tables for P = 2 + 4*65 frequencies four
-    # (B or Q) x P float tables, B = Q = 32 at N = 1024
+    # matrix); the off-grid tables for a real G's P = 2 + 2*65 frequencies
+    # four (B or Q) x P float tables, B = Q = 32 at N = 1024; and the
+    # stability tables 2 + 4*65 frequencies, |lambda| at 4*65 of them,
+    # and |1/lambda| and p^2 on N/2 + 1 bins, all floats
     one_set = sum(arr.nbytes for arr in memo_arrays(grid))
-    assert one_set <= 16 * (4 * grid.N + 4) + 8 * 2 * (32 + 32) * (2 + 4 * 65)
+    stability = 8 * (2 + 8 * 65 + 2 * (grid.N // 2 + 1))
+    assert one_set <= 16 * (4 * grid.N + 4) + 8 * 2 * (32 + 32) * (2 + 2 * 65) + stability
     assert max(held) - held[0] <= one_set + 64 * 1024
 
 
@@ -217,7 +221,7 @@ def test_memo_is_freed_with_its_grid_without_gc():
             )
             if not classify(params).is_resonant:
                 fixed_point_solve(G, F, params, tol_h2=1e-8)
-            assert len(grid._memo) == (4 if classify(params).is_resonant else 3)
+            assert len(grid._memo) == (5 if classify(params).is_resonant else 4)
             ref = weakref.ref(grid)
             del grid, G, F
             assert ref() is None

@@ -328,6 +328,26 @@ def test_kernel_sequence_computes_each_report_once(grid, monkeypatch):
     assert (len(reports), len(alphas)) == (2 * 12 + 1, 1)
 
 
+def test_kernel_sequence_builds_the_stability_tables_once(monkeypatch):
+    # the 25 reports of a run share one build of their grid tables; new
+    # params on the same grid build them again, and the same params
+    # again do not
+    builds = []
+    memo = spectral.Grid.memo
+
+    def counted(self, kind, key, build):
+        return memo(self, kind, key, lambda: builds.append(kind) or build())
+
+    monkeypatch.setattr(spectral.Grid, "memo", counted)
+    reports = count_calls(monkeypatch, kernels, "stability_constant")
+    grid = make_grid(40.0, 1024)
+    first, other = ShiftParams(1.0, 0.9), ShiftParams(1.2, 0.9)
+    for params, tables in ((first, 1), (other, 2), (other, 2)):
+        run_kernel_sequence(kernel_scale_spec(grid), tanh_F(grid), params)
+        assert builds.count("stability") == tables
+    assert len(reports) == 3 * (2 * 12 + 1)
+
+
 def test_kernel_rows_read_their_input_gaps_from_the_difference_report(grid, monkeypatch):
     # every L1 and weighted L1 norm of a kernel run is one stability
     # report's, and a row's gaps are those of its difference kernel's
