@@ -9,13 +9,15 @@ finite for every integrable kernel in the non-resonant regime, and in
 the resonant regime finite iff G_hat vanishes at +-sqrt(a).  The sup is
 taken over the resolvable band: grid frequencies, refinement samples
 near the roots, and (resonant case) difference-quotient caps inside
-the singular bins.  The refinement samples lead away from +sqrt(a) on
-either side, 65 per side over one grid step, and for a complex G from
--sqrt(a) too.  A real G skips the samples around -sqrt(a): its
-|G_hat(-p)| = |G_hat(p)| and |lambda(-p)| = |lambda(p)|, so they would
-repeat the quotients around +sqrt(a) (the Hermitian symmetry that
-real-input FFTs use too).  Its report is the same, bit for bit, at half
-the off-grid work: 132 frequencies instead of 262.
+the singular bins.  The on-grid quotients are taken on G's own bins,
+the N/2 + 1 of a real G's spectrum or the N of a complex one's.  The
+refinement samples lead away from +sqrt(a) on either side, 65 per side
+over one grid step, and for a complex G from -sqrt(a) too.  A real G
+skips the samples around -sqrt(a): its |G_hat(-p)| = |G_hat(p)| and
+|lambda(-p)| = |lambda(p)|, so they would repeat the quotients around
++sqrt(a) (the Hermitian symmetry that real-input FFTs use too).  Its
+report is the same, bit for bit, at half the off-grid work: 132
+frequencies instead of 262.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ def stability_constant(
     and the refinement samples are one off-grid evaluation: around
     +sqrt(a) only for a real G (see the module docstring), around both
     roots for a complex one.  The frequencies, |lambda| there, and
-    |1/lambda| and p^2 on a real G's bins are built once per (grid,
-    params) (:func:`_stability_tables`).  Raises ValueError, before any
-    work, unless tol_orth is positive and finite.
+    |1/lambda| and p^2 on G's bins are built once per (grid, params,
+    number of bins) (:func:`_stability_tables`).  Raises ValueError,
+    before any work, unless tol_orth is positive and finite.
     """
     check_orthogonality_tol(tol_orth)
     grid = G.grid
@@ -114,15 +116,7 @@ def stability_constant(
     # the norms first: their N-sample temporaries would set the peak
     # memory if the tables and the spectrum were held by then
     l1_norm_G, weighted_l1_G = l1_norm(G), weighted_l1_norm(G)
-    p_eval, lam_ref, inv_abs, p2 = _stability_tables(grid, params)
-    if G.is_real:
-        # |G_hat| and |lambda| are even in p: the samples around -sqrt(a)
-        # would repeat the quotients of those around +sqrt(a)
-        lam_ref = lam_ref[: len(lam_ref) // 2]
-        p_eval = p_eval[: 2 + len(lam_ref)]
-    else:
-        inv_abs = np.abs(inverse_symbol_on_grid(grid, params))
-        p2 = fft_frequencies(grid, grid.N) ** 2
+    p_eval, lam_ref, inv_abs, p2 = _stability_tables(grid, params, len(G.spectrum))
     # one evaluation gives G_hat(+-sqrt(a)) and the refinement samples
     values = evaluate_transform_at(G, p_eval)
     gp, gm = complex(values[0]), complex(values[1])
@@ -177,34 +171,38 @@ def stability_constant(
     return KernelReport(N=max(sup1, sup2), sup1=sup1, sup2=sup2, finite=True, **common)
 
 
-def _stability_tables(grid, params: ShiftParams):
+def _stability_tables(grid, params: ShiftParams, bins: int):
     """The arrays that every stability report for (grid, params) reads,
+    for a G whose spectrum has ``bins`` bins (N/2 + 1 real, N complex),
     built once per grid (``Grid.memo``, kind ``stability``) for the most
-    recent params: the frequencies [sqrt(a), -sqrt(a), refinement
-    samples], |lambda| at the refinement samples, and |1/lambda| and p^2
-    on the N/2 + 1 bins of a real G's spectrum (8 bytes per sample).
+    recent (params, bins): the frequencies [sqrt(a), -sqrt(a),
+    refinement samples], |lambda| at the refinement samples, and
+    |1/lambda| and p^2 on the bins (8 bytes a bin each).
 
     The refinement samples are 65 in-band frequencies leading away from
-    +sqrt(a) on either side, over one grid step, then the same around
-    -sqrt(a) as their negatives (the same floats as -sqrt(a) +- the
-    steps), in the same order for |lambda|.  Resonant zeros are excluded
-    (the steps start at 1e-4*sqrt(a)) and covered by the caps instead."""
+    +sqrt(a) on either side, over one grid step, and for a complex G
+    (``bins == grid.N``) the same around -sqrt(a) as their negatives
+    (the same floats as -sqrt(a) +- the steps), in the same order for
+    |lambda|.  A real G's |G_hat| and |lambda| are even in p, so those
+    would repeat the quotients around +sqrt(a).  Resonant zeros are
+    excluded (the steps start at 1e-4*sqrt(a)) and covered by the caps
+    instead."""
 
     def build():
         r = params.sqrt_a
         e_min = 1e-4 * r if classify(params).is_resonant else 0.0
         away = e_min + (grid.dp - e_min) / 64 * np.arange(65)
-        p_plus = np.concatenate([r + away, r - away])
-        p_plus = p_plus[np.abs(p_plus) <= grid.p_max]
-        p_ref = np.concatenate([p_plus, -p_plus])
+        p_ref = np.concatenate([r + away, r - away])
+        p_ref = p_ref[np.abs(p_ref) <= grid.p_max]
+        if bins == grid.N:
+            p_ref = np.concatenate([p_ref, -p_ref])
         # lambda's only real zeros are the resonant +-sqrt(a), which the
         # samples stay 1e-4*sqrt(a) away from
         lam_ref = np.abs(symbol(p_ref, params))
-        bins = grid.N // 2 + 1
-        inv_abs = np.abs(inverse_symbol_on_grid(grid, params)[:bins])
+        inv_abs = np.abs(inverse_symbol_on_grid(grid, params, bins))
         return np.concatenate([[r, -r], p_ref]), lam_ref, inv_abs, fft_frequencies(grid, bins) ** 2
 
-    return grid.memo("stability", params, build)
+    return grid.memo("stability", (params, bins), build)
 
 
 def contraction_factor(N: float, l: float) -> float:

@@ -83,7 +83,7 @@ class LinearSolveResult:
 def apply_operator(u: GridFunction, params: ShiftParams) -> GridFunction:
     """-u'' - a*u(x - h): u_hat times the symbol lambda(p) = p^2 - a*e^{-iph}
     (``apply_multiplier``), 2 FFTs, half-length and real when u is real."""
-    return apply_multiplier(u, symbol_on_grid(u.grid, params))
+    return apply_multiplier(u, symbol_on_grid(u.grid, params, len(u.spectrum)))
 
 
 def check_solvability(
@@ -129,7 +129,7 @@ def divide_by_symbol(
             report=report,
         )
     s = f.spectrum
-    uh = inverse_symbol_on_grid(grid, params)[: len(s)] * s
+    uh = inverse_symbol_on_grid(grid, params, len(s)) * s
     return SymbolDivision(u=GridFunction(grid, idft(uh, grid.N)), uh=uh, solvability=report)
 
 

@@ -127,16 +127,24 @@ class FixedPointResult:
 
 
 def convolve(G: GridFunction, w: GridFunction) -> GridFunction:
-    """Periodic convolution int G(x-y) w(y) dy: sqrt(2*pi) * G_hat * w_hat,
-    G's factor built as in :func:`_multiplier`; real when both are real."""
+    """Periodic convolution int G(x-y) w(y) dy: sqrt(2*pi) * G_hat * w_hat
+    (:func:`_kernel_factor`); real when both are real."""
     G.require_same_grid(w)
     if G.is_real == w.is_real:
         gs, ws = G.spectrum, w.spectrum
     else:
         gs, ws = _spectrum_like(w, G.values), _spectrum_like(G, w.values)
-    c = G.grid.dx * gs
+    return GridFunction(G.grid, idft(_kernel_factor(G.grid, gs) * ws, G.grid.N))
+
+
+def _kernel_factor(grid: Grid, gs: np.ndarray) -> np.ndarray:
+    """dx * (-1)^k * gs for the DFT gs of a kernel G on grid: sqrt(2*pi)
+    * G_hat with the transform factors folded in, the factor of
+    :func:`convolve` and :func:`_multiplier`; (-1)^k centres the
+    convolution."""
+    c = grid.dx * gs
     c[1::2] *= -1.0
-    return GridFunction(G.grid, idft(c * ws, G.grid.N))
+    return c
 
 
 def _direct_sum_window(G: GridFunction):
@@ -241,18 +249,16 @@ def _step(c: np.ndarray, F: Nonlinearity, v: np.ndarray, G: GridFunction):
 def _multiplier(G: GridFunction, params: ShiftParams, tol_orth: float):
     """The map's gate and multiplier: G's stability report, NotFinite
     unless it is finite (G_hat vanishing at +-sqrt(a) when resonant), and
-    c = dx * (-1)^k * G.spectrum / lambda (see :func:`inverse_symbol`),
-    sqrt(2*pi) * G_hat / lambda with the transform factors folded in;
-    (-1)^k centres the convolution."""
+    c = :func:`_kernel_factor` / lambda on G's bins (see
+    :func:`inverse_symbol`), sqrt(2*pi) * G_hat / lambda."""
     report = stability_constant(G, params, tol_orth)
     if not report.finite:
         raise NotFinite(
             "stability constant is infinite: kernel orthogonality fails at +-sqrt(a)",
             report=report,
         )
-    c = G.grid.dx * G.spectrum * inverse_symbol_on_grid(G.grid, params)[: len(G.spectrum)]
-    c[1::2] *= -1.0
-    return report, c
+    gs = G.spectrum
+    return report, _kernel_factor(G.grid, gs) * inverse_symbol_on_grid(G.grid, params, len(gs))
 
 
 def apply_T(

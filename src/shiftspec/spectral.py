@@ -27,11 +27,11 @@ increasing-p view, :func:`forward_transform`, is the full N-bin DFT
 rotated by N/2 times (dx/sqrt(2*pi)) * sign; :func:`inverse_transform`
 undoes it with (dp*N/sqrt(2*pi)) * sign.  The two factors multiply to 1
 (dx*dp*N = 2*pi, sign*sign = 1), so a multiplier m(p) acts as
-idft(m_k * dft(u)) with m at the FFT-order frequencies
-(:func:`apply_multiplier`), and a real input reads its first N/2 + 1
-entries.  A convolution with a kernel G keeps two factors:
-sqrt(2*pi) * G_hat is dx * sign * dft(G), and the sign, (-1)^k in FFT
-order, moves the kernel's centre from x_0 = -L to x = 0.
+idft(m_k * dft(u)) with m at the FFT-order frequencies of the
+spectrum's own bins (:func:`apply_multiplier`): N/2 + 1 for a real
+input, N for a complex one.  A convolution with a kernel G keeps two
+factors: sqrt(2*pi) * G_hat is dx * sign * dft(G), and the sign, (-1)^k
+in FFT order, moves the kernel's centre from x_0 = -L to x = 0.
 
 The Nyquist rule.  Bin N/2 has no partner.  A multiplier that is not
 real there, such as 1/lambda(-N*pi/(2L)), gives it an imaginary part,
@@ -85,12 +85,15 @@ class Grid:
     holds at most five, in bytes per sample:
 
     * ``symbol`` and ``inverse_symbol``: lambda(p) and its inverse in FFT
-      order (see the module docstring), 16 each;
+      order on the bins of the spectrum that reads them (see the module
+      docstring), 8 each for a real input (N/2 + 1 complex values), 16
+      for a complex one;
     * ``projection_basis``: the two complex window functions of
       ``linear.project_solvable`` and their 2x2 matrix, 32;
     * ``stability``: the report tables of ``kernels.stability_constant``,
-      |1/lambda| and p^2 on bins 0..N/2, 8, and 2 + 4*65 frequencies with
-      |lambda| at 4*65 of them;
+      |1/lambda| and p^2 on the kernel's bins, 8 for a real G and 16 for
+      a complex one, and 2 + 2*65 frequencies with |lambda| at 2*65 of
+      them for a real G, 2 + 4*65 and 4*65 for a complex one;
     * ``offgrid``: the phase tables of :func:`evaluate_transform_at`,
       2*(B + Q)*P floats for P frequencies with B*Q ~ N.
 
@@ -376,20 +379,21 @@ def transform_at_pm(u: GridFunction, r: float) -> tuple[complex, complex]:
 
 
 def apply_multiplier(u: GridFunction, m: np.ndarray) -> GridFunction:
-    """idft(m * u.spectrum) for m at the N FFT-order frequencies: a real u
-    reads the first N/2 + 1 and gives a real result, exact if m(-p) = conj(m(p))."""
-    return GridFunction(u.grid, idft(m[: len(u.spectrum)] * u.spectrum, u.grid.N))
+    """idft(m * u.spectrum) for m at the FFT-order frequencies of u's own
+    bins (:func:`fft_frequencies` of ``len(u.spectrum)``): a real u gives a
+    real result, exact if m(-p) = conj(m(p))."""
+    return GridFunction(u.grid, idft(m * u.spectrum, u.grid.N))
 
 
 def shift(u: GridFunction, h: float) -> GridFunction:
     """Periodic translate u(x - h), the multiplier e^{-iph}.  Unitary in
     L2; exact for band-limited data."""
-    return apply_multiplier(u, np.exp(-1j * fft_frequencies(u.grid, u.grid.N) * h))
+    return apply_multiplier(u, np.exp(-1j * fft_frequencies(u.grid, len(u.spectrum)) * h))
 
 
 def second_derivative(u: GridFunction) -> GridFunction:
     """Spectral second derivative, the multiplier -p^2."""
-    return apply_multiplier(u, -(fft_frequencies(u.grid, u.grid.N) ** 2))
+    return apply_multiplier(u, -(fft_frequencies(u.grid, len(u.spectrum)) ** 2))
 
 
 def l2_norm(u: GridFunction) -> float:

@@ -412,7 +412,7 @@ def refined_sups(G, params, roots):
     values = evaluate_transform_at(G, np.concatenate([[r, -r], p]))
     gh_ref, lam = np.abs(values[2:]), np.abs(symbol(p, params))
     gh = (g.dx / SQRT_2PI) * np.abs(G.spectrum)
-    quot = gh * np.abs(inverse_symbol_on_grid(g, params)[: len(gh)])
+    quot = gh * np.abs(inverse_symbol_on_grid(g, params, len(gh)))
     sup1 = max(float(quot.max()), float((gh_ref / lam).max()))
     sup2 = max(
         float((fft_frequencies(g, len(gh)) ** 2 * quot).max()),

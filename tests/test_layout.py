@@ -384,3 +384,21 @@ def test_orthogonality_comparison_is_written_once():
                 and "tol" in ast.unparse(node.comparators[-1])
             )
     assert sites == {("kernels.py", "_orthogonal")}
+
+
+def test_grid_tables_are_built_on_the_bins_that_read_them():
+    # a grid table covers the bins of the spectrum that reads it, N/2 + 1
+    # for a real input and N for a complex one, so no reader slices a
+    # symbol table and no frequencies are taken on all N bins to be cut
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call):
+                name = ast.unparse(node.value.func).split(".")[-1]
+                if name in ("symbol_on_grid", "inverse_symbol_on_grid"):
+                    found.append(f"{path.name}:{node.lineno} slices {name}")
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("fft_frequencies"):
+                bins = node.args[1:] + [kw.value for kw in node.keywords if kw.arg == "bins"]
+                if any(isinstance(arg, ast.Attribute) and arg.attr == "N" for arg in bins):
+                    found.append(f"{path.name}:{node.lineno} takes all N bins")
+    assert found == []

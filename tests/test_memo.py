@@ -53,12 +53,17 @@ def random_cases(seed, count=6):
     return cases
 
 
-def fft_p(grid):
-    """The grid frequencies in FFT order, the layout of the symbol memo:
-    the same floats as grid.p, rotated."""
-    p = fft_frequencies(grid, grid.N)
-    assert same_bits(p, np.fft.ifftshift(grid.p))
+def fft_p(grid, bins):
+    """The first ``bins`` grid frequencies in FFT order, the layout of the
+    symbol memo: the same floats as grid.p, rotated."""
+    p = fft_frequencies(grid, bins)
+    assert same_bits(p, np.fft.ifftshift(grid.p)[:bins])
     return p
+
+
+def layouts(grid):
+    """The bins of a real spectrum and of a complex one."""
+    return grid.N // 2 + 1, grid.N
 
 
 def same_bits(x, y):
@@ -100,15 +105,18 @@ def test_cached_arrays_equal_uncached_bitwise(seed):
     for L, N, params in random_cases(seed):
         grid = make_grid(L, N)
         u = GridFunction(grid, rng.standard_normal(N) * np.exp(-grid.x**2 / 8))
-        # first call builds (cold), second reads the memo (warm); the
-        # off-grid values against an equal, fresh grid
-        for _ in range(2):
-            p = fft_p(grid)
-            assert same_bits(symbol_on_grid(grid, params), symbol(p, params))
-            assert same_bits(inverse_symbol_on_grid(grid, params), inverse_symbol(p, params))
-            fresh = GridFunction(make_grid(L, N), u.values)
-            assert transform_at_pm(u, params.sqrt_a) == transform_at_pm(fresh, params.sqrt_a)
-        assert symbol_on_grid(grid, params) is symbol_on_grid(grid, params)
+        # first call builds (cold), second reads the memo (warm), in each
+        # layout; the off-grid values against an equal, fresh grid
+        for bins in layouts(grid):
+            for _ in range(2):
+                p = fft_p(grid, bins)
+                assert same_bits(symbol_on_grid(grid, params, bins), symbol(p, params))
+                assert same_bits(
+                    inverse_symbol_on_grid(grid, params, bins), inverse_symbol(p, params)
+                )
+                fresh = GridFunction(make_grid(L, N), u.values)
+                assert transform_at_pm(u, params.sqrt_a) == transform_at_pm(fresh, params.sqrt_a)
+            assert symbol_on_grid(grid, params, bins) is symbol_on_grid(grid, params, bins)
         # the stability frequencies on a warm grid against an equal, fresh one
         p = stability_frequencies(grid, params)
         warm = evaluate_transform_at(u, p)
@@ -125,8 +133,10 @@ def test_params_do_not_share_entries():
     for params in (first, second, first, second):
         fresh = make_grid(grid.L, grid.N)
         ref = GridFunction(fresh, u.values)
-        assert same_bits(symbol_on_grid(grid, params), symbol(fft_p(grid), params))
-        assert same_bits(inverse_symbol_on_grid(grid, params), inverse_symbol(fft_p(grid), params))
+        for bins in layouts(grid):
+            p = fft_p(grid, bins)
+            assert same_bits(symbol_on_grid(grid, params, bins), symbol(p, params))
+            assert same_bits(inverse_symbol_on_grid(grid, params, bins), inverse_symbol(p, params))
         p = stability_frequencies(grid, params)
         assert same_bits(evaluate_transform_at(u, p), evaluate_transform_at(ref, p))
         assert stability_constant(u, params) == stability_constant(ref, params)
@@ -155,16 +165,41 @@ def test_memo_is_bounded_across_params():
     finally:
         tracemalloc.stop()
     assert len(grid._memo) == kinds
-    # one set of entries: the symbol, its inverse and the two window
-    # functions are N complex values each (with the window basis's 2x2
-    # matrix); the off-grid tables for a real G's P = 2 + 2*65 frequencies
-    # four (B or Q) x P float tables, B = Q = 32 at N = 1024; and the
-    # stability tables 2 + 4*65 frequencies, |lambda| at 4*65 of them,
+    # one set of entries: the symbol and its inverse are N/2 + 1 complex
+    # values each, on the bins of the real inputs that read them, and the
+    # two window functions N each (with the window basis's 2x2 matrix);
+    # the off-grid tables for a real G's P = 2 + 2*65 frequencies four
+    # (B or Q) x P float tables, B = Q = 32 at N = 1024; and the
+    # stability tables 2 + 2*65 frequencies, |lambda| at 2*65 of them,
     # and |1/lambda| and p^2 on N/2 + 1 bins, all floats
     one_set = sum(arr.nbytes for arr in memo_arrays(grid))
-    stability = 8 * (2 + 8 * 65 + 2 * (grid.N // 2 + 1))
-    assert one_set <= 16 * (4 * grid.N + 4) + 8 * 2 * (32 + 32) * (2 + 2 * 65) + stability
+    half = grid.N // 2 + 1
+    offgrid, stability = 8 * 2 * (32 + 32) * (2 + 2 * 65), 8 * (2 + 4 * 65 + 2 * half)
+    assert one_set <= 16 * (2 * half + 2 * grid.N + 4) + offgrid + stability
     assert max(held) - held[0] <= one_set + 64 * 1024
+
+
+def test_real_inputs_hold_no_table_beyond_their_half_spectrum():
+    # a real input's spectrum has N/2 + 1 bins, and each grid table is
+    # built on the bins that read it: after a linear solve, a fixed-point
+    # solve and a stability report of real functions on one grid, no
+    # array of the symbol, its inverse or the stability tables is longer
+    for params in (ShiftParams(1.0, 1.0), ShiftParams(1.0, 2 * np.pi)):
+        grid = make_grid(resonant_aligned_half_length(1.0, 20.0), 1024)
+        touch_every_entry(grid, params)
+        if not classify(params).is_resonant:
+            G = GridFunction(grid, 0.3 * np.exp(-grid.x**2 / 2))
+            F = Nonlinearity(
+                eval=lambda u, x: 0.1 * np.tanh(u) + np.exp(-(x**2)),
+                k=0.1,
+                envelope=GridFunction(grid, np.exp(-grid.x**2)),
+                l=0.1,
+            )
+            fixed_point_solve(G, F, params, tol_h2=1e-8)
+        for kind in ("symbol", "inverse_symbol", "stability"):
+            value = grid._memo[kind][1]
+            sizes = [arr.size for arr in (value if isinstance(value, tuple) else (value,))]
+            assert max(sizes) == grid.N // 2 + 1, kind
 
 
 def test_cached_arrays_are_read_only():
@@ -177,9 +212,13 @@ def test_cached_arrays_are_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-        for arr in (symbol_on_grid(grid, params), inverse_symbol_on_grid(grid, params)):
-            with pytest.raises(ValueError):
-                arr[...] = 1.0
+        for bins in layouts(grid):
+            for arr in (
+                symbol_on_grid(grid, params, bins),
+                inverse_symbol_on_grid(grid, params, bins),
+            ):
+                with pytest.raises(ValueError):
+                    arr[...] = 1.0
 
 
 def test_memo_stays_out_of_eq_hash_repr():
@@ -196,11 +235,12 @@ def test_near_singular_grid_raises_on_every_call(monkeypatch):
     fake = FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=1e6)
     with monkeypatch.context() as m:
         m.setattr(shiftspec.symbols, "classify", lambda params: fake)
-        for _ in range(2):
+        for bins in 2 * layouts(grid):
             with pytest.raises(NearSingularGrid):
-                inverse_symbol_on_grid(grid, params)
-    good = inverse_symbol_on_grid(grid, params)
-    assert same_bits(good, inverse_symbol(fft_p(grid), params))
+                inverse_symbol_on_grid(grid, params, bins)
+    for bins in layouts(grid):
+        good = inverse_symbol_on_grid(grid, params, bins)
+        assert same_bits(good, inverse_symbol(fft_p(grid, bins), params))
 
 
 def test_memo_is_freed_with_its_grid_without_gc():
@@ -234,16 +274,22 @@ def test_threads_sharing_a_grid_get_their_own_params():
     # replace the grid's entry with theirs
     grid = make_grid(30.0, 256)
     params = [ShiftParams(1.0 + 0.25 * i, 1.0) for i in range(6)]
-    want = {q: symbol(fft_p(grid), q) for q in params}
+    bins = grid.N // 2 + 1
+    p = fft_p(grid, bins)
+    want = {q: (symbol(p, q), inverse_symbol(p, q)) for q in params}
     errors = []
 
     def work(offset):
-        for k in range(300):
-            q = params[(offset + k) % len(params)]
-            if not same_bits(symbol_on_grid(grid, q), want[q]) or not same_bits(
-                inverse_symbol_on_grid(grid, q), inverse_symbol(fft_p(grid), q)
-            ):
-                errors.append(q)
+        # an exception raised in a thread only warns, so it is an error too
+        try:
+            for k in range(300):
+                q = params[(offset + k) % len(params)]
+                if not same_bits(symbol_on_grid(grid, q, bins), want[q][0]) or not same_bits(
+                    inverse_symbol_on_grid(grid, q, bins), want[q][1]
+                ):
+                    errors.append(q)
+        except Exception as exc:
+            errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

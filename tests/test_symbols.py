@@ -340,7 +340,7 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def mirror_cases(seed, count=30):
+def random_grid_cases(seed, count=30):
     """(grid, params) with N = 8 .. 2**17 (each twice), alternately a
     resonant shift on a grid aligned so that +-sqrt(a) are grid bins and
     a non-resonant one on any L."""
@@ -358,66 +358,55 @@ def mirror_cases(seed, count=30):
         yield make_grid(L, N), params
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_grid_symbols_mirror_bit_for_bit(seed):
-    # the grid arrays are evaluated on bins 0..N/2 and mirrored; every bin
-    # must hold the formula's bits, the resonant zeros +0+0j included
-    singular_seen = 0
-    for grid, params in mirror_cases(seed):
-        p = fft_frequencies(grid, grid.N)
-        assert same_bits(symbol_on_grid(grid, params), symbol(p, params))
-        try:
-            want = inverse_symbol(p, params)
-        except NearSingularGrid:
-            with pytest.raises(NearSingularGrid):
-                inverse_symbol_on_grid(grid, params)
-            continue
-        got = inverse_symbol_on_grid(grid, params)
-        assert same_bits(got, want)
-        zeros = np.flatnonzero(want == 0)
-        assert not np.any(np.signbit(got[zeros].real) | np.signbit(got[zeros].imag))
-        singular_seen += len(zeros) == 2 and zeros[1] == grid.N - zeros[0]
-    assert singular_seen >= 5
+def grid_symbol_cases(case):
+    """(grid, params) of a test case: random_grid_cases of a seed, or one
+    input whose table has underflowing zero parts at paired bins."""
+    if case == "symbol":
+        # a*sin(ph) underflows: lambda has +0 imaginary parts (classify
+        # refuses these parameters, so no inverse exists)
+        return [(make_grid(40.0, 64), ShiftParams(1.0, 5e-324))]
+    if case == "inverse":
+        # 1/lambda underflows in its imaginary part at the high bins
+        return [(make_grid(1e-7, 64), ShiftParams(1e-305, 2 * np.pi / np.sqrt(1e-305)))]
+    return list(random_grid_cases(int(case)))
 
 
-def test_grid_symbols_evaluate_half_the_bins(monkeypatch):
-    # lambda and |lambda|^2 are evaluated on bins 0..N/2 only, resonant
-    # zeros and exact p^2 = a*cos(ph) included; all N bins only after an
-    # underflow (below)
+@pytest.mark.parametrize("case", ["1", "2", "symbol", "inverse"])
+def test_grid_symbols_are_the_formula_on_their_bins(case, monkeypatch):
+    # each grid table is the formula at the frequencies of the bins that
+    # read it, N/2 + 1 for a real spectrum and N for a complex one, and
+    # evaluates it there only: bit for bit, the resonant zeros +0+0j and
+    # the underflowing zero parts included; a build that raises stores
+    # nothing, so every call raises
     sizes = []
     for name in ("symbol", "symbol_modulus_sq"):
         formula = getattr(symbols, name)
         counted = lambda p, params, formula=formula: sizes.append(np.size(p)) or formula(p, params)
         monkeypatch.setattr(symbols, name, counted)
-    for grid, params in mirror_cases(3):
-        classify(params)
-        sizes.clear()
-        try:
-            inverse_symbol_on_grid(grid, params)
-        except NearSingularGrid:
-            pass
-        assert sizes and set(sizes) == {grid.N // 2 + 1}
-
-
-@pytest.mark.parametrize(
-    "L, N, params, on_grid, formula",
-    [
-        # a*sin(ph) underflows: lambda has +0 imaginary parts at paired
-        # bins (classify refuses these parameters, so no inverse exists)
-        (40.0, 64, ShiftParams(1.0, 5e-324), symbol_on_grid, symbol),
-        # 1/lambda underflows in its imaginary part at the high bins
-        (
-            1e-7,
-            64,
-            ShiftParams(1e-305, 2 * np.pi / np.sqrt(1e-305)),
-            inverse_symbol_on_grid,
-            inverse_symbol,
-        ),
-    ],
-    ids=["symbol", "inverse"],
-)
-def test_grid_symbols_with_underflowing_parts_take_the_formula(L, N, params, on_grid, formula):
-    grid = make_grid(L, N)
-    want = formula(fft_frequencies(grid, N), params)
-    assert np.any(want.imag[1 : N // 2] == 0)
-    assert same_bits(on_grid(grid, params), want)
+    singular_seen = 0
+    for grid, params in grid_symbol_cases(case):
+        for bins in (grid.N // 2 + 1, grid.N):
+            p = fft_frequencies(grid, bins)
+            lam = symbol(p, params)
+            try:
+                want = inverse_symbol(p, params)
+            except (NearSingularGrid, ValueError) as exc:
+                want = exc
+            sizes.clear()
+            assert same_bits(symbol_on_grid(grid, params, bins), lam)
+            assert sizes == [bins]
+            if isinstance(want, Exception):
+                for _ in range(2):
+                    with pytest.raises(type(want)):
+                        inverse_symbol_on_grid(grid, params, bins)
+                continue
+            got = inverse_symbol_on_grid(grid, params, bins)
+            assert same_bits(got, want) and set(sizes) == {bins}
+            zeros = np.flatnonzero(want == 0)
+            assert not np.any(np.signbit(got[zeros].real) | np.signbit(got[zeros].imag))
+            singular_seen += len(zeros) == 2 and zeros[1] == grid.N - zeros[0]
+        underflowing = {"symbol": lam, "inverse": want}.get(case)
+        if underflowing is not None:
+            assert np.any(underflowing.imag[1 : grid.N // 2] == 0)
+    if case in ("1", "2"):
+        assert singular_seen >= 5
