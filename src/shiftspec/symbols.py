@@ -4,7 +4,8 @@ resonance classification, and the essential-spectrum gap constant.
 The symbol is lambda(p) = p^2 - a*e^{-iph}.  It vanishes at p = +-sqrt(a)
 exactly when h = 2*pi*n/sqrt(a) for a nonzero integer n (the resonant
 shifts); otherwise |lambda(p)|^2 is bounded below by a positive constant
-alpha, estimated here by dense sampling with local refinement.
+alpha, estimated here by sampling, with local refinement, the band
+around sqrt(a) where the minimum lies.
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularGrid, ShiftSpecError
-from .spectral import MAX_POINTS, fft_frequencies
+from .spectral import fft_frequencies
 
 # Resonant grid bins are identified by a machine-zero symbol modulus
 # relative to the natural scale |lambda(0)|^2 = a^2.  Only the bins at
 # exactly +-sqrt(a) (aligned grids) fall below this.
 RESONANT_BIN_GUARD = 1e-16
-
-# _sampled_alpha samples |lambda|^2 and refines the sampled minima this
-# many coarse samples at a time: a few MB however many samples it takes
-_ALPHA_BLOCK = 2**14
 
 
 def check_shift_coefficient(a) -> None:
@@ -181,9 +178,9 @@ def classify(params: ShiftParams) -> FredholmClass:
     tolerance :func:`default_resonance_tol` on |h - 2*pi*n/sqrt(a)|.  That
     tolerance must stay below pi/sqrt(a) so at most one index is a
     candidate: max(1, |h|)*sqrt(a) < 1e9*pi.  Raises ValueError before
-    anything is sampled when it does not, or when a NonResonant (a, h)
-    needs more than 2**24 samples (:func:`alpha_sample_count`); a
-    Resonant one samples nothing.
+    anything is sampled when it does not; a Resonant (a, h) samples
+    nothing, a NonResonant one a few hundred points whatever |h| is
+    (:func:`estimate_alpha`).
 
     Memoized (128 entries): ShiftParams and FredholmClass are frozen.
     """
@@ -199,34 +196,22 @@ def classify(params: ShiftParams) -> FredholmClass:
     return FredholmClass(kind=FredholmKind.NON_RESONANT, alpha=_sampled_alpha(params))
 
 
-def alpha_sample_count(params: ShiftParams) -> int:
-    """The number of coarse samples :func:`estimate_alpha` takes on [0, P],
-    P = 2*(1 + sqrt(a)): at least ~8 per oscillation period 2*pi/|h|,
-    and at least 4097.  Raises ValueError, before anything is allocated,
-    when it passes MAX_POINTS: when (1 + sqrt(a))*|h| reaches
-    2**24*pi/8 (about 6.6e6)."""
-    P = 2.0 * (1.0 + params.sqrt_a)
-    n = 8.0 * P * abs(params.h) / (2.0 * np.pi)
-    if not n < MAX_POINTS:
-        raise ValueError(
-            f"estimate_alpha would sample |lambda|^2 at {n:.3g} points, more than 2**24: "
-            f"(1 + sqrt(a))*|h| must stay below 2**24*pi/8 = {MAX_POINTS * np.pi / 8:.7g}, "
-            f"got a = {params.a}, h = {params.h}"
-        )
-    return max(4097, int(n) + 1)
-
-
 def estimate_alpha(params: ShiftParams) -> float:
     """Sampled minimum of |lambda(p)|^2 over the line for non-resonant
     parameters: ``classify(params).alpha``, memoized with it.
 
-    |lambda|^2 is even in p and dominated by (p^2 - a)^2 outside
-    [-P, P] with P = 2*(1 + sqrt(a)), so the search samples [0, P]
-    densely (resolving the cos(ph) oscillation) and refines around every
-    sampled local minimum.  The returned value is a sampled estimate,
-    not a proven bound.  Raises ValueError when classify says Resonant,
-    and whatever classify refuses, such as parameters that need more
-    than 2**24 samples (:func:`alpha_sample_count`).
+    |lambda|^2 = (p^2 - a)^2 + 2*a*p^2*(1 - cos(ph)) is even in p, so
+    p with |lambda|^2 <= U lie in the band |p^2 - a| <= sqrt(U) for any
+    value U it takes.  U is the smallest of its values at p = 0 and at
+    the points with cos(ph) = 1 next to sqrt(a).  The search samples
+    [0, P], P = 2*(1 + sqrt(a)), on a grid of about 8 points per
+    oscillation period 2*pi/|h| (at least 4097 points), but only the
+    points within two grid steps of the band, and refines around every
+    sampled local minimum there: a few hundred evaluations at any |h|.
+    The result is min(U, that search): the full grid's sampled minimum
+    bit for bit when that is at most U, and below it otherwise.  It is a
+    sampled estimate, not a proven bound.  Raises ValueError when
+    classify says Resonant, and whatever classify refuses.
     """
     cls = classify(params)
     if cls.is_resonant:
@@ -239,33 +224,38 @@ def estimate_alpha(params: ShiftParams) -> float:
 
 def _sampled_alpha(params: ShiftParams) -> float:
     """The sampled minimum of :func:`estimate_alpha`, for classify."""
-    a = params.a
+    a, h = params.a, abs(params.h)
     P = 2.0 * (1.0 + params.sqrt_a)
-    n_coarse = alpha_sample_count(params)
+    # about 8 coarse samples per oscillation period 2*pi/|h| of [0, P],
+    # and at least 4097
+    n_coarse = max(4097, int(8.0 * P * h / (2.0 * np.pi)) + 1)
     step = P / (n_coarse - 1)
-    best = np.inf
-    # the samples of np.linspace(0.0, P, n_coarse), block by block, with
-    # the neighbour on each side that the local-minimum test and the
-    # refinement windows read; each window is refined on its own and min
-    # is exact, so the blocks bound the memory and leave the result's bits
-    for start in range(0, n_coarse, _ALPHA_BLOCK):
-        stop = min(start + _ALPHA_BLOCK, n_coarse)
-        first, last = max(start - 1, 0), min(stop + 1, n_coarse)
-        p = np.arange(first, last) * step
-        if last == n_coarse:
-            p[-1] = P
-        v = symbol_modulus_sq(p, params)
-        # the end points 0 and P and every local minimum; the block's own
-        # first and last samples have both neighbours unless they are 0 or P
-        lowest = np.ones(len(v), bool)
-        lowest[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
-        own = slice(start - first, stop - first)
-        best = min(best, float(v[own].min()))
-        block = np.flatnonzero(lowest[own]) + own.start
-        if len(block):
-            lo = p[np.maximum(block - 1, 0)]
-            hi = p[np.minimum(block + 1, len(p) - 1)]
-            best = min(best, _refined_minimum(lo, hi, params, P))
+    # |lambda|^2 >= (p^2 - a)^2, so p with |lambda|^2 <= U, a value that
+    # |lambda|^2 takes, lie in the band |p^2 - a| <= sqrt(U): U is its
+    # least value at the points p = 2*pi*m/|h| where cos(ph) = 1 at 0 and
+    # on either side of sqrt(a), those in [0, P] (which keeps p finite)
+    k = params.sqrt_a * h / (2.0 * np.pi)
+    ones = [2.0 * np.pi * m / h for m in (0.0, np.floor(k), np.ceil(k)) if 2.0 * np.pi * m <= P * h]
+    U = float(symbol_modulus_sq(np.array(ones), params).min())
+    lo, hi = np.sqrt(max(a - np.sqrt(U), 0.0)), np.sqrt(a + np.sqrt(U))
+    # each coarse sample's refinement window [p_{i-1}, p_{i+1}] zooms less
+    # than step/7 past its ends, so a sample more than two steps from the
+    # band neither takes nor refines to a value <= U; U <= a^2 keeps the
+    # band below sqrt(2a), samples short of P
+    start = max(int(np.ceil(lo / step)) - 2, 0)
+    stop = int(hi / step) + 3
+    # with the neighbour on each side that the local-minimum test reads
+    first = max(start - 1, 0)
+    p = np.arange(first, stop + 1) * step
+    v = symbol_modulus_sq(p, params)
+    # 0 and every local minimum
+    lowest = np.ones(len(v), bool)
+    lowest[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
+    own = np.flatnonzero(lowest[start - first : -1]) + start - first
+    best = min(U, float(v.min()))
+    if len(own):
+        lo, hi = p[np.maximum(own - 1, 0)], p[own + 1]
+        best = min(best, _refined_minimum(lo, hi, params, P))
     if best < 1e-18 * max(1.0, a * a):
         raise ValueError(
             "sampled minimum of |lambda|^2 is at machine zero; "

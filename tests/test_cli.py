@@ -761,12 +761,10 @@ CLASSIFYING_CONFIGS = [
 
 
 @pytest.mark.parametrize("command, base", CLASSIFYING_CONFIGS)
-def test_alpha_sample_count_above_2_24_named_before_any_allocation(
+def test_resonance_tolerance_bound_named_before_any_allocation(
     tmp_path, monkeypatch, capsys, command, base
 ):
-    # classify refuses, before it samples anything, a non-resonant (a, h)
-    # that estimate_alpha would sample at more than 2**24 points,
-    # (1 + sqrt(a))*|h| >= 2**24*pi/8 ~ 6.588e6, and any (a, h) whose
+    # classify refuses, before it samples anything, any (a, h) whose
     # resonance tolerance 1e-9*max(1, |h|) reaches pi/sqrt(a); run asks
     # it before any grid, and names both fields
     def refuse(*args, **kwargs):
@@ -774,15 +772,7 @@ def test_alpha_sample_count_above_2_24_named_before_any_allocation(
 
     monkeypatch.setattr(cli, "make_grid", refuse)
     monkeypatch.setattr(cli.np, "linspace", refuse)
-    for a, h, rule in (
-        (1e17, 0.7, "2**24"),
-        (1e14, 1.0, "2**24"),
-        (1.0, 3.3e6, "2**24"),
-        (4.0, -2.2e6, "2**24"),
-        (1e308, 1.0, "1e9*pi"),
-        (1.0, 1e308, "1e9*pi"),
-        (1.0, -1e308, "1e9*pi"),
-    ):
+    for a, h in ((1e308, 1.0), (1.0, 1e308), (1.0, -1e308)):
         cfg = write_cfg(tmp_path, dict(base, a=a, h=h))
         assert parse_config(cfg, command, tmp_path, 0).params == ShiftParams(a, h)
         out = tmp_path / "out"
@@ -790,15 +780,27 @@ def test_alpha_sample_count_above_2_24_named_before_any_allocation(
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConfigError"
         assert err["message"].startswith(f"field 'a' = {float(a)} and field 'h' = {float(h)}")
-        assert rule in err["message"]
+        assert "1e9*pi" in err["message"]
         assert not out.exists()
+    # a large non-resonant shift is not refused
     cfg = write_cfg(tmp_path, dict(base, a=1.0, h=3.29e6))
     assert parse_config(cfg, command, tmp_path, 0).options["h"] == 3.29e6
 
 
+def test_constants_at_a_large_non_resonant_shift_exit_0(tmp_path):
+    # the gap search samples a band around sqrt(a), whatever |h|: a scan
+    # of all of [0, P] would take 1.7e7 samples at (1, 3.29e6), and more
+    # than 2**24 at (4, -2.2e6)
+    for a, h, alpha in ((1.0, 3.29e6, 8.3635e-13), (4.0, -2.2e6, np.inf)):
+        cfg = {"a": a, "h": h, "L": 40.0, "N": 256, "G": {"name": "gaussian"}}
+        out = tmp_path / f"out{h}"
+        assert main(["constants", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "kernel_report.json").read_text())
+        assert report["classification"]["alpha"] <= alpha
+
+
 def test_resonant_shift_beyond_the_sample_bound_solves(tmp_path):
-    # a resonant (a, h) samples nothing, so (1 + sqrt(a))*|h| = 1.3e8 is
-    # not bound by estimate_alpha's 2**24 samples
+    # a resonant (a, h) samples nothing: (1 + sqrt(a))*|h| = 1.3e8
     cfg = dict(LINEAR_CFG, h=2 * np.pi * 10**7, f={"name": "hermite_gaussian"})
     out = tmp_path / "out"
     assert main(["solve-linear", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0

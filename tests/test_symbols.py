@@ -231,58 +231,89 @@ def test_estimate_alpha_rejects_resonant():
         estimate_alpha(ShiftParams(3.0, h + 1.5e-9 * h))
 
 
-def test_estimate_alpha_refuses_more_than_2_24_samples(monkeypatch):
-    # about 4e8 coarse samples for a = 1e17, h = 0.7 (non-resonant): refused
-    # before any array is built; the count just below the cap is allowed
-    def refuse(*args, **kwargs):
-        raise AssertionError("allocation attempted")
-
-    monkeypatch.setattr(symbols.np, "linspace", refuse)
-    for a, h in ((1e17, 0.7), (1.0, 3.3e6)):
-        with pytest.raises(ValueError, match=r"more than 2\*\*24"):
-            estimate_alpha(ShiftParams(a, h))
-    # a count beyond the float range is refused too, not an OverflowError
-    with pytest.raises(ValueError, match=r"more than 2\*\*24"):
-        symbols.alpha_sample_count(ShiftParams(1e300, 1e300))
-    bound = 2**24 * np.pi / 8  # (1 + sqrt(a))*|h| at the cap
-    # exactly 2**24 samples are refused: the bound is strict
-    at_cap = ShiftParams(1.0, 2**24 * 2 * np.pi / 32)
-    with pytest.raises(ValueError, match=r"at 1.68e\+07 points"):
-        symbols.alpha_sample_count(at_cap)
-    assert symbols.alpha_sample_count(ShiftParams(1.0, bound / 2 * (1 - 1e-9))) == 2**24
-    assert symbols.alpha_sample_count(ShiftParams(1.0, 1.0)) == 4097
+def full_window_alpha(params):
+    """The reference: the sampled minimum over all of [0, P], every
+    coarse sample and every window around a sampled local minimum."""
+    P = 2.0 * (1.0 + params.sqrt_a)
+    n = max(4097, int(8.0 * P * abs(params.h) / (2.0 * np.pi)) + 1)
+    p = np.arange(n) * (P / (n - 1))
+    p[-1] = P
+    v = symbol_modulus_sq(p, params)
+    lowest = np.ones(n, bool)
+    lowest[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
+    i = np.flatnonzero(lowest)
+    lo, hi = p[np.maximum(i - 1, 0)], p[np.minimum(i + 1, n - 1)]
+    return min(float(v.min()), symbols._refined_minimum(lo, hi, params, P))
 
 
-def test_estimate_alpha_refines_in_blocks_bit_identically(monkeypatch):
-    # the coarse samples are np.linspace's, block by block, each minimum
-    # is refined on its own and min is exact, so the block size bounds the
-    # memory and leaves alpha's bits
-    default = symbols._ALPHA_BLOCK
-    blocks = []
-    refine = symbols._refined_minimum
+def test_band_search_matches_the_full_window_scan():
+    # the search skips only samples and windows above U, a value of
+    # |lambda|^2: bit for bit the full scan's alpha when that is at most
+    # U, which it is for every |h| <= 2.5 drawn, and never above it
+    rng = np.random.default_rng(33)
+    lower = 0
+    for large in (False,) * 60 + (True,) * 40:
+        h = 10 ** rng.uniform(0.4, 4.0) if large else rng.uniform(0.01, 2.5)
+        params = ShiftParams(float(10 ** rng.uniform(-2.0, 2.0)), float(rng.choice([-h, h])))
+        alpha, reference = estimate_alpha(params), full_window_alpha(params)
+        assert alpha.hex() == reference.hex() or large and alpha < reference, params
+        lower += alpha != reference
+    # large shifts, where the full scan can miss the minimum between samples
+    assert lower > 0
+
+
+def test_band_search_samples_a_few_hundred_points_at_any_shift(monkeypatch):
+    # the work does not grow with |h|, where a scan of all of [0, P]
+    # takes 1.7e7 samples at (1, 3.29e6) and 2.5e9 at (1, 5e8).  Measured:
+    # 210 and 826 samples, the band at 5e8 widened by the round-off in
+    # cos(ph) at U's points.  A call that would sample the window whole
+    # fails before it evaluates
+    real = symbols.symbol_modulus_sq
+    counts = []
+
+    def count(p, params):
+        counts.append(np.size(p))
+        if np.size(p) > 10_000:
+            raise AssertionError(f"{np.size(p)} samples in one call")
+        return real(p, params)
+
+    monkeypatch.setattr(symbols, "symbol_modulus_sq", count)
+    for h, full_scan in ((3.29e6, 8.3635e-13), (-5e8, None)):
+        counts.clear()
+        alpha = estimate_alpha(ShiftParams(1.0, h))
+        assert 0 < sum(counts) <= 1000, (h, counts)
+        # the full scan's value at (1, 3.29e6); a long-double scan gave
+        # 8.2136e-13
+        assert full_scan is None or alpha <= full_scan
+
+
+def test_band_search_takes_every_sample_within_two_steps_of_the_band(monkeypatch):
+    # a coarse window [p_{i-1}, p_{i+1}] refines less than step/7 past its
+    # ends, so the search must take, as candidate minima, the samples
+    # within two steps of the band |p^2 - a| <= sqrt(U), U the least
+    # |lambda|^2 at p = 0 and at the points next to sqrt(a) where
+    # cos(ph) = 1; it reads one more on each side
+    real = symbols.symbol_modulus_sq
+    calls = []
     monkeypatch.setattr(
-        symbols, "_refined_minimum", lambda lo, *args: blocks.append(len(lo)) or refine(lo, *args)
+        symbols, "symbol_modulus_sq", lambda p, params: calls.append(p) or real(p, params)
     )
-    rng = np.random.default_rng(23)
-    cases = [(rng.uniform(0.1, 20.0), rng.uniform(-60.0, 60.0), (1, 10**9)) for _ in range(6)]
-    # about 4*h/(2*pi) = 19099 sampled minima over 152790 samples: more
-    # than one default block
-    cases.append((1.0, 3e4, (1000, 10**9)))
-    for a, h, sizes in cases:
-        params = ShiftParams(float(a), float(h))
-        monkeypatch.setattr(symbols, "_ALPHA_BLOCK", default)
-        blocks.clear()
-        alpha = estimate_alpha(params)
-        n = symbols.alpha_sample_count(params)
-        assert max(blocks) <= default and (h != 3e4 or len(blocks) == -(-n // default) > 1)
-        # a sampled minimum as the first and as the last sample of a block
-        v = symbol_modulus_sq(np.linspace(0.0, 2.0 * (1.0 + params.sqrt_a), n), params)
-        minima = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
-        middle = int(minima[np.argmin(np.abs(minima - n // 2))])
-        for size in (*sizes, middle, middle + 1):
-            monkeypatch.setattr(symbols, "_ALPHA_BLOCK", size)
-            classify.cache_clear()
-            assert estimate_alpha(params).hex() == alpha.hex(), (a, h, size)
+    for a, h in ((1.0, 3.29e6), (2.0, 1.0), (0.5, -40.0), (30.0, 700.0)):
+        params = ShiftParams(a, h)
+        calls.clear()
+        estimate_alpha(params)
+        k = np.sqrt(a) * abs(h) / (2.0 * np.pi)
+        ones = 2.0 * np.pi * np.array([0.0, np.floor(k), np.ceil(k)]) / abs(h)
+        U = float(real(ones, params).min())
+        # the coarse samples: the one evenly spaced 1-D call of more than
+        # three points (the refinement windows are 2-D)
+        (p,) = [
+            c for c in calls if c.ndim == 1 and len(c) > 3 and np.allclose(np.diff(c), c[1] - c[0])
+        ]
+        step = p[1] - p[0]
+        lo, hi = np.sqrt(max(a - np.sqrt(U), 0.0)), np.sqrt(a + np.sqrt(U))
+        assert p[0] == 0.0 or p[0] < lo - 2.0 * step, (a, h)
+        assert p[-1] > hi + 2.0 * step, (a, h)
 
 
 def test_estimate_alpha_window_check_raises(monkeypatch):
